@@ -7,11 +7,10 @@ Exit codes: 0 success, 1 validation error (bad data or configuration),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .core import EvalConfig, ThresholdStrategy
+from .core import EvalConfig, ThresholdStrategy, events_within
 from .errors import EventEvalError, InputError, ValidationError
 from .events import audit_dataset, mask_to_events
 from .fusion import run_dual_pipeline
@@ -24,6 +23,7 @@ from .io import (
     emit_frame_metrics,
     emit_report,
     events_to_json_obj,
+    json_bytes,
     load_branch_errors,
     load_config,
     load_events_json,
@@ -130,10 +130,6 @@ def _emit(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
-
-
 def _run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else EvalConfig()
     jobs = _resolve_jobs(args)
@@ -154,10 +150,13 @@ def _run(args: argparse.Namespace) -> int:
         tau = _derive_tau(videos, cfg, args.tau)
         events = {s.video_id: predict_events(s, tau, cfg, args.mode)
                   for s, _ in videos}
-        _emit(_json_bytes(events_to_json_obj(events)), args.out)
+        _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "event-metrics":
         videos = load_videos(manifest, jobs)
         pred = load_events_json(args.pred)
+        for _, mask in videos:
+            if mask.video_id in pred:
+                events_within(pred[mask.video_id], len(mask))
         gt = [mask_to_events(m) for _, m in videos]
         metrics = multi_threshold_eval(gt, list(pred.values()),
                                        cfg.tiou_thresholds)
@@ -178,7 +177,7 @@ def _run(args: argparse.Namespace) -> int:
             batches[entry.video_id] = load_branch_errors(
                 entry.branch_errors_path)
         events = run_dual_pipeline(batches, float(tau), lens)
-        _emit(_json_bytes(events_to_json_obj(events)), args.out)
+        _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "evaluate":
         report = run_evaluation(manifest, cfg, mode=args.mode, jobs=jobs)
         _emit(emit_report(report, args.format), args.out)

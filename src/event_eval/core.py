@@ -87,8 +87,9 @@ class TemporalEvent:
     end: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "end", int(self.end))
+        if type(self.start) is not int or type(self.end) is not int:
+            object.__setattr__(self, "start", int(self.start))
+            object.__setattr__(self, "end", int(self.end))
         if self.start < 0 or self.end < self.start:
             raise ValidationError(
                 f"invalid event interval [{self.start}, {self.end}]")
@@ -172,13 +173,14 @@ class EvalConfig:
                 f"{self.vote_window}: frames would go unvoted")
         if not self.tiou_thresholds:
             raise ValidationError("tiou_thresholds must not be empty")
-        if list(self.tiou_thresholds) != sorted(self.tiou_thresholds):
-            raise ValidationError("tiou_thresholds must be sorted ascending")
+        if any(b <= a for a, b in zip(self.tiou_thresholds,
+                                      self.tiou_thresholds[1:])):
+            raise ValidationError("tiou_thresholds must be strictly ascending")
         for t in self.tiou_thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValidationError(f"tiou threshold {t} outside (0, 1]")
-        if not self.hprs_beta > 0:
-            raise ValidationError(f"hprs_beta must be positive, "
+        if not 0 < self.hprs_beta < np.inf:
+            raise ValidationError(f"hprs_beta must be positive and finite, "
                                   f"got {self.hprs_beta}")
         if self.threshold_strategy is ThresholdStrategy.FIXED:
             if self.fixed_tau is None or not np.isfinite(self.fixed_tau):

@@ -54,8 +54,7 @@ def mask_to_events(mask: FrameMask) -> EventSet:
     delta = np.diff(padded)
     starts = np.flatnonzero(delta == 1)
     ends = np.flatnonzero(delta == -1) - 1
-    events = tuple(TemporalEvent(int(s), int(e))
-                   for s, e in zip(starts, ends))
+    events = tuple(map(TemporalEvent, starts.tolist(), ends.tolist()))
     return EventSet(video_id=mask.video_id, events=events)
 
 
@@ -64,10 +63,11 @@ def events_to_mask(events: EventSet, n: int) -> FrameMask:
     if n < 1:
         raise ValidationError(f"mask length must be >= 1, got {n}")
     events_within(events, n)
-    labels = np.zeros(n, dtype=int)
-    for e in events:
-        labels[e.start:e.end + 1] = 1
-    return FrameMask(video_id=events.video_id, labels=labels)
+    # events are disjoint and non-adjacent, so no two bounds share an index
+    delta = np.zeros(n + 1, dtype=int)
+    delta[[e.start for e in events]] = 1
+    delta[[e.end + 1 for e in events]] = -1
+    return FrameMask(video_id=events.video_id, labels=np.cumsum(delta[:n]))
 
 
 def binarize(scores: ScoreSequence, tau: float) -> FrameMask:

@@ -14,9 +14,11 @@ import io as _io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import (
@@ -49,14 +51,7 @@ from .events import (
 )
 from .fusion import BranchErrors
 from .matching import multi_threshold_eval
-from .thresholds import (
-    auc_pr,
-    auc_roc,
-    eer_threshold,
-    f1_at_threshold,
-    hprs_threshold,
-    roc_curve,
-)
+from .thresholds import frame_metrics
 
 REFINED = "refined"
 BASELINE = "baseline"
@@ -304,12 +299,20 @@ def load_events_json(path: str | Path) -> dict[str, EventSet]:
     out: dict[str, EventSet] = {}
     for video_id, spans in data.items():
         try:
-            events = tuple(TemporalEvent(int(s), int(e)) for s, e in spans)
+            events = tuple(TemporalEvent(*_int_bounds(span))
+                           for span in spans)
             out[video_id] = EventSet(video_id=video_id, events=events)
         except (EventEvalError, TypeError, ValueError) as exc:
             raise ParseError(str(path), None,
                              f"bad events for {video_id!r}: {exc}")
     return out
+
+
+def _int_bounds(span) -> tuple[int, int]:
+    start, end = span
+    if type(start) is not int or type(end) is not int:
+        raise ValueError(f"event bounds {span!r} are not integers")
+    return start, end
 
 
 def events_to_json_obj(events_by_id: dict[str, EventSet]) -> dict:
@@ -409,25 +412,9 @@ def predict_events(scores: ScoreSequence, tau: float, cfg: EvalConfig,
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
     """Frame-level metrics over the concatenated scores of all videos."""
-    concat_scores: list[float] = []
-    concat_labels: list[int] = []
-    for scores, mask in videos:
-        concat_scores.extend(scores.scores)
-        concat_labels.extend(mask.labels)
-    curve = roc_curve(concat_scores, concat_labels)
-    tau_eer, eer = eer_threshold(curve)
-    tau_hprs = hprs_threshold(concat_scores, concat_labels, cfg.hprs_beta)
-    return FrameMetrics(
-        auc_roc=auc_roc(curve),
-        auc_pr=auc_pr(concat_scores, concat_labels),
-        eer=eer,
-        tau_eer=tau_eer,
-        tau_hprs=tau_hprs,
-        f1_at_tau_eer=f1_at_threshold(concat_scores, concat_labels,
-                                      tau_eer).f1,
-        f1_at_tau_hprs=f1_at_threshold(concat_scores, concat_labels,
-                                       tau_hprs).f1,
-    )
+    return frame_metrics(np.concatenate([s.as_array() for s, _ in videos]),
+                         np.concatenate([m.as_array() for _, m in videos]),
+                         cfg.hprs_beta)
 
 
 def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
@@ -478,18 +465,6 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
 # report emission
 
 
-def frame_metrics_to_dict(m: FrameMetrics) -> dict:
-    return {
-        "auc_roc": m.auc_roc,
-        "auc_pr": m.auc_pr,
-        "eer": m.eer,
-        "tau_eer": m.tau_eer,
-        "tau_hprs": m.tau_hprs,
-        "f1_at_tau_eer": m.f1_at_tau_eer,
-        "f1_at_tau_hprs": m.f1_at_tau_hprs,
-    }
-
-
 def event_metrics_to_dict(m: EventMetrics) -> dict:
     return {
         "per_tiou": [
@@ -501,29 +476,17 @@ def event_metrics_to_dict(m: EventMetrics) -> dict:
     }
 
 
-def audit_to_dict(a: AuditReport) -> dict:
-    return {
-        "normal_frames": a.normal_frames,
-        "anomalous_frames": a.anomalous_frames,
-        "event_count": a.event_count,
-        "avg_duration_frames": a.avg_duration_frames,
-        "min_duration": a.min_duration,
-        "max_duration": a.max_duration,
-        "micro_event_count": a.micro_event_count,
-    }
-
-
 def report_to_dict(report: Report) -> dict:
     return {
         "tool_version": report.tool_version,
         "mode": report.mode,
         "config": config_to_dict(report.config_echo),
-        "frame_metrics": frame_metrics_to_dict(report.frame_metrics),
+        "frame_metrics": asdict(report.frame_metrics),
         "event_metrics": {
             "tau_eer": event_metrics_to_dict(report.event_metrics_eer),
             "tau_hprs": event_metrics_to_dict(report.event_metrics_hprs),
         },
-        "audit": audit_to_dict(report.audit),
+        "audit": asdict(report.audit),
     }
 
 
@@ -578,7 +541,7 @@ def _markdown_report(report: Report) -> str:
     lines = ["# event-eval report", "",
              f"tool_version: {report.tool_version} | mode: {report.mode}",
              "", "## Frame-level metrics", ""]
-    lines += _flat_md_table(frame_metrics_to_dict(report.frame_metrics))
+    lines += _flat_md_table(asdict(report.frame_metrics))
     lines.append("")
     lines += _event_metrics_md("Event-level metrics @ tau_EER",
                                report.event_metrics_eer)
@@ -586,7 +549,7 @@ def _markdown_report(report: Report) -> str:
     lines += _event_metrics_md("Event-level metrics @ tau_HPRS",
                                report.event_metrics_hprs)
     lines += ["", "## Dataset audit", ""]
-    lines += _flat_md_table(audit_to_dict(report.audit))
+    lines += _flat_md_table(asdict(report.audit))
     lines += ["", "## Configuration", "", "| key | value |", "|---|---|"]
     for k, v in config_to_dict(report.config_echo).items():
         lines.append(f"| {k} | {v} |")
@@ -600,7 +563,7 @@ def _csv_report(report: Report) -> str:
     writer.writerow(["section", "tiou", "metric", "value"])
     writer.writerow(["meta", "", "tool_version", report.tool_version])
     writer.writerow(["meta", "", "mode", report.mode])
-    for k, v in frame_metrics_to_dict(report.frame_metrics).items():
+    for k, v in asdict(report.frame_metrics).items():
         writer.writerow(["frame", "", k, repr(v) if isinstance(v, float)
                          else v])
     for section, metrics in (("event_eer", report.event_metrics_eer),
@@ -612,7 +575,7 @@ def _csv_report(report: Report) -> str:
                 writer.writerow([section, repr(t), k,
                                  repr(v) if isinstance(v, float) else v])
         writer.writerow([section, "", "average_f1", repr(metrics.average_f1)])
-    for k, v in audit_to_dict(report.audit).items():
+    for k, v in asdict(report.audit).items():
         writer.writerow(["audit", "", k, repr(v) if isinstance(v, float)
                          else v])
     for k, v in config_to_dict(report.config_echo).items():
@@ -620,10 +583,15 @@ def _csv_report(report: Report) -> str:
     return buf.getvalue()
 
 
+def json_bytes(obj) -> bytes:
+    """Strict JSON (NaN and infinities raise), indented, newline-ended."""
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
+
+
 def emit_report(report: Report, format: str = "json") -> bytes:
     """Serialize a report deterministically; json is the canonical format."""
     if format == "json":
-        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
+        return json_bytes(report_to_dict(report))
     if format == "markdown":
         return (_markdown_report(report) + "\n").encode()
     if format == "csv":
@@ -634,7 +602,7 @@ def emit_report(report: Report, format: str = "json") -> bytes:
 def _emit_flat(section: str, values: dict, format: str,
                title: str) -> bytes:
     if format == "json":
-        return (json.dumps(values, indent=2) + "\n").encode()
+        return json_bytes(values)
     if format == "markdown":
         lines = [f"# {title}", ""] + _flat_md_table(values) + [""]
         return "\n".join(lines).encode()
@@ -650,18 +618,17 @@ def _emit_flat(section: str, values: dict, format: str,
 
 
 def emit_audit(audit: AuditReport, format: str = "json") -> bytes:
-    return _emit_flat("audit", audit_to_dict(audit), format, "Dataset audit")
+    return _emit_flat("audit", asdict(audit), format, "Dataset audit")
 
 
 def emit_frame_metrics(metrics: FrameMetrics, format: str = "json") -> bytes:
-    return _emit_flat("frame", frame_metrics_to_dict(metrics), format,
+    return _emit_flat("frame", asdict(metrics), format,
                       "Frame-level metrics")
 
 
 def emit_event_metrics(metrics: EventMetrics, format: str = "json") -> bytes:
     if format == "json":
-        return (json.dumps(event_metrics_to_dict(metrics), indent=2)
-                + "\n").encode()
+        return json_bytes(event_metrics_to_dict(metrics))
     if format == "markdown":
         lines = _event_metrics_md("Event-level metrics", metrics) + [""]
         return "\n".join(lines).encode()

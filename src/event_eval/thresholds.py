@@ -3,17 +3,19 @@
 All searches run over the finest lossless candidate grid: the distinct
 observed scores plus -inf/+inf sentinels. Binarization is score >= tau
 everywhere; thresholds are meant to be derived once per model-dataset pair
-from the concatenated test-set scores.
+from the concatenated test-set scores. Every metric is read from the TP/FP
+counts at those candidates, built from one stable sort of the scores (the
+one-pass ROC construction, Fawcett 2006, Alg. 2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .core import FrameMetrics
 from .errors import DegenerateLabels, LengthMismatch, NonBinaryLabel, NonFiniteScore
 
 
@@ -33,26 +35,40 @@ class RocPoint:
 
 
 @dataclass(frozen=True)
-class RocCurve:
-    """Operating points sorted ascending by threshold.
-
-    far == fpr and frr == 1 - tpr by construction; tpr and fpr are monotone
-    non-increasing in the threshold.
-    """
-
-    points: tuple[RocPoint, ...]
-
-
-@dataclass(frozen=True)
 class PrPoint:
     threshold: float
     precision: float
     recall: float
 
 
-@dataclass(frozen=True)
-class PrCurve:
-    points: tuple[PrPoint, ...]
+class RocCurve(NamedTuple):
+    """Operating points sorted ascending by threshold, one array per field.
+
+    far == fpr and frr == 1 - tpr by construction; tpr and fpr are monotone
+    non-increasing in the threshold. points builds RocPoints on access.
+    """
+
+    thresholds: np.ndarray
+    far: np.ndarray
+    frr: np.ndarray
+    tpr: np.ndarray
+    fpr: np.ndarray
+
+    @property
+    def points(self) -> tuple[RocPoint, ...]:
+        return tuple(RocPoint(*p) for p in zip(*(a.tolist() for a in self)))
+
+
+class PrCurve(NamedTuple):
+    """Precision/recall sorted ascending by threshold, one array per field."""
+
+    thresholds: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+
+    @property
+    def points(self) -> tuple[PrPoint, ...]:
+        return tuple(PrPoint(*p) for p in zip(*(a.tolist() for a in self)))
 
 
 def _as_arrays(scores: Sequence[float],
@@ -73,44 +89,86 @@ def _as_arrays(scores: Sequence[float],
     return s, y.astype(int)
 
 
-def _candidate_counts(s: np.ndarray, y: np.ndarray,
-                      sentinels: bool = True) -> tuple[np.ndarray, np.ndarray,
-                                                       np.ndarray, int, int]:
+def _candidate_counts(scores: Sequence[float], labels: Sequence[int],
+                      need_negatives: bool = True):
     """TP/FP counts of the >=-threshold classifier at every candidate.
 
-    Returns (candidates ascending, tp, fp, n_pos, n_neg). One pass over the
-    sorted scores; counts are exact integers.
+    Returns (candidates ascending, tp, fp, n_pos, n_neg). The distinct scores
+    are the first entry of each run of equal values in the sorted array, so
+    one stable argsort is the only sort; counts are exact integers.
     """
+    s, y = _as_arrays(scores, labels)
     order = np.argsort(s, kind="mergesort")
     s_sorted = s[order]
     cum_pos = np.concatenate([[0], np.cumsum(y[order])])
     n_pos = int(cum_pos[-1])
     n_neg = s.size - n_pos
-    cand = np.unique(s)
-    if sentinels:
-        cand = np.concatenate([[-np.inf], cand, [np.inf]])
-    idx = np.searchsorted(s_sorted, cand, side="left")
+    if n_pos == 0 or (need_negatives and n_neg == 0):
+        need = "both classes" if need_negatives else "a positive frame"
+        raise DegenerateLabels(f"need {need}, got {n_pos} positive / "
+                               f"{n_neg} negative frames")
+    run_start = np.ones(s.size, dtype=bool)
+    np.not_equal(s_sorted[1:], s_sorted[:-1], out=run_start[1:])
+    first = np.flatnonzero(run_start)
+    idx = np.concatenate([[0], first, [s.size]])
     tp = n_pos - cum_pos[idx]
-    fp = (s.size - idx) - tp
-    return cand, tp, fp, n_pos, n_neg
+    return (np.concatenate([[-np.inf], s_sorted[first], [np.inf]]), tp,
+            (s.size - idx) - tp, n_pos, n_neg)
+
+
+def _area(terms: np.ndarray) -> float:
+    # np.cumsum adds left to right, as a loop would; np.sum adds pairwise
+    # and would change the last bits of every reported area
+    area = np.cumsum(terms)[-1] if terms.size else 0.0
+    return float(min(1.0, max(0.0, area)))  # guard ulp-level overshoot
+
+
+def _precision(tp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    return tp / np.maximum(tp + fp, 1)  # nothing predicted: 0 / 1 = 0
+
+
+def _roc(cand, tp, fp, n_pos: int, n_neg: int) -> RocCurve:
+    fpr = fp / n_neg
+    return RocCurve(cand, fpr, (n_pos - tp) / n_pos, tp / n_pos, fpr)
+
+
+def _auc_pr(tp: np.ndarray, fp: np.ndarray, n_pos: int) -> float:
+    tp, fp = tp[-2:0:-1], fp[-2:0:-1]  # observed scores, high to low
+    recall = tp / n_pos
+    return _area((recall - np.concatenate([[0.0], recall[:-1]]))
+                 * _precision(tp, fp))
+
+
+def _eer_index(curve: RocCurve) -> int:
+    """Index of the first (lowest-threshold) minimum of |FAR - FRR|."""
+    return int(np.argmin(np.abs(curve.far - curve.frr)))
+
+
+def _hprs_index(tp: np.ndarray, fp: np.ndarray, n_pos: int,
+                beta: float) -> int:
+    """Index of the last (highest-threshold) maximum of F_beta."""
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    b2 = beta * beta
+    prec = _precision(tp, fp)
+    rec = tp / n_pos
+    denom = b2 * prec + rec
+    fb = np.divide((1.0 + b2) * prec * rec, denom, out=np.zeros(denom.size),
+                   where=denom > 0)
+    return fb.size - 1 - int(np.argmax(fb[::-1]))
+
+
+def _prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / n_pos if n_pos > 0 else 0.0
+    pr = precision + recall
+    f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
+    return PrecisionRecallF1(precision, recall, f1)
 
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     """ROC operating points at every distinct score plus +-inf sentinels."""
-    s, y = _as_arrays(scores, labels)
-    cand, tp, fp, n_pos, n_neg = _candidate_counts(s, y)
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels(
-            f"need both classes, got {n_pos} positive / {n_neg} negative "
-            "frames")
-    points = tuple(
-        RocPoint(threshold=float(t),
-                 far=fpk / n_neg,
-                 frr=(n_pos - tpk) / n_pos,
-                 tpr=tpk / n_pos,
-                 fpr=fpk / n_neg)
-        for t, tpk, fpk in zip(cand, tp, fp))
-    return RocCurve(points=points)
+    return _roc(*_candidate_counts(scores, labels))
 
 
 def auc_roc(curve: RocCurve) -> float:
@@ -118,11 +176,8 @@ def auc_roc(curve: RocCurve) -> float:
 
     Equals the Mann-Whitney pair-counting statistic with ties worth 0.5.
     """
-    pts = curve.points[::-1]  # ascending fpr
-    area = 0.0
-    for a, b in zip(pts, pts[1:]):
-        area += (b.fpr - a.fpr) * (b.tpr + a.tpr) / 2.0
-    return float(min(1.0, max(0.0, area)))  # guard ulp-level overshoot
+    fpr, tpr = curve.fpr[::-1], curve.tpr[::-1]  # ascending fpr
+    return _area((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)
 
 
 def pr_curve(scores: Sequence[float], labels: Sequence[int]) -> PrCurve:
@@ -130,16 +185,8 @@ def pr_curve(scores: Sequence[float], labels: Sequence[int]) -> PrCurve:
 
     Precision of the empty prediction set (tau = +inf) is 0 by convention.
     """
-    s, y = _as_arrays(scores, labels)
-    cand, tp, fp, n_pos, _ = _candidate_counts(s, y)
-    if n_pos == 0:
-        raise DegenerateLabels("need at least one positive frame")
-    points = tuple(
-        PrPoint(threshold=float(t),
-                precision=tpk / (tpk + fpk) if tpk + fpk > 0 else 0.0,
-                recall=tpk / n_pos)
-        for t, tpk, fpk in zip(cand, tp, fp))
-    return PrCurve(points=points)
+    cand, tp, fp, n_pos, _ = _candidate_counts(scores, labels, False)
+    return PrCurve(cand, _precision(tp, fp), tp / n_pos)
 
 
 def auc_pr(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -148,18 +195,8 @@ def auc_pr(scores: Sequence[float], labels: Sequence[int]) -> float:
     Walking thresholds from high to low, each distinct score contributes
     (recall_k - recall_{k-1}) * precision_k.
     """
-    s, y = _as_arrays(scores, labels)
-    cand, tp, fp, n_pos, _ = _candidate_counts(s, y, sentinels=False)
-    if n_pos == 0:
-        raise DegenerateLabels("need at least one positive frame")
-    area = 0.0
-    prev_recall = 0.0
-    for tpk, fpk in zip(tp[::-1], fp[::-1]):
-        recall = tpk / n_pos
-        precision = tpk / (tpk + fpk)  # >= 1 frame predicted at any observed score
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(min(1.0, max(0.0, area)))  # guard ulp-level overshoot
+    _, tp, fp, n_pos, _ = _candidate_counts(scores, labels, False)
+    return _auc_pr(tp, fp, n_pos)
 
 
 def eer_threshold(curve: RocCurve) -> tuple[float, float]:
@@ -168,15 +205,9 @@ def eer_threshold(curve: RocCurve) -> tuple[float, float]:
     The reported EER is the midpoint (FAR + FRR) / 2 at that point, the
     standard convention since finite grids rarely yield exact equality.
     """
-    best = None
-    best_gap = math.inf
-    for p in curve.points:
-        gap = abs(p.far - p.frr)
-        if gap < best_gap:
-            best_gap = gap
-            best = p
-    assert best is not None
-    return float(best.threshold), float((best.far + best.frr) / 2.0)
+    i = _eer_index(curve)
+    return float(curve.thresholds[i]), float((curve.far[i] + curve.frr[i])
+                                             / 2.0)
 
 
 def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
@@ -187,26 +218,8 @@ def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
     beta < 1 weights precision over recall; beta = 1 reduces to the
     F1-maximizing threshold.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    s, y = _as_arrays(scores, labels)
-    cand, tp, fp, n_pos, n_neg = _candidate_counts(s, y)
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels(
-            f"need both classes, got {n_pos} positive / {n_neg} negative "
-            "frames")
-    b2 = beta * beta
-    best_tau = float(cand[0])
-    best_fb = -1.0
-    for t, tpk, fpk in zip(cand, tp, fp):
-        prec = tpk / (tpk + fpk) if tpk + fpk > 0 else 0.0
-        rec = tpk / n_pos
-        denom = b2 * prec + rec
-        fb = (1.0 + b2) * prec * rec / denom if denom > 0 else 0.0
-        if fb >= best_fb:
-            best_fb = fb
-            best_tau = float(t)
-    return best_tau
+    cand, tp, fp, n_pos, _ = _candidate_counts(scores, labels)
+    return float(cand[_hprs_index(tp, fp, n_pos, beta)])
 
 
 def f1_at_threshold(scores: Sequence[float], labels: Sequence[int],
@@ -219,10 +232,27 @@ def f1_at_threshold(scores: Sequence[float], labels: Sequence[int],
     s, y = _as_arrays(scores, labels)
     pred = s >= tau
     tp = int(np.count_nonzero(pred & (y == 1)))
-    fp = int(np.count_nonzero(pred & (y == 0)))
-    fn = int(np.count_nonzero(~pred & (y == 1)))
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    pr = precision + recall
-    f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
-    return PrecisionRecallF1(precision, recall, f1)
+    return _prf(tp, int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(y)))
+
+
+def frame_metrics(scores: Sequence[float], labels: Sequence[int],
+                  beta: float = 0.5) -> FrameMetrics:
+    """Every frame-level metric from one sort of the scores.
+
+    Equals composing the public functions above, except that a -inf tau_EER
+    (all scores equal) is reported as the lowest observed score, which
+    binarizes the data identically and keeps reports finite.
+    """
+    cand, tp, fp, n_pos, n_neg = _candidate_counts(scores, labels)
+    curve = _roc(cand, tp, fp, n_pos, n_neg)
+    i_eer, i_hprs = _eer_index(curve), _hprs_index(tp, fp, n_pos, beta)
+    f1 = [_prf(int(tp[i]), int(fp[i]), n_pos).f1 for i in (i_eer, i_hprs)]
+    return FrameMetrics(
+        auc_roc=auc_roc(curve),
+        auc_pr=_auc_pr(tp, fp, n_pos),
+        eer=eer_threshold(curve)[1],
+        tau_eer=float(cand[max(i_eer, 1)]),  # cand[1]: lowest observed score
+        tau_hprs=float(cand[i_hprs]),
+        f1_at_tau_eer=f1[0],
+        f1_at_tau_hprs=f1[1],
+    )

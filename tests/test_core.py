@@ -118,6 +118,8 @@ def test_config_defaults_are_valid():
     {"tiou_thresholds": ()},
     {"hprs_beta": 0.0},
     {"threshold_strategy": "fixed"},  # fixed_tau missing
+    {"tiou_thresholds": (0.3, 0.3)},  # duplicates: per_tiou would merge them
+    {"hprs_beta": math.inf},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):

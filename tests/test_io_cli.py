@@ -380,3 +380,39 @@ def test_cli_config_file_respected(tmp_path, capsysbinary):
     assert [row["tiou"] for row in
             report["event_metrics"]["tau_eer"]["per_tiou"]] == [0.5]
     assert report["config"]["tiou_thresholds"] == [0.5]
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def test_cli_reports_strict_json_on_constant_scores(tmp_path, capsysbinary):
+    write(tmp_path / "s.csv", scores_csv([0.25] * 40))
+    write(tmp_path / "m.csv", mask_csv([0] * 10 + [1] * 20 + [0] * 10))
+    manifest = str(write(tmp_path / "manifest.txt",
+                         "dataset: d\nvideo: v\nscores: s.csv\n"
+                         "mask: m.csv\n"))
+    assert main(["frame-metrics", manifest]) == 0
+    frame = json.loads(capsysbinary.readouterr().out,
+                       parse_constant=_reject_constant)
+    assert frame["tau_eer"] == 0.25
+    assert main(["evaluate", manifest]) == 0
+    report = json.loads(capsysbinary.readouterr().out,
+                        parse_constant=_reject_constant)
+    assert report["frame_metrics"]["tau_eer"] == 0.25
+
+
+@pytest.mark.parametrize("spans,code", [
+    ("[[0.7, 300]]", 2),       # float bound: never truncated
+    ("[[true, 300]]", 2),      # bool is not an integer bound
+    ("[[0, 1000000000]]", 1),  # past the end of the 800-frame video
+])
+def test_cli_event_metrics_rejects_bad_predictions(tmp_path, capsysbinary,
+                                                   spans, code):
+    manifest = str(perfect_fixture(tmp_path))
+    pred = write(tmp_path / "pred.json",
+                 f'{{"a": {spans}, "b": [[100, 399]]}}')
+    assert main(["event-metrics", manifest, "--pred", str(pred)]) == code
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "'a'" in err[0]

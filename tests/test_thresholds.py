@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from event_eval import (
     DegenerateLabels,
+    EvalConfig,
+    FrameMask,
+    FrameMetrics,
     LengthMismatch,
+    ScoreSequence,
     auc_pr,
     auc_roc,
     eer_threshold,
@@ -17,7 +22,16 @@ from event_eval import (
     roc_curve,
 )
 
-from oracles import pair_count_auc, sweep_auc_pr, sweep_eer, sweep_fbeta
+from event_eval.io import compute_frame_metrics
+
+from oracles import (
+    pair_count_auc,
+    sweep_auc_pr,
+    sweep_candidates,
+    sweep_counts,
+    sweep_eer,
+    sweep_fbeta,
+)
 
 FIX_SCORES = (0.1, 0.4, 0.35, 0.8)
 FIX_LABELS = (0, 0, 1, 1)
@@ -246,3 +260,101 @@ def test_pr_curve_recall_monotone():
     assert recalls == sorted(recalls, reverse=True)
     assert curve.points[0].recall == 1.0
     assert curve.points[-1].recall == 0.0
+
+
+# ---------------------------------------------------------------------------
+# compute_frame_metrics: one sort, bit-identical to the public functions
+
+
+def composed_frame_metrics(scores, labels, beta) -> FrameMetrics:
+    """FrameMetrics from one call of each public function."""
+    curve = roc_curve(scores, labels)
+    tau_eer, eer = eer_threshold(curve)
+    tau_hprs = hprs_threshold(scores, labels, beta)
+    return FrameMetrics(
+        auc_roc=auc_roc(curve),
+        auc_pr=auc_pr(scores, labels),
+        eer=eer,
+        # a -inf tau binarizes like the lowest score, which reports keep
+        tau_eer=tau_eer if tau_eer > -math.inf else float(np.min(scores)),
+        tau_hprs=tau_hprs,
+        f1_at_tau_eer=f1_at_threshold(scores, labels, tau_eer).f1,
+        f1_at_tau_hprs=f1_at_threshold(scores, labels, tau_hprs).f1,
+    )
+
+
+def loop_auc_roc(scores, labels) -> float:
+    """Trapezoid summed left to right over ascending fpr, in a Python loop."""
+    n_pos = int(np.count_nonzero(labels))
+    n_neg = len(labels) - n_pos
+    counts = [sweep_counts(scores, labels, tau)
+              for tau in reversed(sweep_candidates(scores))]
+    area = 0.0
+    for (tp_a, fp_a), (tp_b, fp_b) in zip(counts, counts[1:]):
+        area += ((fp_b / n_neg - fp_a / n_neg)
+                 * (tp_b / n_pos + tp_a / n_pos) / 2.0)
+    return min(1.0, max(0.0, area))
+
+
+def frame_metrics_of(scores, labels, beta, n_videos):
+    """compute_frame_metrics over the frames split into n_videos clips."""
+    parts = np.array_split(np.arange(len(scores)), min(n_videos,
+                                                       len(scores)))
+    videos = [(ScoreSequence(f"v{k}", np.asarray(scores)[p]),
+               FrameMask(f"v{k}", np.asarray(labels)[p]))
+              for k, p in enumerate(parts)]
+    return compute_frame_metrics(videos, EvalConfig(hprs_beta=beta))
+
+
+def exactness_fixtures():
+    rng = np.random.default_rng(2026)
+    for _ in range(60):
+        yield random_fixture(rng)  # scores rounded to 2 decimals: many ties
+    yield np.full(50, 0.37), np.r_[np.ones(10, int), np.zeros(40, int)]
+    single = np.zeros(40, int)
+    single[17] = 1
+    yield rng.normal(size=40), single
+
+
+def test_compute_frame_metrics_equals_public_functions_bit_for_bit():
+    for k, (scores, labels) in enumerate(exactness_fixtures()):
+        for beta in (0.5, 1.0):
+            got = frame_metrics_of(scores, labels, beta, n_videos=1 + k % 7)
+            assert got == composed_frame_metrics(scores, labels, beta)
+            assert got.auc_roc == loop_auc_roc(scores, labels)
+            assert got.auc_pr == min(1.0, sweep_auc_pr(scores, labels))
+            assert got.eer == sweep_eer(scores, labels)[1]
+            assert got.tau_hprs == sweep_fbeta(scores, labels, beta)
+
+
+def test_constant_scores_report_the_score_as_tau_eer():
+    scores, labels = np.full(50, 0.37), np.r_[np.ones(10, int),
+                                              np.zeros(40, int)]
+    assert eer_threshold(roc_curve(scores, labels))[0] == -math.inf
+    got = frame_metrics_of(scores, labels, 0.5, n_videos=3)
+    assert got.tau_eer == 0.37
+    assert got.f1_at_tau_eer == f1_at_threshold(scores, labels, -math.inf).f1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.integers(-40, 40), st.booleans()),
+                     max_size=120),
+       pos=st.integers(-40, 40), neg=st.integers(-40, 40),
+       beta=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       scale=st.sampled_from([0.5, 2.0, 4.0]), shift=st.integers(-8, 8),
+       n_videos=st.integers(1, 5))
+def test_frame_metrics_property(rows, pos, neg, beta, scale, shift,
+                                n_videos):
+    rows = rows + [(pos, True), (neg, False)]
+    # quarter-integers: the affine map below is exact, so it keeps every tie
+    scores = np.array([v / 4 for v, _ in rows])
+    labels = np.array([int(y) for _, y in rows])
+    got = frame_metrics_of(scores, labels, beta, n_videos)
+    assert got == composed_frame_metrics(scores, labels, beta)
+
+    moved = frame_metrics_of(scale * scores + shift, labels, beta, n_videos)
+    assert (moved.auc_roc, moved.auc_pr, moved.eer, moved.f1_at_tau_eer,
+            moved.f1_at_tau_hprs) == (got.auc_roc, got.auc_pr, got.eer,
+                                      got.f1_at_tau_eer, got.f1_at_tau_hprs)
+    assert moved.tau_eer == scale * got.tau_eer + shift
+    assert moved.tau_hprs == scale * got.tau_hprs + shift
