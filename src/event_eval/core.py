@@ -7,6 +7,7 @@ intervals are closed [start, end]; an event's duration is end - start + 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -135,6 +136,11 @@ class ThresholdStrategy(str, Enum):
     FIXED = "fixed"
 
 
+def _is_real(value) -> bool:
+    """An int or float (numpy scalars included), but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """All pipeline knobs, with the documented defaults.
@@ -153,8 +159,15 @@ class EvalConfig:
     fixed_tau: float | None = None
 
     def __post_init__(self) -> None:
+        try:
+            thresholds = tuple(self.tiou_thresholds)
+        except TypeError:
+            thresholds = None
+        if thresholds is None or not all(map(_is_real, thresholds)):
+            raise ValidationError("tiou_thresholds must be a list of numbers, "
+                                  f"got {self.tiou_thresholds!r}")
         object.__setattr__(self, "tiou_thresholds",
-                           tuple(float(t) for t in self.tiou_thresholds))
+                           tuple(float(t) for t in thresholds))
         object.__setattr__(self, "threshold_strategy",
                            ThresholdStrategy(self.threshold_strategy))
         for name in ("sigma_max", "vote_window", "vote_stride",
@@ -179,9 +192,12 @@ class EvalConfig:
         for t in self.tiou_thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValidationError(f"tiou threshold {t} outside (0, 1]")
-        if not 0 < self.hprs_beta < np.inf:
+        if not (_is_real(self.hprs_beta) and 0 < self.hprs_beta < np.inf):
             raise ValidationError(f"hprs_beta must be positive and finite, "
-                                  f"got {self.hprs_beta}")
+                                  f"got {self.hprs_beta!r}")
+        if self.fixed_tau is not None and not _is_real(self.fixed_tau):
+            raise ValidationError(
+                f"fixed_tau must be a number, got {self.fixed_tau!r}")
         if self.threshold_strategy is ThresholdStrategy.FIXED:
             if self.fixed_tau is None or not np.isfinite(self.fixed_tau):
                 raise ValidationError("FIXED strategy requires a finite "

@@ -91,13 +91,12 @@ def majority_vote_refine(mask: FrameMask, window: int,
         raise InvalidWindow(
             f"need 1 <= stride <= window <= mask length, got stride={stride}"
             f" window={window} length={n}")
-    labels = mask.as_array()
-    out = np.empty(n, dtype=int)
-    for t in range(0, n, stride):
-        win = labels[t:min(t + window, n)]
-        decision = 1 if 2 * int(win.sum()) >= win.size else 0
-        out[t:min(t + stride, n)] = decision
-    return FrameMask(video_id=mask.video_id, labels=out)
+    ones = np.concatenate(([0], np.cumsum(mask.as_array())))
+    starts = np.arange(0, n, stride)
+    ends = np.minimum(starts + window, n)
+    decision = 2 * (ones[ends] - ones[starts]) >= ends - starts
+    return FrameMask(video_id=mask.video_id,
+                     labels=np.repeat(decision, stride)[:n])
 
 
 def filter_short_events(events: EventSet, d_min: int) -> EventSet:
@@ -108,17 +107,29 @@ def filter_short_events(events: EventSet, d_min: int) -> EventSet:
     return EventSet(video_id=events.video_id, events=kept)
 
 
+def refine_smoothed(smoothed: ScoreSequence, tau: float,
+                    cfg: EvalConfig) -> EventSet:
+    """The tau-dependent tail of the refinement for one smoothed video.
+
+    binarize at tau -> majority_vote_refine -> mask_to_events ->
+    filter_short_events. On a clip shorter than the vote window, the window
+    is clamped to the clip length and the stride to that window, so a short
+    clip is voted on rather than rejected.
+    """
+    mask = binarize(smoothed, tau)
+    window = min(cfg.vote_window, len(mask))
+    voted = majority_vote_refine(mask, window, min(cfg.vote_stride, window))
+    return filter_short_events(mask_to_events(voted), cfg.min_event_len)
+
+
 def refine_pipeline(scores: ScoreSequence, tau: float,
                     cfg: EvalConfig) -> EventSet:
     """Run the full refinement for one video.
 
-    hierarchical_smooth -> binarize at tau -> majority_vote_refine ->
-    mask_to_events -> filter_short_events.
+    hierarchical_smooth, then refine_smoothed at tau.
     """
-    smoothed = hierarchical_smooth(scores, cfg.sigma_max)
-    mask = binarize(smoothed, tau)
-    voted = majority_vote_refine(mask, cfg.vote_window, cfg.vote_stride)
-    return filter_short_events(mask_to_events(voted), cfg.min_event_len)
+    return refine_smoothed(hierarchical_smooth(scores, cfg.sigma_max), tau,
+                           cfg)
 
 
 def audit_dataset(masks: list[FrameMask],

@@ -47,10 +47,11 @@ from .events import (
     audit_dataset,
     binarize,
     mask_to_events,
-    refine_pipeline,
+    refine_smoothed,
 )
 from .fusion import BranchErrors
 from .matching import multi_threshold_eval
+from .smoothing import hierarchical_smooth
 from .thresholds import frame_metrics
 
 REFINED = "refined"
@@ -345,8 +346,6 @@ def config_from_dict(data: dict) -> EvalConfig:
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValidationError(f"unknown config keys: {unknown}")
-    if "tiou_thresholds" in known:
-        known["tiou_thresholds"] = tuple(known["tiou_thresholds"])
     return EvalConfig(**known)
 
 
@@ -399,14 +398,26 @@ def load_videos(manifest: Manifest,
     return _map_videos(load_one, entries, jobs)
 
 
+def predict_at_taus(scores: ScoreSequence, taus: Sequence[float],
+                    cfg: EvalConfig, mode: str) -> list[EventSet]:
+    """Per-video predictions at each tau, in order.
+
+    Refined mode smooths once and runs the tau-dependent tail per tau;
+    baseline mode binarizes the raw scores.
+    """
+    if mode == BASELINE:
+        return [mask_to_events(binarize(scores, tau)) for tau in taus]
+    if mode == REFINED:
+        smoothed = hierarchical_smooth(scores, cfg.sigma_max)
+        return [refine_smoothed(smoothed, tau, cfg) for tau in taus]
+    raise ValidationError(f"unknown mode {mode!r}")
+
+
 def predict_events(scores: ScoreSequence, tau: float, cfg: EvalConfig,
                    mode: str) -> EventSet:
     """Per-video predictions: full refinement, or raw binarize for baseline."""
-    if mode == BASELINE:
-        return mask_to_events(binarize(scores, tau))
-    if mode == REFINED:
-        return refine_pipeline(scores, tau, cfg)
-    raise ValidationError(f"unknown mode {mode!r}")
+    (events,) = predict_at_taus(scores, (tau,), cfg, mode)
+    return events
 
 
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
@@ -417,23 +428,36 @@ def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                          cfg.hprs_beta)
 
 
-def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
-                     tau: float, cfg: EvalConfig, mode: str,
-                     jobs: int = 1) -> EventMetrics:
-    """Refine every video at tau and evaluate against its mask's events."""
+def event_metrics_at_taus(videos: Sequence[tuple[ScoreSequence, FrameMask]],
+                          taus: Sequence[float], cfg: EvalConfig, mode: str,
+                          jobs: int = 1) -> list[EventMetrics]:
+    """Predict every video at each tau and evaluate against its mask's events.
+
+    Each video's ground-truth events and smoothed scores are computed once
+    and shared by all taus.
+    """
 
     def one(pair: tuple[ScoreSequence, FrameMask]):
         scores, mask = pair
         try:
-            pred = predict_events(scores, tau, cfg, mode)
+            preds = predict_at_taus(scores, taus, cfg, mode)
         except EventEvalError as exc:
             _reraise_with_video(exc, scores.video_id)
-        return mask_to_events(mask), pred
+        return mask_to_events(mask), preds
 
     results = _map_videos(one, list(videos), jobs)
     gt_all = [gt for gt, _ in results]
-    pred_all = [pred for _, pred in results]
-    return multi_threshold_eval(gt_all, pred_all, cfg.tiou_thresholds)
+    return [multi_threshold_eval(gt_all, [preds[k] for _, preds in results],
+                                 cfg.tiou_thresholds)
+            for k in range(len(taus))]
+
+
+def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
+                     tau: float, cfg: EvalConfig, mode: str,
+                     jobs: int = 1) -> EventMetrics:
+    """Refine every video at tau and evaluate against its mask's events."""
+    (metrics,) = event_metrics_at_taus(videos, (tau,), cfg, mode, jobs)
+    return metrics
 
 
 def run_evaluation(manifest: Manifest, cfg: EvalConfig,
@@ -446,8 +470,8 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
     """
     videos = load_videos(manifest, jobs)
     frame = compute_frame_metrics(videos, cfg)
-    metrics_eer = event_metrics_at(videos, frame.tau_eer, cfg, mode, jobs)
-    metrics_hprs = event_metrics_at(videos, frame.tau_hprs, cfg, mode, jobs)
+    metrics_eer, metrics_hprs = event_metrics_at_taus(
+        videos, (frame.tau_eer, frame.tau_hprs), cfg, mode, jobs)
     audit = audit_dataset([mask for _, mask in videos],
                           micro_threshold=cfg.min_event_len)
     return Report(

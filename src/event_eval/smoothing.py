@@ -40,6 +40,14 @@ class GaussianKernel:
             raise ValidationError("kernel weights must sum to 1")
 
 
+def _gaussian_weights(sigma: float, radius: int) -> np.ndarray:
+    offsets = np.arange(-radius, radius + 1, dtype=float)
+    raw = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
+    w = raw / raw.sum()
+    w[radius] += 1.0 - w.sum()
+    return w
+
+
 def build_kernel(sigma: float, radius: int) -> GaussianKernel:
     """Evaluate exp(-(j - radius)^2 / (2 sigma^2)) on the integer grid and
     renormalize to unit mass.
@@ -51,12 +59,9 @@ def build_kernel(sigma: float, radius: int) -> GaussianKernel:
         raise InvalidSigma(f"sigma must be positive, got {sigma}")
     if radius < 1:
         raise ValidationError(f"radius must be >= 1, got {radius}")
-    offsets = np.arange(-radius, radius + 1, dtype=float)
-    raw = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
-    w = raw / raw.sum()
-    w[radius] += 1.0 - w.sum()
     return GaussianKernel(sigma=float(sigma), radius=int(radius),
-                          weights=tuple(float(x) for x in w))
+                          weights=tuple(_gaussian_weights(sigma,
+                                                          radius).tolist()))
 
 
 def default_radius(sigma: float) -> int:
@@ -64,23 +69,28 @@ def default_radius(sigma: float) -> int:
     return max(1, math.ceil(3.0 * sigma))
 
 
-def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
-    """Convolve one sequence with a kernel under reflect padding.
+def _smooth_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Convolve a float64 array with kernel weights under reflect padding.
 
     Computed in centered form, out[t] = x[t] + sum_j w_j * (x_pad[t+j] - x[t]),
     so constant inputs pass through bit-exactly; the result is then clipped to
     the input range, which the exact convex combination guarantees anyway but
     float rounding can overshoot by ~1 ulp.
     """
-    x = scores.as_array()
-    r = kernel.radius
-    w = np.asarray(kernel.weights, dtype=float)
+    r = w.size // 2
     padded = np.pad(x, r, mode="reflect") if x.size > 1 else np.full(
         x.size + 2 * r, x[0])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * r + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w.size)
     out = x + (windows - x[:, None]) @ w
     np.clip(out, x.min(), x.max(), out=out)
-    return ScoreSequence(video_id=scores.video_id, scores=out,
+    return out
+
+
+def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
+    """Convolve one sequence with a kernel under reflect padding."""
+    w = np.asarray(kernel.weights, dtype=float)
+    return ScoreSequence(video_id=scores.video_id,
+                         scores=_smooth_array(scores.as_array(), w),
                          fps=scores.fps)
 
 
@@ -88,11 +98,14 @@ def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
     """Apply smooth_once for sigma = 1..sigma_max with radius ceil(3 sigma).
 
     Ascending sigma suppresses local noise first, then progressively wider
-    passes flatten what remains while preserving the global trend.
+    passes flatten what remains while preserving the global trend. The passes
+    chain on one float64 array with the weights build_kernel would hold, so
+    the result equals the composed smooth_once calls bit for bit, without a
+    ScoreSequence or a GaussianKernel per pass.
     """
     if sigma_max < 1:
         raise InvalidSigma(f"sigma_max must be >= 1, got {sigma_max}")
-    out = scores
+    x = scores.as_array()
     for sigma in range(1, sigma_max + 1):
-        out = smooth_once(out, build_kernel(sigma, default_radius(sigma)))
-    return out
+        x = _smooth_array(x, _gaussian_weights(sigma, default_radius(sigma)))
+    return ScoreSequence(video_id=scores.video_id, scores=x, fps=scores.fps)

@@ -120,6 +120,10 @@ def test_config_defaults_are_valid():
     {"threshold_strategy": "fixed"},  # fixed_tau missing
     {"tiou_thresholds": (0.3, 0.3)},  # duplicates: per_tiou would merge them
     {"hprs_beta": math.inf},
+    {"hprs_beta": "x"},  # wrong JSON types: a ValidationError, no TypeError
+    {"hprs_beta": None},
+    {"tiou_thresholds": 0.3},
+    {"threshold_strategy": "fixed", "fixed_tau": "x"},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from event_eval import (
     EvalConfig,
@@ -16,6 +17,7 @@ from event_eval import (
     clean_micro_events,
     events_to_mask,
     filter_short_events,
+    hierarchical_smooth,
     majority_vote_refine,
     mask_to_events,
     refine_pipeline,
@@ -105,6 +107,27 @@ def test_majority_vote_matches_brute_force():
         assert len(got) == n
 
 
+@st.composite
+def vote_cases(draw):
+    n = draw(st.integers(1, 200))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    window = draw(st.integers(1, n))
+    stride = draw(st.integers(1, window))
+    return labels, window, stride
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vote_cases())
+@example(([1], 1, 1))                       # n = 1
+@example(([1, 0, 0, 1, 1, 0, 0], 3, 3))     # stride == window
+@example(([0, 1, 1, 0, 1, 0], 6, 4))        # window == n
+@example(([1, 0, 1, 0], 4, 4))              # stride == window == n, a tie
+def test_majority_vote_property(case):
+    labels, window, stride = case
+    got = majority_vote_refine(mask(*labels), window, stride)
+    assert list(got.labels) == brute_majority_vote(labels, window, stride)
+
+
 def test_filter_short_events():
     es = EventSet("v", (TemporalEvent(0, 0), TemporalEvent(5, 20)))
     assert spans(filter_short_events(es, 5)) == [(5, 20)]
@@ -163,6 +186,26 @@ def test_refine_pipeline_output_durations_respect_min_length():
         scores = ScoreSequence("v", tuple(rng.random(120)))
         for event in refine_pipeline(scores, 0.55, cfg):
             assert event.duration >= cfg.min_event_len
+
+
+def test_refine_pipeline_clamps_vote_to_short_clips():
+    # A clip shorter than vote_window votes with window n and stride
+    # min(vote_stride, n) instead of raising InvalidWindow.
+    rng = np.random.default_rng(71)
+    for cfg in (EvalConfig(), EvalConfig(min_event_len=1),
+                EvalConfig(sigma_max=2, vote_window=6, vote_stride=6,
+                           min_event_len=2)):
+        for n in range(1, cfg.vote_window):
+            for _ in range(20):
+                seq = ScoreSequence("v", tuple(rng.random(n)))
+                tau = float(rng.uniform(0.2, 0.8))
+                smoothed = hierarchical_smooth(seq, cfg.sigma_max)
+                labels = list(binarize(smoothed, tau).labels)
+                voted = brute_majority_vote(labels, n,
+                                            min(cfg.vote_stride, n))
+                want = [(s, e) for s, e in runs_of_ones(voted)
+                        if e - s + 1 >= cfg.min_event_len]
+                assert spans(refine_pipeline(seq, tau, cfg)) == want
 
 
 def test_binarize_uses_geq_convention():

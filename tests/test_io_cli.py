@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from event_eval import (
     ParseError,
     ValidationError,
     emit_report,
+    hierarchical_smooth,
     load_branch_errors,
     load_config,
     load_events_json,
@@ -183,6 +185,11 @@ def test_config_round_trip(tmp_path):
     assert load_config(path) == cfg
     with pytest.raises(ValidationError):
         config_from_dict({"sigma_max": 3, "mystery": 1})
+    for data in ({"hprs_beta": "x"}, {"hprs_beta": None},
+                 {"tiou_thresholds": 0.3},
+                 {"threshold_strategy": "fixed", "fixed_tau": "x"}):
+        with pytest.raises(ValidationError):
+            config_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +230,26 @@ def test_run_evaluation_jobs_agree(tmp_path):
     one = run_evaluation(manifest, EvalConfig(), jobs=1)
     four = run_evaluation(manifest, EvalConfig(), jobs=4)
     assert emit_report(one) == emit_report(four)
+
+
+def test_run_evaluation_smooths_each_video_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(scores, sigma_max):
+        calls.append(scores.video_id)
+        return hierarchical_smooth(scores, sigma_max)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "event_eval" or name.startswith("event_eval.")) and \
+                getattr(module, "hierarchical_smooth", None) is \
+                hierarchical_smooth:
+            monkeypatch.setattr(module, "hierarchical_smooth", counted)
+    manifest = load_manifest(perfect_fixture(tmp_path))
+    run_evaluation(manifest, EvalConfig())
+    assert sorted(calls) == ["a", "b"]  # both operating points share it
+    calls.clear()
+    run_evaluation(manifest, EvalConfig(), mode="baseline")
+    assert calls == []
 
 
 def test_emit_report_deterministic_and_round_trips(tmp_path):
@@ -338,8 +365,8 @@ def test_cli_evaluate_formats_and_out(tmp_path, capsysbinary):
 def test_cli_exit_codes(tmp_path, capsysbinary):
     assert main(["evaluate", str(tmp_path / "missing.txt")]) == 2
     capsysbinary.readouterr()
-    # one-frame video cannot satisfy vote_window=9: validation error
-    write(tmp_path / "s.csv", scores_csv([0.5, 0.5]))
+    # scores and mask of different lengths: validation error
+    write(tmp_path / "s.csv", scores_csv([0.5, 0.5, 0.5]))
     write(tmp_path / "m.csv", mask_csv([1, 0]))
     path = write(tmp_path / "manifest.txt",
                  "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n")
@@ -400,6 +427,18 @@ def test_cli_reports_strict_json_on_constant_scores(tmp_path, capsysbinary):
     report = json.loads(capsysbinary.readouterr().out,
                         parse_constant=_reject_constant)
     assert report["frame_metrics"]["tau_eer"] == 0.25
+
+
+def test_cli_evaluate_clip_shorter_than_vote_window(tmp_path, capsysbinary):
+    write(tmp_path / "s.csv", scores_csv([0.1, 0.8, 0.9, 0.7, 0.2]))
+    write(tmp_path / "m.csv", mask_csv([0, 1, 1, 1, 0]))
+    manifest = str(write(tmp_path / "manifest.txt",
+                         "dataset: d\nvideo: a\nscores: s.csv\n"
+                         "mask: m.csv\n"))
+    assert main(["evaluate", manifest]) == 0  # vote_window 9 > 5 frames
+    report = json.loads(capsysbinary.readouterr().out,
+                        parse_constant=_reject_constant)
+    assert report["audit"]["event_count"] == 1
 
 
 @pytest.mark.parametrize("spans,code", [

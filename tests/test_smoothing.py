@@ -141,6 +141,18 @@ def test_hierarchical_sigma_max_one_is_single_pass():
     assert hierarchical_smooth(seq, 1).scores == direct.scores
 
 
+def test_hierarchical_equals_composed_passes_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 7, 40, 257):  # n <= 3: every radius exceeds n
+        for _ in range(3):
+            seq = ScoreSequence("v", tuple(rng.normal(0.0, 2.0, size=n)))
+            composed = seq
+            for k in range(1, 6):
+                composed = smooth_once(composed,
+                                       build_kernel(k, default_radius(k)))
+                assert hierarchical_smooth(seq, k).scores == composed.scores
+
+
 def test_hierarchical_constant_fixed_point():
     seq = ScoreSequence("v", (2.5,) * 64)
     for sigma_max in (1, 3, 6):
