@@ -14,11 +14,13 @@ import io as _io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .core import (
@@ -89,6 +91,27 @@ class Report:
 # loaders
 
 
+@contextmanager
+def _open_utf8(path: Path, newline: str | None = None):
+    """Open a text file; an undecodable byte is a ParseError at its line.
+
+    The stream decodes in chunks, so the error's offset is not a file
+    offset: the file is decoded again in full to find the first bad byte.
+    """
+    try:
+        with path.open("r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
+                             f"byte 0x{data[exc.start]:02x} is not valid "
+                             "UTF-8") from None
+        raise
+
+
 def load_manifest(path: str | Path) -> Manifest:
     """Parse and validate a manifest file.
 
@@ -130,7 +153,7 @@ def load_manifest(path: str | Path) -> Manifest:
         ))
         current = None
 
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -183,7 +206,7 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
     if not path.is_file():
         raise MissingFile(str(path))
     values: list[str] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["frame",
@@ -211,11 +234,101 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
     return values
 
 
-def load_scores(path: str | Path, video_id: str | None = None,
-                fps: float | None = None) -> ScoreSequence:
-    """Load a 'frame,score' CSV into a ScoreSequence."""
-    path = Path(path)
-    video_id = video_id if video_id is not None else path.stem
+_FLOAT_CHARS = b"+-.eE"
+_MAX_FRAME_DIGITS = 18   # int64 Horner sums cannot overflow
+_MAX_VALUE_BYTES = 32    # bounds the field matrix; a float64 repr()
+                         # is at most 24 bytes
+
+
+def _right_aligned(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray,
+                   fill: bytes) -> np.ndarray:
+    """Fields buf[end - len:end] as the rows of one (n, w) byte matrix.
+
+    Each field is right-aligned and padded on the left with fill.
+    """
+    w = int(lens.max())
+    padded = np.concatenate((np.zeros(w, np.uint8), buf))
+    rows = sliding_window_view(padded, w)[ends]   # buf[end - w:end]
+    return np.where(np.arange(w) >= w - lens[:, None], rows,
+                    np.frombuffer(fill, np.uint8))
+
+
+def _canonical_fields(path: Path, value_header: str, value_chars: bytes
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Locate the value fields of a canonical CSV with numpy, or None.
+
+    Canonical is a subset of what _read_csv_column accepts: the header line
+    exactly 'frame,<value_header>', then one 'frame,value' line per frame,
+    each ending in '\n', with frames that are digits counting 0..n-1 and
+    values made of digits and value_chars. So there are no quotes, CRs,
+    spaces, blank lines or non-ASCII bytes. Returns the body's bytes and
+    the value fields' end offsets and lengths; None sends the caller to the
+    line parser, which raises the error or parses the lenient variant.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    header = f"frame,{value_header}\n".encode()
+    body = data[len(header):]
+    if (not data.startswith(header) or not body.endswith(b"\n")
+            or body.translate(None, b"0123456789,\n" + value_chars)):
+        return None
+    buf = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != ends.size:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # with as many commas as lines, this puts exactly one in each line,
+    # with a non-empty field on either side
+    if not ((starts < commas) & (commas < ends - 1)).all():
+        return None
+    frame_lens = commas - starts
+    value_lens = ends - commas - 1
+    if (frame_lens.max() > _MAX_FRAME_DIGITS
+            or value_lens.max() > _MAX_VALUE_BYTES):
+        return None
+    digits = _right_aligned(buf, commas, frame_lens, b"0") - ord("0")
+    if (digits > 9).any():   # uint8, so bytes below '0' wrap around too
+        return None
+    powers = 10 ** np.arange(digits.shape[1] - 1, -1, -1)
+    if not np.array_equal(digits.astype(np.int64) @ powers,
+                          np.arange(ends.size)):
+        return None
+    return buf, ends, value_lens
+
+
+def _fast_scores(path: Path) -> np.ndarray | None:
+    """Scores of a canonical, all-finite 'frame,score' CSV, or None.
+
+    numpy's bytes-to-float cast applies Python's float() to each field, so
+    the values are the line parser's, bit for bit.
+    """
+    fields = _canonical_fields(path, "score", _FLOAT_CHARS)
+    if fields is None:
+        return None
+    text = _right_aligned(*fields, b" ")   # float() ignores the padding
+    try:
+        scores = text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
+    except ValueError:   # a field such as '1e' or '.'
+        return None
+    return scores if np.isfinite(scores).all() else None
+
+
+def _fast_labels(path: Path) -> np.ndarray | None:
+    """Labels of a canonical 'frame,label' CSV of single '0'/'1' bytes."""
+    fields = _canonical_fields(path, "label", b"")
+    if fields is None:
+        return None
+    buf, ends, lens = fields
+    labels = buf[ends - 1] - ord("0")
+    return labels if (lens == 1).all() and (labels <= 1).all() else None
+
+
+def _scores_from_lines(path: Path, video_id: str) -> list[float]:
+    """The line parser for 'frame,score' CSVs: every accepted variant, and
+    every error with its line."""
     raw = _read_csv_column(path, "score")
     scores: list[float] = []
     for i, text in enumerate(raw):
@@ -227,20 +340,43 @@ def load_scores(path: str | Path, video_id: str | None = None,
         if not math.isfinite(value):
             raise NonFiniteScore(i, video_id=video_id, path=str(path))
         scores.append(value)
-    return ScoreSequence(video_id=video_id, scores=tuple(scores), fps=fps)
+    return scores
 
 
-def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
-    """Load a 'frame,label' CSV into a FrameMask."""
-    path = Path(path)
-    video_id = video_id if video_id is not None else path.stem
+def _labels_from_lines(path: Path, video_id: str) -> list[int]:
+    """The line parser for 'frame,label' CSVs."""
     raw = _read_csv_column(path, "label")
     labels: list[int] = []
     for i, text in enumerate(raw):
         if text.strip() not in ("0", "1"):
             raise NonBinaryLabel(i, video_id=video_id, path=str(path))
         labels.append(int(text))
-    return FrameMask(video_id=video_id, labels=tuple(labels))
+    return labels
+
+
+def load_scores(path: str | Path, video_id: str | None = None,
+                fps: float | None = None) -> ScoreSequence:
+    """Load a 'frame,score' CSV into a ScoreSequence.
+
+    Canonical files take a vectorized path; every other file, and every
+    error, goes through the line parser.
+    """
+    path = Path(path)
+    video_id = video_id if video_id is not None else path.stem
+    scores = _fast_scores(path)
+    if scores is None:
+        scores = _scores_from_lines(path, video_id)
+    return ScoreSequence(video_id=video_id, scores=scores, fps=fps)
+
+
+def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
+    """Load a 'frame,label' CSV into a FrameMask; paths as in load_scores."""
+    path = Path(path)
+    video_id = video_id if video_id is not None else path.stem
+    labels = _fast_labels(path)
+    if labels is None:
+        labels = _labels_from_lines(path, video_id)
+    return FrameMask(video_id=video_id, labels=labels)
 
 
 def load_branch_errors(path: str | Path) -> list[BranchErrors]:
@@ -254,7 +390,7 @@ def load_branch_errors(path: str | Path) -> list[BranchErrors]:
     if not path.is_file():
         raise MissingFile(str(path))
     windows: list[BranchErrors] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -292,7 +428,8 @@ def load_events_json(path: str | Path) -> dict[str, EventSet]:
     if not path.is_file():
         raise MissingFile(str(path))
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with _open_utf8(path) as fh:
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.msg)
     if not isinstance(data, dict):
@@ -354,7 +491,8 @@ def load_config(path: str | Path) -> EvalConfig:
     if not path.is_file():
         raise MissingFile(str(path))
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with _open_utf8(path) as fh:
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.msg)
     if not isinstance(data, dict):

@@ -1,0 +1,383 @@
+"""Score/mask CSV loading: the vectorized path against the line parser.
+
+load_scores and load_mask parse canonical files with numpy and send every
+other file to the line parser. The vectorized path must accept a subset of
+what the line parser accepts and give bit-identical values on it; on every
+other input the line parser's values or error (type and message) stand.
+"""
+
+from __future__ import annotations
+
+import json
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import event_eval.io as io_mod
+from event_eval import (
+    FrameMask,
+    ParseError,
+    ScoreSequence,
+    load_branch_errors,
+    load_config,
+    load_events_json,
+    load_manifest,
+    load_mask,
+    load_scores,
+)
+from event_eval.cli import main
+from event_eval.synthetic import make_dataset, write_dataset
+
+HEADERS = {"score": b"frame,score\n", "label": b"frame,label\n"}
+
+
+def _outcome(fn):
+    """('ok', exact value) or (exception type, message)."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # any type: the types are compared
+        return type(exc), str(exc)
+
+
+def _score_bits(seq: ScoreSequence) -> tuple:
+    return tuple(np.asarray(seq.scores).view(np.uint64).tolist())
+
+
+def assert_same_as_line_parser(path: Path, kind: str) -> None:
+    if kind == "score":
+        got = _outcome(lambda: _score_bits(load_scores(path, "v")))
+        want = _outcome(lambda: _score_bits(ScoreSequence(
+            "v", io_mod._scores_from_lines(path, "v"))))
+    else:
+        got = _outcome(lambda: load_mask(path, "v").labels)
+        want = _outcome(lambda: FrameMask(
+            "v", io_mod._labels_from_lines(path, "v")).labels)
+    assert got == want
+
+
+ADVERSARIAL = [
+    ("score", b"frame,score\r\n0,0.5\r\n1,0.25\r\n"),  # CRLF
+    ("score", b"frame,score\n0,0.5\r\n1,0.25\n"),  # one CRLF
+    ("score", b"frame,score\r0,0.5\r1,0.25\r"),  # lone CR
+    ("score", b'frame,score\n"0","0.5"\n1,0.25\n'),  # quoted
+    ("score", b'"frame","score"\n0,0.5\n'),  # quoted header
+    ("score", b'frame,score\n0,"0.5\n1,0.25"\n'),  # quoted newline
+    ("score", b"frame,score\n0,0.5\n\n1,0.25\n"),  # blank line
+    ("score", b"frame,score\n\n0,0.5\n"),  # leading blank
+    ("score", b"frame,score\n0,0.5\n1,0.25\n\n"),  # trailing blank
+    ("score", b"frame,score\n0,0.5\n1,0.25"),  # no final \n
+    ("score", b"frame, score \n0,0.5\n"),  # padded header
+    ("score", b"\xef\xbb\xbfframe,score\n0,0.5\n"),  # BOM
+    ("score", b"frame,score,x\n0,0.5\n"),
+    ("score", b"frame,label\n0,0.5\n"),  # wrong header
+    ("score", b"frame,score\n"),  # header only
+    ("score", b"frame,score"),
+    ("score", b""),
+    ("score", b"frame,score\n0,5\n1,6,2\n7\n"),  # realigns
+    ("score", b"frame,score\n0,5,\n1,6\n"),
+    ("score", b"frame,score\n0,0.5\n1\n"),
+    ("score", b"frame,score\n0,\n"),  # empty value
+    ("score", b"frame,score\n,0.5\n"),  # empty frame
+    ("score", b"frame,score\n0,0.5\n2,0.25\n"),  # gap
+    ("score", b"frame,score\n1,0.5\n"),
+    ("score", b"frame,score\n0,0.5\n0,0.25\n"),  # repeat
+    ("score", b"frame,score\n00,0.5\n01,0.25\n"),  # leading zeros
+    ("score", b"frame,score\n+0,0.5\n"),
+    ("score", b"frame,score\n-0,0.5\n"),
+    ("score", b"frame,score\n 0,0.5\n"),
+    ("score", b"frame,score\n0.0,0.5\n"),
+    ("score", b"frame,score\n0e0,0.5\n"),
+    ("score", b"frame,score\n0_0,0.5\n"),
+    # non-digit frame bytes whose offsets from '0' could pass for 21 and 63
+    ("score", b"frame,score\n" + b"".join(b"%d,0.5\n" % i for i in range(21))
+     + b"E,0.5\n"),
+    ("score", b"frame,score\n" + b"".join(b"%d,0.5\n" % i for i in range(63))
+     + b"1e,0.5\n"),
+    ("score", b"frame,score\n" + b"0" * 19 + b",0.5\n"),  # 19-digit frame
+    ("score", b"frame,score\n" + b"9" * 19 + b",0.5\n"),
+    ("score", b"frame,score\n0,1_0\n"),
+    ("score", b"frame,score\n0,nan\n"),
+    ("score", b"frame,score\n0,0.5\n1,NaN\n"),
+    ("score", b"frame,score\n0,inf\n"),
+    ("score", b"frame,score\n0,-Infinity\n"),
+    ("score", b"frame,score\n0,1e400\n"),
+    ("score", b"frame,score\n0,-1e400\n"),
+    ("score", b"frame,score\n0,1e-400\n"),
+    ("score", b"frame,score\n0,0x10\n"),
+    ("score", b"frame,score\n0,1e\n"),
+    ("score", b"frame,score\n0,.\n"),
+    ("score", b"frame,score\n0,+-1\n"),
+    ("score", b"frame,score\n0,1e5e5\n"),
+    ("score", b"frame,score\n0,--1\n"),
+    ("score", b"frame,score\n0,1.5.\n"),
+    ("score", b"frame,score\n0,e5\n"),
+    ("score", b"frame,score\n0,-0\n"),
+    ("score", b"frame,score\n0,1.\n1,.5\n2,+.5e-3\n3,1E5\n"),
+    ("score", b"frame,score\n0, 0.5\n"),
+    ("score", b"frame,score\n0,0.5 \n"),
+    ("score", b"frame,score\n0,\t0.5\n"),
+    ("score", b"frame,score\n0,0.5\x00\n"),
+    ("score", b"frame,score\n0,abc\n"),
+    ("score", b"frame,score\n0,0.1000000000000000055511151231257827\n"),
+    ("score", b"frame,score\n0," + b"1" * 400 + b"\n"),
+    ("score", "frame,score\n٠,0.5\n".encode()),  # Arabic-Indic 0
+    ("score", "frame,score\n0,٠.٥\n".encode()),
+    ("score", "frame,score\n0,０.5\n".encode()),  # fullwidth 0
+    ("score", b"frame,score\n0,0.\xff\n"),  # not UTF-8
+    ("label", b"frame,label\n0,0\n1,1\n"),
+    ("label", b"frame,label\r\n0,0\r\n1,1\r\n"),
+    ("label", b'frame,label\n0,"1"\n'),
+    ("label", b"frame,label\n0,1\n\n1,0\n"),
+    ("label", b"frame,label\n0,1\n1,0"),
+    ("label", b"frame,label\n"),
+    ("label", b"frame,label\n0, 1\n"),
+    ("label", b"frame,label\n0,1 \n"),
+    ("label", b"frame,label\n0,+1\n"),
+    ("label", b"frame,label\n0,-0\n"),
+    ("label", b"frame,label\n0,01\n"),
+    ("label", b"frame,label\n0,00\n"),
+    ("label", b"frame,label\n0,1.0\n"),
+    ("label", b"frame,label\n0,2\n"),
+    ("label", b"frame,label\n0,1_0\n"),
+    ("label", b"frame,label\n0,\n"),
+    ("label", b"frame,label\n0,1\n1,1,0\n"),
+    ("label", b"frame,label\n0,1\n2,1\n"),
+    ("label", b"frame,label\n00,1\n001,0\n"),
+    ("label", "frame,label\n0,١\n".encode()),
+    ("label", "frame,label\n٠,1\n".encode()),
+    ("label", b"frame,label\n0,\xfe\n"),
+]
+
+
+@pytest.mark.parametrize("kind,body", ADVERSARIAL)
+def test_adversarial_bodies_match_line_parser(tmp_path, kind, body):
+    path = tmp_path / "v.csv"
+    path.write_bytes(body)
+    assert_same_as_line_parser(path, kind)
+
+
+@pytest.mark.parametrize("body", [
+    b"frame,score\n0,0.5\n1,0.25\n",
+    b"frame,score\n00,0.5\n01,0.25\n",
+    b"frame,score\n0,-0\n1,1.\n2,.5\n3,+.5e-3\n4,1E5\n5,-7\n6,1e-400\n",
+    b"frame,score\n0,0.100000000000000005551115123126\n",  # 32 bytes
+    b"frame,score\n0,4.9406564584124654e-324\n1,1.7976931348623157e308\n",
+])
+def test_canonical_score_variants_take_the_vectorized_path(tmp_path, body):
+    path = tmp_path / "v.csv"
+    path.write_bytes(body)
+    assert io_mod._fast_scores(path) is not None
+    assert_same_as_line_parser(path, "score")
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.floats(-1e6, 1e6), st.sampled_from(["e", "f", "g", "E"]),
+              st.integers(0, 20)).map(lambda t: f"{t[0]:.{t[2]}{t[1]}}"),
+)
+_ODD_SCORES = st.sampled_from([
+    "1_0", "nan", "inf", "-inf", "1e400", "0x10", "1e", ".", "", " 0.5",
+    "0.5 ", "-0", "1.", ".5", "+.5e-3", '"0.5"', "١", "1,2"])
+_ODD_LABELS = st.sampled_from([" 1", "+1", "01", "1.0", "2", "", '"1"',
+                               "١", "1,0"])
+
+
+def _odd_frames(i: int):
+    return st.sampled_from([f"0{i}", f" {i}", f"+{i}", str(i + 1), f"{i}.0",
+                            "x", "", '"0"'])
+
+
+_ODD_EOLS = st.sampled_from(["\r\n", "", "\n\n", "\r"])
+
+
+@st.composite
+def csv_bodies(draw, kind: str) -> bytes:
+    """Canonical CSVs with each field made odd with chance `level`/10."""
+    level = draw(st.sampled_from([0, 0, 1, 3]))
+
+    def pick(canonical, odd):
+        return draw(odd) if draw(st.integers(0, 9)) < level else canonical
+
+    header = pick(f"frame,{kind}",
+                  st.sampled_from([f"frame, {kind}", "frame", ""]))
+    lines = [header + pick("\n", _ODD_EOLS)]
+    for i in range(draw(st.integers(0, 12))):
+        value = (draw(_FINITE) if kind == "score"
+                 else draw(st.sampled_from(["0", "1"])))
+        value = pick(value, _ODD_SCORES if kind == "score" else _ODD_LABELS)
+        lines.append(pick(str(i), _odd_frames(i)) + "," + value
+                     + pick("\n", _ODD_EOLS))
+    return "".join(lines).encode()
+
+
+_RAW = st.text(alphabet="0123456789,.\n\r\"e+-_ x١", max_size=40)
+
+_PROPERTY = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("kind", ["score", "label"])
+@_PROPERTY
+@given(data=st.data())
+def test_loaders_match_line_parser_property(tmp_path, kind, data):
+    if data.draw(st.integers(0, 3)) == 0:
+        body = HEADERS[kind] + data.draw(_RAW).encode()
+    else:
+        body = data.draw(csv_bodies(kind))
+    path = tmp_path / "v.csv"
+    path.write_bytes(body)
+    assert_same_as_line_parser(path, kind)
+
+
+@_PROPERTY
+@given(values=st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.floats(-1e6, 1e6), st.integers(0, 20)).map(
+        lambda t: f"{t[0]:.{t[1]}e}")), min_size=1, max_size=50))
+def test_canonical_scores_are_bit_identical_property(tmp_path, values):
+    path = tmp_path / "v.csv"
+    path.write_bytes(HEADERS["score"] + "".join(
+        f"{i},{v}\n" for i, v in enumerate(values)).encode())
+    assert io_mod._fast_scores(path) is not None
+    assert_same_as_line_parser(path, "score")
+
+
+# ---------------------------------------------------------------------------
+# the vectorized path is the one taken
+
+
+def _count_line_parser(monkeypatch) -> list[Path]:
+    calls: list[Path] = []
+    original = io_mod._read_csv_column
+
+    def counted(path, value_header):
+        calls.append(Path(path))
+        return original(path, value_header)
+
+    monkeypatch.setattr(io_mod, "_read_csv_column", counted)
+    return calls
+
+
+def test_load_videos_takes_vectorized_path(tmp_path, monkeypatch):
+    scores, masks = make_dataset(n_videos=5, seed=3)
+    manifest = load_manifest(write_dataset(tmp_path, scores, masks))
+    calls = _count_line_parser(monkeypatch)
+    videos = io_mod.load_videos(manifest)
+    assert calls == []
+    assert [s for s, _ in videos] == scores
+    assert [m for _, m in videos] == masks
+
+
+def test_crlf_file_reaches_line_parser(tmp_path, monkeypatch):
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"frame,score\r\n0,0.5\r\n1,0.25\r\n")
+    calls = _count_line_parser(monkeypatch)
+    assert load_scores(path, "v").scores == (0.5, 0.25)
+    assert calls == [path]
+
+
+# ---------------------------------------------------------------------------
+# undecodable bytes
+
+
+def _write_manifest(tmp_path: Path, scores: bytes, mask: bytes,
+                    extra: str = "") -> Path:
+    (tmp_path / "s.csv").write_bytes(scores)
+    (tmp_path / "m.csv").write_bytes(mask)
+    path = tmp_path / "manifest.txt"
+    path.write_text("dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n"
+                    + extra, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("loader,body,line", [
+    (load_manifest, b"dataset: d\nvideo: v\xff\nscores: s.csv\n", 2),
+    (load_scores, b"frame,score\n0,0.5\n1,0.\xff\n", 3),
+    (load_mask, b"frame,label\n0,\xff\n", 2),
+    (load_branch_errors, b"# c\n0 1 0.1 0.2 0.3 0.4\n\xfe\n", 3),
+    (load_events_json, b'{"v": [[0, 1]],\n "\xff": []}', 2),
+    (load_config, b'{\n\n"sigma_max": "\xc3"}', 3),
+])
+def test_undecodable_bytes_are_parse_errors(tmp_path, loader, body, line):
+    path = tmp_path / "f.txt"
+    path.write_bytes(body)
+    with pytest.raises(ParseError) as exc:
+        loader(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{path}:{line}: ")
+    assert "UTF-8" in str(exc.value)
+
+
+def test_undecodable_line_counted_past_the_first_chunk(tmp_path):
+    rows = "".join(f"{i},0.5\n" for i in range(5000))
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"frame,score\n" + rows.encode() + b"5000,\xff\n")
+    with pytest.raises(ParseError) as exc:
+        load_scores(path)
+    assert exc.value.line == 5002
+
+
+@pytest.mark.parametrize("which", ["scores", "mask", "manifest"])
+def test_cli_undecodable_input_exits_2(tmp_path, capsysbinary, which):
+    scores = b"frame,score\n0,0.5\n1,0.25\n"
+    mask = b"frame,label\n0,1\n1,0\n"
+    if which == "scores":
+        scores = scores.replace(b"0.25", b"0.\xff")
+    elif which == "mask":
+        mask = mask.replace(b"1,0", b"1,\xff")
+    path = _write_manifest(tmp_path, scores, mask)
+    if which == "manifest":
+        path.write_bytes(path.read_bytes().replace(b"d\n", b"d\xff\n", 1))
+    assert main(["evaluate", str(path)]) == 2
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    name = {"scores": "s.csv:3", "mask": "m.csv:3",
+            "manifest": "manifest.txt:1"}[which]
+    assert name in err[0] and "not valid UTF-8" in err[0]
+
+
+# ---------------------------------------------------------------------------
+# nothing reaches stderr
+
+
+@pytest.mark.parametrize("variant", ["canonical", "crlf", "quoted",
+                                     "no_final_newline"])
+def test_cli_evaluate_any_csv_variant_writes_no_stderr(tmp_path,
+                                                       capsysbinary,
+                                                       variant):
+    n = 40
+    scores = "frame,score\n" + "".join(
+        f"{i},{0.9 if 10 <= i < 30 else 0.1}\n" for i in range(n))
+    mask = "frame,label\n" + "".join(
+        f"{i},{int(10 <= i < 30)}\n" for i in range(n))
+    if variant == "crlf":
+        scores, mask = (t.replace("\n", "\r\n") for t in (scores, mask))
+    elif variant == "quoted":
+        scores = scores.replace(",0.9\n", ',"0.9"\n')
+        mask = mask.replace(",1\n", ',"1"\n')
+    elif variant == "no_final_newline":
+        scores, mask = scores[:-1], mask[:-1]
+    path = _write_manifest(tmp_path, scores.encode(), mask.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", str(path)]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    report = json.loads(captured.out)
+    assert report["audit"]["event_count"] == 1
+    assert report["frame_metrics"]["auc_roc"] == 1.0
+
+
+def test_cli_header_only_csv_is_one_line_error(tmp_path, capsysbinary):
+    path = _write_manifest(tmp_path, b"frame,score\n",
+                           b"frame,label\n0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", str(path)]) == 2
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert err == [f"error: {tmp_path / 's.csv'}: file contains no frames"]
