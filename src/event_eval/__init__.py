@@ -64,7 +64,6 @@ from .io import (
     Manifest,
     ManifestEntry,
     Report,
-    emit_report,
     load_branch_errors,
     load_config,
     load_events_json,
@@ -74,6 +73,7 @@ from .io import (
     run_evaluation,
 )
 from .matching import MatchResult, event_prf, match_events, multi_threshold_eval, tiou
+from .report import emit_report
 from .smoothing import GaussianKernel, build_kernel, hierarchical_smooth, smooth_once
 from .thresholds import (
     PrCurve,

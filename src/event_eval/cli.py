@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error (bad data or configuration),
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .core import EvalConfig, ThresholdStrategy, events_within
@@ -18,21 +17,23 @@ from .io import (
     BASELINE,
     REFINED,
     compute_frame_metrics,
-    emit_audit,
-    emit_event_metrics,
-    emit_frame_metrics,
-    emit_report,
     events_to_json_obj,
-    json_bytes,
     load_branch_errors,
     load_config,
     load_events_json,
     load_manifest,
     load_videos,
-    predict_events,
+    predict_at_taus,
     run_evaluation,
 )
 from .matching import multi_threshold_eval
+from .report import (
+    emit_audit,
+    emit_event_metrics,
+    emit_frame_metrics,
+    emit_report,
+    json_bytes,
+)
 
 _DEFAULTS = EvalConfig()
 
@@ -55,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"hprs_beta={_DEFAULTS.hprs_beta}).")
     parser.add_argument("--format", choices=["json", "csv", "markdown"],
                         default="json", help="Report output format.")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="Worker threads for per-video work "
-                             "(default: $EVENT_EVAL_JOBS or 1).")
     parser.add_argument("--seed", type=int, default=7,
                         help="Seed for synthetic fixture generation only "
                              "(see python -m event_eval.synthetic); "
@@ -101,16 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        jobs = int(os.environ.get("EVENT_EVAL_JOBS", "1"))
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _derive_tau(videos, cfg: EvalConfig, explicit: float | None) -> float:
     if explicit is not None:
         return explicit
@@ -132,27 +120,26 @@ def _emit(data: bytes, out: str | None) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else EvalConfig()
-    jobs = _resolve_jobs(args)
     manifest = load_manifest(args.manifest)
 
     if args.command == "audit":
-        videos = load_videos(manifest, jobs)
+        videos = load_videos(manifest)
         threshold = (args.micro_threshold if args.micro_threshold is not None
                      else cfg.min_event_len)
         audit = audit_dataset([m for _, m in videos], threshold)
         _emit(emit_audit(audit, args.format), args.out)
     elif args.command == "frame-metrics":
-        videos = load_videos(manifest, jobs)
+        videos = load_videos(manifest)
         metrics = compute_frame_metrics(videos, cfg)
         _emit(emit_frame_metrics(metrics, args.format), args.out)
     elif args.command == "refine":
-        videos = load_videos(manifest, jobs)
+        videos = load_videos(manifest)
         tau = _derive_tau(videos, cfg, args.tau)
-        events = {s.video_id: predict_events(s, tau, cfg, args.mode)
+        events = {s.video_id: predict_at_taus(s, (tau,), cfg, args.mode)[0]
                   for s, _ in videos}
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "event-metrics":
-        videos = load_videos(manifest, jobs)
+        videos = load_videos(manifest)
         pred = load_events_json(args.pred)
         for _, mask in videos:
             if mask.video_id in pred:
@@ -166,7 +153,7 @@ def _run(args: argparse.Namespace) -> int:
         if tau is None:
             raise ValidationError(
                 "fuse needs --tau or a config with fixed_tau")
-        videos = load_videos(manifest, jobs)
+        videos = load_videos(manifest)
         lens = {s.video_id: len(s) for s, _ in videos}
         batches = {}
         for entry in manifest.videos:
@@ -179,7 +166,7 @@ def _run(args: argparse.Namespace) -> int:
         events = run_dual_pipeline(batches, float(tau), lens)
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "evaluate":
-        report = run_evaluation(manifest, cfg, mode=args.mode, jobs=jobs)
+        report = run_evaluation(manifest, cfg, mode=args.mode)
         _emit(emit_report(report, args.format), args.out)
     else:  # pragma: no cover - argparse enforces the choices
         raise ValidationError(f"unknown command {args.command!r}")

@@ -1,8 +1,8 @@
 """Core domain types: score sequences, binary masks, temporal events, config.
 
-All types are immutable value objects validated at construction, so they can
-be shared freely across worker threads. Frame indexing is 0-based and event
-intervals are closed [start, end]; an event's duration is end - start + 1.
+All types are immutable value objects validated at construction. Frame
+indexing is 0-based and event intervals are closed [start, end]; an event's
+duration is end - start + 1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class ScoreSequence:
 
     video_id: str
     scores: tuple[float, ...]
-    fps: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.scores, dtype=float)
@@ -46,8 +45,6 @@ class ScoreSequence:
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteScore(int(bad[0]), video_id=self.video_id)
-        if self.fps is not None and not self.fps > 0:
-            raise ValidationError(f"fps must be positive, got {self.fps}")
 
     def __len__(self) -> int:
         return len(self.scores)

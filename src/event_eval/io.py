@@ -1,21 +1,19 @@
-"""File formats, the evaluation orchestrator, and report emission.
+"""File formats and the evaluation orchestrator.
 
 Formats are line-oriented and hand-editable: a key/value manifest, two-column
 headered CSVs for scores and masks, a record-per-window text file for branch
-errors, and JSON for events, configs, and reports. Frame indices in CSVs must
-run consecutively from 0; gaps are hard errors, never imputed, because silent
-imputation corrupts event boundaries.
+errors, and JSON for events and configs. Frame indices in CSVs must run
+consecutively from 0; gaps are hard errors, never imputed, because silent
+imputation corrupts event boundaries. Reports are written by report.py.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +24,6 @@ from . import __version__
 from .core import (
     EvalConfig,
     EventMetrics,
-    EventPrf,
     EventSet,
     FrameMask,
     FrameMetrics,
@@ -95,11 +92,12 @@ class Report:
 def _open_utf8(path: Path, newline: str | None = None):
     """Open a text file; an undecodable byte is a ParseError at its line.
 
-    The stream decodes in chunks, so the error's offset is not a file
-    offset: the file is decoded again in full to find the first bad byte.
+    A leading UTF-8 byte-order mark is skipped. The stream decodes in
+    chunks, so the error's offset is not a file offset: the file is decoded
+    again in full to find the first bad byte.
     """
     try:
-        with path.open("r", encoding="utf-8", newline=newline) as fh:
+        with path.open("r", encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         data = path.read_bytes()
@@ -354,8 +352,8 @@ def _labels_from_lines(path: Path, video_id: str) -> list[int]:
     return labels
 
 
-def load_scores(path: str | Path, video_id: str | None = None,
-                fps: float | None = None) -> ScoreSequence:
+def load_scores(path: str | Path,
+                video_id: str | None = None) -> ScoreSequence:
     """Load a 'frame,score' CSV into a ScoreSequence.
 
     Canonical files take a vectorized path; every other file, and every
@@ -366,7 +364,7 @@ def load_scores(path: str | Path, video_id: str | None = None,
     scores = _fast_scores(path)
     if scores is None:
         scores = _scores_from_lines(path, video_id)
-    return ScoreSequence(video_id=video_id, scores=scores, fps=fps)
+    return ScoreSequence(video_id=video_id, scores=scores)
 
 
 def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
@@ -422,9 +420,7 @@ def load_branch_errors(path: str | Path) -> list[BranchErrors]:
     return windows
 
 
-def load_events_json(path: str | Path) -> dict[str, EventSet]:
-    """Load predicted events: a JSON object video_id -> [[start, end], ...]."""
-    path = Path(path)
+def _load_json_object(path: Path) -> dict:
     if not path.is_file():
         raise MissingFile(str(path))
     try:
@@ -434,8 +430,14 @@ def load_events_json(path: str | Path) -> dict[str, EventSet]:
         raise ParseError(str(path), exc.lineno, exc.msg)
     if not isinstance(data, dict):
         raise ParseError(str(path), None, "expected a JSON object")
+    return data
+
+
+def load_events_json(path: str | Path) -> dict[str, EventSet]:
+    """Load predicted events: a JSON object video_id -> [[start, end], ...]."""
+    path = Path(path)
     out: dict[str, EventSet] = {}
-    for video_id, spans in data.items():
+    for video_id, spans in _load_json_object(path).items():
         try:
             events = tuple(TemporalEvent(*_int_bounds(span))
                            for span in spans)
@@ -487,17 +489,7 @@ def config_from_dict(data: dict) -> EvalConfig:
 
 
 def load_config(path: str | Path) -> EvalConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    try:
-        with _open_utf8(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, exc.msg)
-    if not isinstance(data, dict):
-        raise ParseError(str(path), None, "expected a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(_load_json_object(Path(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,29 +503,18 @@ def _reraise_with_video(exc: EventEvalError, video_id: str) -> None:
     raise exc
 
 
-def _map_videos(fn, items: Sequence, jobs: int) -> list:
-    """Apply fn over items, optionally on a thread pool; order preserved."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def load_videos(manifest: Manifest,
-                jobs: int = 1) -> list[tuple[ScoreSequence, FrameMask]]:
+def load_videos(manifest: Manifest) -> list[tuple[ScoreSequence, FrameMask]]:
     """Load and cross-validate every (scores, mask) pair, sorted by video_id."""
-    entries = sorted(manifest.videos, key=lambda e: e.video_id)
-
-    def load_one(entry: ManifestEntry) -> tuple[ScoreSequence, FrameMask]:
+    videos = []
+    for entry in sorted(manifest.videos, key=lambda e: e.video_id):
         scores = load_scores(entry.scores_path, entry.video_id)
         mask = load_mask(entry.mask_path, entry.video_id)
         try:
             validate_pair(scores, mask)
         except EventEvalError as exc:
             _reraise_with_video(exc, entry.video_id)
-        return scores, mask
-
-    return _map_videos(load_one, entries, jobs)
+        videos.append((scores, mask))
+    return videos
 
 
 def predict_at_taus(scores: ScoreSequence, taus: Sequence[float],
@@ -551,13 +532,6 @@ def predict_at_taus(scores: ScoreSequence, taus: Sequence[float],
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def predict_events(scores: ScoreSequence, tau: float, cfg: EvalConfig,
-                   mode: str) -> EventSet:
-    """Per-video predictions: full refinement, or raw binarize for baseline."""
-    (events,) = predict_at_taus(scores, (tau,), cfg, mode)
-    return events
-
-
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
     """Frame-level metrics over the concatenated scores of all videos."""
@@ -567,49 +541,44 @@ def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
 
 
 def event_metrics_at_taus(videos: Sequence[tuple[ScoreSequence, FrameMask]],
-                          taus: Sequence[float], cfg: EvalConfig, mode: str,
-                          jobs: int = 1) -> list[EventMetrics]:
+                          taus: Sequence[float], cfg: EvalConfig,
+                          mode: str) -> list[EventMetrics]:
     """Predict every video at each tau and evaluate against its mask's events.
 
     Each video's ground-truth events and smoothed scores are computed once
     and shared by all taus.
     """
-
-    def one(pair: tuple[ScoreSequence, FrameMask]):
-        scores, mask = pair
+    gt_all, preds_all = [], []
+    for scores, mask in videos:
         try:
-            preds = predict_at_taus(scores, taus, cfg, mode)
+            preds_all.append(predict_at_taus(scores, taus, cfg, mode))
         except EventEvalError as exc:
             _reraise_with_video(exc, scores.video_id)
-        return mask_to_events(mask), preds
-
-    results = _map_videos(one, list(videos), jobs)
-    gt_all = [gt for gt, _ in results]
-    return [multi_threshold_eval(gt_all, [preds[k] for _, preds in results],
+        gt_all.append(mask_to_events(mask))
+    return [multi_threshold_eval(gt_all, [preds[k] for preds in preds_all],
                                  cfg.tiou_thresholds)
             for k in range(len(taus))]
 
 
 def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
-                     tau: float, cfg: EvalConfig, mode: str,
-                     jobs: int = 1) -> EventMetrics:
+                     tau: float, cfg: EvalConfig, mode: str) -> EventMetrics:
     """Refine every video at tau and evaluate against its mask's events."""
-    (metrics,) = event_metrics_at_taus(videos, (tau,), cfg, mode, jobs)
+    (metrics,) = event_metrics_at_taus(videos, (tau,), cfg, mode)
     return metrics
 
 
 def run_evaluation(manifest: Manifest, cfg: EvalConfig,
-                   mode: str = REFINED, jobs: int = 1) -> Report:
+                   mode: str = REFINED) -> Report:
     """Full protocol: frame metrics, both operating points, event metrics.
 
     Thresholds are derived once from the concatenated scores, then applied
-    per video. Results are keyed and sorted by video_id, so the report is
-    byte-identical regardless of worker count.
+    per video. Videos are processed in video_id order, so the report is
+    byte-identical across runs.
     """
-    videos = load_videos(manifest, jobs)
+    videos = load_videos(manifest)
     frame = compute_frame_metrics(videos, cfg)
     metrics_eer, metrics_hprs = event_metrics_at_taus(
-        videos, (frame.tau_eer, frame.tau_hprs), cfg, mode, jobs)
+        videos, (frame.tau_eer, frame.tau_hprs), cfg, mode)
     audit = audit_dataset([mask for _, mask in videos],
                           micro_threshold=cfg.min_event_len)
     return Report(
@@ -621,189 +590,3 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
         tool_version=__version__,
         mode=mode,
     )
-
-
-# ---------------------------------------------------------------------------
-# report emission
-
-
-def event_metrics_to_dict(m: EventMetrics) -> dict:
-    return {
-        "per_tiou": [
-            {"tiou": t, "precision": e.precision, "recall": e.recall,
-             "f1": e.f1, "tp": e.tp, "fp": e.fp, "fn": e.fn}
-            for t, e in m.per_tiou.items()
-        ],
-        "average_f1": m.average_f1,
-    }
-
-
-def report_to_dict(report: Report) -> dict:
-    return {
-        "tool_version": report.tool_version,
-        "mode": report.mode,
-        "config": config_to_dict(report.config_echo),
-        "frame_metrics": asdict(report.frame_metrics),
-        "event_metrics": {
-            "tau_eer": event_metrics_to_dict(report.event_metrics_eer),
-            "tau_hprs": event_metrics_to_dict(report.event_metrics_hprs),
-        },
-        "audit": asdict(report.audit),
-    }
-
-
-def report_from_json(blob: bytes | str) -> Report:
-    """Inverse of emit_report(..., 'json'), for round-tripping reports."""
-    data = json.loads(blob)
-
-    def event_metrics(d: dict) -> EventMetrics:
-        per = {row["tiou"]: EventPrf(row["precision"], row["recall"],
-                                     row["f1"], tp=row["tp"], fp=row["fp"],
-                                     fn=row["fn"])
-               for row in d["per_tiou"]}
-        return EventMetrics(per_tiou=per, average_f1=d["average_f1"])
-
-    return Report(
-        frame_metrics=FrameMetrics(**data["frame_metrics"]),
-        event_metrics_eer=event_metrics(data["event_metrics"]["tau_eer"]),
-        event_metrics_hprs=event_metrics(data["event_metrics"]["tau_hprs"]),
-        audit=AuditReport(**data["audit"]),
-        config_echo=config_from_dict(data["config"]),
-        tool_version=data["tool_version"],
-        mode=data["mode"],
-    )
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".6g")
-    return str(v)
-
-
-def _flat_md_table(values: dict) -> list[str]:
-    return [
-        "| " + " | ".join(values) + " |",
-        "|" + "---|" * len(values),
-        "| " + " | ".join(_fmt(v) for v in values.values()) + " |",
-    ]
-
-
-def _event_metrics_md(title: str, metrics: EventMetrics) -> list[str]:
-    lines = [f"## {title}", "",
-             "| tIoU | precision | recall | f1 | tp | fp | fn |",
-             "|---|---|---|---|---|---|---|"]
-    for t, e in metrics.per_tiou.items():
-        lines.append(f"| {_fmt(t)} | {_fmt(e.precision)} | {_fmt(e.recall)} "
-                     f"| {_fmt(e.f1)} | {e.tp} | {e.fp} | {e.fn} |")
-    lines += ["", f"Average F1: {_fmt(metrics.average_f1)}"]
-    return lines
-
-
-def _markdown_report(report: Report) -> str:
-    lines = ["# event-eval report", "",
-             f"tool_version: {report.tool_version} | mode: {report.mode}",
-             "", "## Frame-level metrics", ""]
-    lines += _flat_md_table(asdict(report.frame_metrics))
-    lines.append("")
-    lines += _event_metrics_md("Event-level metrics @ tau_EER",
-                               report.event_metrics_eer)
-    lines.append("")
-    lines += _event_metrics_md("Event-level metrics @ tau_HPRS",
-                               report.event_metrics_hprs)
-    lines += ["", "## Dataset audit", ""]
-    lines += _flat_md_table(asdict(report.audit))
-    lines += ["", "## Configuration", "", "| key | value |", "|---|---|"]
-    for k, v in config_to_dict(report.config_echo).items():
-        lines.append(f"| {k} | {v} |")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _csv_report(report: Report) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "tiou", "metric", "value"])
-    writer.writerow(["meta", "", "tool_version", report.tool_version])
-    writer.writerow(["meta", "", "mode", report.mode])
-    for k, v in asdict(report.frame_metrics).items():
-        writer.writerow(["frame", "", k, repr(v) if isinstance(v, float)
-                         else v])
-    for section, metrics in (("event_eer", report.event_metrics_eer),
-                             ("event_hprs", report.event_metrics_hprs)):
-        for t, e in metrics.per_tiou.items():
-            for k, v in (("precision", e.precision), ("recall", e.recall),
-                         ("f1", e.f1), ("tp", e.tp), ("fp", e.fp),
-                         ("fn", e.fn)):
-                writer.writerow([section, repr(t), k,
-                                 repr(v) if isinstance(v, float) else v])
-        writer.writerow([section, "", "average_f1", repr(metrics.average_f1)])
-    for k, v in asdict(report.audit).items():
-        writer.writerow(["audit", "", k, repr(v) if isinstance(v, float)
-                         else v])
-    for k, v in config_to_dict(report.config_echo).items():
-        writer.writerow(["config", "", k, v])
-    return buf.getvalue()
-
-
-def json_bytes(obj) -> bytes:
-    """Strict JSON (NaN and infinities raise), indented, newline-ended."""
-    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
-
-
-def emit_report(report: Report, format: str = "json") -> bytes:
-    """Serialize a report deterministically; json is the canonical format."""
-    if format == "json":
-        return json_bytes(report_to_dict(report))
-    if format == "markdown":
-        return (_markdown_report(report) + "\n").encode()
-    if format == "csv":
-        return _csv_report(report).encode()
-    raise ValidationError(f"unknown report format {format!r}")
-
-
-def _emit_flat(section: str, values: dict, format: str,
-               title: str) -> bytes:
-    if format == "json":
-        return json_bytes(values)
-    if format == "markdown":
-        lines = [f"# {title}", ""] + _flat_md_table(values) + [""]
-        return "\n".join(lines).encode()
-    if format == "csv":
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["section", "metric", "value"])
-        for k, v in values.items():
-            writer.writerow([section, k, repr(v) if isinstance(v, float)
-                             else v])
-        return buf.getvalue().encode()
-    raise ValidationError(f"unknown report format {format!r}")
-
-
-def emit_audit(audit: AuditReport, format: str = "json") -> bytes:
-    return _emit_flat("audit", asdict(audit), format, "Dataset audit")
-
-
-def emit_frame_metrics(metrics: FrameMetrics, format: str = "json") -> bytes:
-    return _emit_flat("frame", asdict(metrics), format,
-                      "Frame-level metrics")
-
-
-def emit_event_metrics(metrics: EventMetrics, format: str = "json") -> bytes:
-    if format == "json":
-        return json_bytes(event_metrics_to_dict(metrics))
-    if format == "markdown":
-        lines = _event_metrics_md("Event-level metrics", metrics) + [""]
-        return "\n".join(lines).encode()
-    if format == "csv":
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tiou", "metric", "value"])
-        for t, e in metrics.per_tiou.items():
-            for k, v in (("precision", e.precision), ("recall", e.recall),
-                         ("f1", e.f1), ("tp", e.tp), ("fp", e.fp),
-                         ("fn", e.fn)):
-                writer.writerow([repr(t), k, repr(v) if isinstance(v, float)
-                                 else v])
-        writer.writerow(["", "average_f1", repr(metrics.average_f1)])
-        return buf.getvalue().encode()
-    raise ValidationError(f"unknown report format {format!r}")

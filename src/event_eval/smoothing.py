@@ -90,8 +90,7 @@ def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
     """Convolve one sequence with a kernel under reflect padding."""
     w = np.asarray(kernel.weights, dtype=float)
     return ScoreSequence(video_id=scores.video_id,
-                         scores=_smooth_array(scores.as_array(), w),
-                         fps=scores.fps)
+                         scores=_smooth_array(scores.as_array(), w))
 
 
 def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
@@ -108,4 +107,4 @@ def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
     x = scores.as_array()
     for sigma in range(1, sigma_max + 1):
         x = _smooth_array(x, _gaussian_weights(sigma, default_radius(sigma)))
-    return ScoreSequence(video_id=scores.video_id, scores=x, fps=scores.fps)
+    return ScoreSequence(video_id=scores.video_id, scores=x)

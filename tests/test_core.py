@@ -162,12 +162,12 @@ def test_event_metrics_average_and_totals_enforced():
 
 
 def test_values_are_plain_and_round_trip():
-    scores = ScoreSequence("v", (0.5, 1.5, -2.0), fps=24.0)
+    scores = ScoreSequence("v", (0.5, 1.5, -2.0))
     mask = FrameMask("v", (1, 0, 1))
     events = EventSet("v", (TemporalEvent(0, 0), TemporalEvent(2, 2)))
     cfg = EvalConfig(sigma_max=3)
 
-    assert scores == ScoreSequence("v", [0.5, 1.5, -2.0], fps=24.0)
+    assert scores == ScoreSequence("v", [0.5, 1.5, -2.0])
     assert copy.deepcopy(events) == events
     assert ScoreSequence(**asdict(scores)) == scores
     assert FrameMask(**asdict(mask)) == mask

@@ -342,6 +342,47 @@ def test_cli_undecodable_input_exits_2(tmp_path, capsysbinary, which):
 
 
 # ---------------------------------------------------------------------------
+# byte-order marks
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("loader,body", [
+    (load_manifest, b"dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n"),
+    (load_scores, b"frame,score\n0,0.5\n1,0.25\n"),
+    (load_mask, b"frame,label\n0,1\n1,0\n"),
+    (load_branch_errors, b"0 1 0.1 0.2 0.3 0.4\n"),
+    (load_events_json, b'{"v": [[0, 1]]}'),
+    (load_config, b'{"sigma_max": 3}'),
+], ids=["manifest", "scores", "mask", "branch_errors", "events_json",
+        "config"])
+def test_utf8_bom_is_skipped(tmp_path, loader, body):
+    _write_manifest(tmp_path, b"frame,score\n0,0.5\n", b"frame,label\n0,1\n")
+    path = tmp_path / "f.txt"
+    path.write_bytes(body)
+    plain = loader(path)
+    path.write_bytes(BOM + body)
+    assert loader(path) == plain
+
+
+def test_cli_evaluate_same_bytes_with_boms(tmp_path, capsysbinary):
+    data = make_dataset(n_videos=2, seed=3)
+    config = b'{"tiou_thresholds": [0.1, 0.7]}'
+    reports = []
+    for name, prefix in (("plain", b""), ("bom", BOM)):
+        manifest = write_dataset(tmp_path / name, *data)
+        for path in (tmp_path / name).rglob("*"):
+            if path.is_file():
+                path.write_bytes(prefix + path.read_bytes())
+        (tmp_path / name / "config.json").write_bytes(prefix + config)
+        assert main(["--config", str(tmp_path / name / "config.json"),
+                     "evaluate", str(manifest)]) == 0
+        reports.append(capsysbinary.readouterr())
+    assert reports[0].err == reports[1].err == b""
+    assert reports[0].out == reports[1].out
+
+
+# ---------------------------------------------------------------------------
 # nothing reaches stderr
 
 

@@ -26,9 +26,11 @@ from event_eval import (
     run_evaluation,
 )
 from event_eval.cli import main
-from event_eval.io import (
-    config_from_dict,
-    config_to_dict,
+from event_eval.io import config_from_dict, config_to_dict
+from event_eval.report import (
+    emit_audit,
+    emit_event_metrics,
+    emit_frame_metrics,
     report_from_json,
     report_to_dict,
 )
@@ -225,13 +227,6 @@ def test_refined_beats_baseline_on_fragmented_fixture(tmp_path):
     assert baseline.mode == "baseline"
 
 
-def test_run_evaluation_jobs_agree(tmp_path):
-    manifest = load_manifest(perfect_fixture(tmp_path))
-    one = run_evaluation(manifest, EvalConfig(), jobs=1)
-    four = run_evaluation(manifest, EvalConfig(), jobs=4)
-    assert emit_report(one) == emit_report(four)
-
-
 def test_run_evaluation_smooths_each_video_once(tmp_path, monkeypatch):
     calls = []
 
@@ -289,8 +284,12 @@ def test_emit_report_csv_parses(tmp_path):
 def test_emit_report_unknown_format(tmp_path):
     manifest = load_manifest(perfect_fixture(tmp_path))
     report = run_evaluation(manifest, EvalConfig())
-    with pytest.raises(ValidationError):
-        emit_report(report, "yaml")
+    for emit, value in ((emit_report, report),
+                        (emit_audit, report.audit),
+                        (emit_frame_metrics, report.frame_metrics),
+                        (emit_event_metrics, report.event_metrics_eer)):
+        with pytest.raises(ValidationError, match="unknown report format"):
+            emit(value, "yaml")
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +372,6 @@ def test_cli_exit_codes(tmp_path, capsysbinary):
     assert main(["evaluate", str(path)]) == 1
     err = capsysbinary.readouterr().err.decode()
     assert "video_id='v'" in err
-
-
-def test_cli_jobs_env_fallback(tmp_path, capsysbinary, monkeypatch):
-    manifest = str(perfect_fixture(tmp_path))
-    monkeypatch.setenv("EVENT_EVAL_JOBS", "3")
-    assert main(["frame-metrics", manifest]) == 0
-    with_env = capsysbinary.readouterr().out
-    monkeypatch.delenv("EVENT_EVAL_JOBS")
-    assert main(["--jobs", "1", "frame-metrics", manifest]) == 0
-    assert capsysbinary.readouterr().out == with_env
-    monkeypatch.setenv("EVENT_EVAL_JOBS", "0")
-    assert main(["frame-metrics", manifest]) == 1
 
 
 def test_cli_help_documents_defaults(capsysbinary):
