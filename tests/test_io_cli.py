@@ -374,6 +374,14 @@ def test_cli_exit_codes(tmp_path, capsysbinary):
     assert "video_id='v'" in err
 
 
+def test_cli_jobs_flag_is_a_usage_error(tmp_path, capsysbinary):
+    manifest = str(perfect_fixture(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "evaluate", manifest])
+    assert exc.value.code == 2
+    assert b"usage:" in capsysbinary.readouterr().err
+
+
 def test_cli_help_documents_defaults(capsysbinary):
     with pytest.raises(SystemExit):
         main(["--help"])
