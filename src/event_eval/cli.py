@@ -56,10 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"hprs_beta={_DEFAULTS.hprs_beta}).")
     parser.add_argument("--format", choices=["json", "csv", "markdown"],
                         default="json", help="Report output format.")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="Seed for synthetic fixture generation only "
-                             "(see python -m event_eval.synthetic); "
-                             "evaluation itself is deterministic.")
     parser.add_argument("--out", help="Write output bytes to this file "
                                       "instead of stdout.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,11 +14,11 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .core import (
@@ -232,36 +232,16 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
     return values
 
 
-_FLOAT_CHARS = b"+-.eE"
-_MAX_FRAME_DIGITS = 18   # int64 Horner sums cannot overflow
-_MAX_VALUE_BYTES = 32    # bounds the field matrix; a float64 repr()
-                         # is at most 24 bytes
-
-
-def _right_aligned(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray,
-                   fill: bytes) -> np.ndarray:
-    """Fields buf[end - len:end] as the rows of one (n, w) byte matrix.
-
-    Each field is right-aligned and padded on the left with fill.
-    """
-    w = int(lens.max())
-    padded = np.concatenate((np.zeros(w, np.uint8), buf))
-    rows = sliding_window_view(padded, w)[ends]   # buf[end - w:end]
-    return np.where(np.arange(w) >= w - lens[:, None], rows,
-                    np.frombuffer(fill, np.uint8))
-
-
-def _canonical_fields(path: Path, value_header: str, value_chars: bytes
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Locate the value fields of a canonical CSV with numpy, or None.
+def _canonical_column(path: Path, value_header: str, value_chars: bytes,
+                      dtype: type) -> tuple[bytes, np.ndarray] | None:
+    """The body and value column of a canonical CSV, or None.
 
     Canonical is a subset of what _read_csv_column accepts: the header line
     exactly 'frame,<value_header>', then one 'frame,value' line per frame,
-    each ending in '\n', with frames that are digits counting 0..n-1 and
-    values made of digits and value_chars. So there are no quotes, CRs,
-    spaces, blank lines or non-ASCII bytes. Returns the body's bytes and
-    the value fields' end offsets and lengths; None sends the caller to the
-    line parser, which raises the error or parses the lenient variant.
+    each ending in '\n', with frames counting 0..n-1 and fields made of
+    digits and value_chars. So there are no quotes, CRs, spaces, blank lines
+    or non-ASCII bytes. np.loadtxt parses the fields; None sends the caller
+    to the line parser, which raises the error or parses the lenient variant.
     """
     try:
         data = path.read_bytes()
@@ -270,58 +250,44 @@ def _canonical_fields(path: Path, value_header: str, value_chars: bytes
     header = f"frame,{value_header}\n".encode()
     body = data[len(header):]
     if (not data.startswith(header) or not body.endswith(b"\n")
-            or body.translate(None, b"0123456789,\n" + value_chars)):
+            or body.translate(None, b"0123456789,\n" + value_chars)
+            or body.count(b",") != body.count(b"\n")):
         return None
-    buf = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    commas = np.flatnonzero(buf == ord(","))
-    if commas.size != ends.size:
+    # loadtxt skips blank lines but rejects any row that is not two fields,
+    # so with as many commas as lines each line holds exactly one
+    try:
+        rows = np.loadtxt(StringIO(body.decode("ascii")), delimiter=",",
+                          dtype=[("frame", np.int64), ("value", dtype)],
+                          ndmin=1)
+    except ValueError:   # a row that is not two fields, or a bad field
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # with as many commas as lines, this puts exactly one in each line,
-    # with a non-empty field on either side
-    if not ((starts < commas) & (commas < ends - 1)).all():
+    if not np.array_equal(rows["frame"], np.arange(rows.size)):
         return None
-    frame_lens = commas - starts
-    value_lens = ends - commas - 1
-    if (frame_lens.max() > _MAX_FRAME_DIGITS
-            or value_lens.max() > _MAX_VALUE_BYTES):
-        return None
-    digits = _right_aligned(buf, commas, frame_lens, b"0") - ord("0")
-    if (digits > 9).any():   # uint8, so bytes below '0' wrap around too
-        return None
-    powers = 10 ** np.arange(digits.shape[1] - 1, -1, -1)
-    if not np.array_equal(digits.astype(np.int64) @ powers,
-                          np.arange(ends.size)):
-        return None
-    return buf, ends, value_lens
+    return body, rows["value"]
 
 
 def _fast_scores(path: Path) -> np.ndarray | None:
     """Scores of a canonical, all-finite 'frame,score' CSV, or None.
 
-    numpy's bytes-to-float cast applies Python's float() to each field, so
-    the values are the line parser's, bit for bit.
+    loadtxt converts each field with the C function behind Python's
+    float(), so the values are the line parser's, bit for bit.
     """
-    fields = _canonical_fields(path, "score", _FLOAT_CHARS)
-    if fields is None:
+    column = _canonical_column(path, "score", b"+-.eE", np.float64)
+    if column is None:
         return None
-    text = _right_aligned(*fields, b" ")   # float() ignores the padding
-    try:
-        scores = text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
-    except ValueError:   # a field such as '1e' or '.'
-        return None
+    _, scores = column
     return scores if np.isfinite(scores).all() else None
 
 
 def _fast_labels(path: Path) -> np.ndarray | None:
     """Labels of a canonical 'frame,label' CSV of single '0'/'1' bytes."""
-    fields = _canonical_fields(path, "label", b"")
-    if fields is None:
+    column = _canonical_column(path, "label", b"", np.uint8)
+    if column is None:
         return None
-    buf, ends, lens = fields
-    labels = buf[ends - 1] - ord("0")
-    return labels if (lens == 1).all() and (labels <= 1).all() else None
+    body, labels = column
+    # loadtxt reads '01' as 1; the line parser rejects it
+    single = body.count(b",0\n") + body.count(b",1\n") == labels.size
+    return labels if single else None
 
 
 def _scores_from_lines(path: Path, video_id: str) -> list[float]:
@@ -356,8 +322,8 @@ def load_scores(path: str | Path,
                 video_id: str | None = None) -> ScoreSequence:
     """Load a 'frame,score' CSV into a ScoreSequence.
 
-    Canonical files take a vectorized path; every other file, and every
-    error, goes through the line parser.
+    Canonical files (see _canonical_column) are read by np.loadtxt; every
+    other file, and every error, goes through the line parser.
     """
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem

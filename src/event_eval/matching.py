@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .core import EventMetrics, EventPrf, EventSet, TemporalEvent
 from .errors import ValidationError, VideoIdMismatch
+from .thresholds import prf
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,6 @@ def match_events(gt: EventSet, pred: EventSet,
     )
 
 
-def event_prf(gt: EventSet, pred: EventSet,
-              threshold: float) -> tuple[float, float, float]:
-    """Precision/recall/F1 of one video's matching at one tIoU threshold."""
-    result = match_events(gt, pred, threshold)
-    tp = len(result.pairs)
-    precision = tp / len(pred) if len(pred) else 0.0
-    recall = tp / len(gt) if len(gt) else 0.0
-    pr = precision + recall
-    f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
-    return precision, recall, f1
-
-
 def multi_threshold_eval(gt_all: Sequence[EventSet],
                          pred_all: Sequence[EventSet],
                          thresholds: Sequence[float]) -> EventMetrics:
@@ -106,11 +95,7 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
             tp += len(result.pairs)
             fn += len(result.unmatched_gt)
             fp += len(result.unmatched_pred)
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        pr = precision + recall
-        f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
-        per_tiou[float(threshold)] = EventPrf(precision, recall, f1,
+        per_tiou[float(threshold)] = EventPrf(*prf(tp, fp, tp + fn),
                                               tp=tp, fp=fp, fn=fn)
     average_f1 = sum(e.f1 for e in per_tiou.values()) / len(per_tiou)
     return EventMetrics(per_tiou=per_tiou, average_f1=average_f1)

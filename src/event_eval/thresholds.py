@@ -158,7 +158,8 @@ def _hprs_index(tp: np.ndarray, fp: np.ndarray, n_pos: int,
     return fb.size - 1 - int(np.argmax(fb[::-1]))
 
 
-def _prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
+def prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
+    """Precision, recall and F1 from confusion counts; 0.0 where undefined."""
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / n_pos if n_pos > 0 else 0.0
     pr = precision + recall
@@ -232,7 +233,7 @@ def f1_at_threshold(scores: Sequence[float], labels: Sequence[int],
     s, y = _as_arrays(scores, labels)
     pred = s >= tau
     tp = int(np.count_nonzero(pred & (y == 1)))
-    return _prf(tp, int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(y)))
+    return prf(tp, int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(y)))
 
 
 def frame_metrics(scores: Sequence[float], labels: Sequence[int],
@@ -246,7 +247,7 @@ def frame_metrics(scores: Sequence[float], labels: Sequence[int],
     cand, tp, fp, n_pos, n_neg = _candidate_counts(scores, labels)
     curve = _roc(cand, tp, fp, n_pos, n_neg)
     i_eer, i_hprs = _eer_index(curve), _hprs_index(tp, fp, n_pos, beta)
-    f1 = [_prf(int(tp[i]), int(fp[i]), n_pos).f1 for i in (i_eer, i_hprs)]
+    f1 = [prf(int(tp[i]), int(fp[i]), n_pos).f1 for i in (i_eer, i_hprs)]
     return FrameMetrics(
         auc_roc=auc_roc(curve),
         auc_pr=_auc_pr(tp, fp, n_pos),

@@ -47,14 +47,17 @@ def _score_bits(seq: ScoreSequence) -> tuple:
 
 
 def assert_same_as_line_parser(path: Path, kind: str) -> None:
-    if kind == "score":
-        got = _outcome(lambda: _score_bits(load_scores(path, "v")))
-        want = _outcome(lambda: _score_bits(ScoreSequence(
-            "v", io_mod._scores_from_lines(path, "v"))))
-    else:
-        got = _outcome(lambda: load_mask(path, "v").labels)
-        want = _outcome(lambda: FrameMask(
-            "v", io_mod._labels_from_lines(path, "v")).labels)
+    """Same values or error; a warning counts as a differing outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "score":
+            got = _outcome(lambda: _score_bits(load_scores(path, "v")))
+            want = _outcome(lambda: _score_bits(ScoreSequence(
+                "v", io_mod._scores_from_lines(path, "v"))))
+        else:
+            got = _outcome(lambda: load_mask(path, "v").labels)
+            want = _outcome(lambda: FrameMask(
+                "v", io_mod._labels_from_lines(path, "v")).labels)
     assert got == want
 
 
@@ -74,6 +77,9 @@ ADVERSARIAL = [
     ("score", b"frame,score,x\n0,0.5\n"),
     ("score", b"frame,label\n0,0.5\n"),  # wrong header
     ("score", b"frame,score\n"),  # header only
+    ("score", b"frame,score\n\n"),  # only a blank line
+    ("score", b"frame,score\n0,0.5,1\n"),  # a third column
+    ("score", b"frame,score\n0,0.5,1\n\n"),  # as many commas as lines
     ("score", b"frame,score"),
     ("score", b""),
     ("score", b"frame,score\n0,5\n1,6,2\n7\n"),  # realigns
@@ -133,6 +139,7 @@ ADVERSARIAL = [
     ("label", b"frame,label\n0,1\n\n1,0\n"),
     ("label", b"frame,label\n0,1\n1,0"),
     ("label", b"frame,label\n"),
+    ("label", b"frame,label\n\n"),
     ("label", b"frame,label\n0, 1\n"),
     ("label", b"frame,label\n0,1 \n"),
     ("label", b"frame,label\n0,+1\n"),
@@ -141,6 +148,7 @@ ADVERSARIAL = [
     ("label", b"frame,label\n0,00\n"),
     ("label", b"frame,label\n0,1.0\n"),
     ("label", b"frame,label\n0,2\n"),
+    ("label", b"frame,label\n0,256\n"),  # overflows uint8
     ("label", b"frame,label\n0,1_0\n"),
     ("label", b"frame,label\n0,\n"),
     ("label", b"frame,label\n0,1\n1,1,0\n"),
@@ -164,6 +172,7 @@ def test_adversarial_bodies_match_line_parser(tmp_path, kind, body):
     b"frame,score\n00,0.5\n01,0.25\n",
     b"frame,score\n0,-0\n1,1.\n2,.5\n3,+.5e-3\n4,1E5\n5,-7\n6,1e-400\n",
     b"frame,score\n0,0.100000000000000005551115123126\n",  # 32 bytes
+    b"frame,score\n0,0." + b"1" * 60 + b"\n",  # 62 bytes
     b"frame,score\n0,4.9406564584124654e-324\n1,1.7976931348623157e308\n",
 ])
 def test_canonical_score_variants_take_the_vectorized_path(tmp_path, body):
@@ -422,3 +431,47 @@ def test_cli_header_only_csv_is_one_line_error(tmp_path, capsysbinary):
         assert main(["evaluate", str(path)]) == 2
     err = capsysbinary.readouterr().err.decode().splitlines()
     assert err == [f"error: {tmp_path / 's.csv'}: file contains no frames"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed CSV bytes end in a report or in one error line
+
+_FUZZ_BYTES = st.sampled_from(list(b"0123456789,.\n\r\"eE+-_ x\x00\xff"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["scores", "mask"]), data=st.data())
+def test_cli_evaluate_fuzzed_csv_exits_cleanly(tmp_path, capsysbinary, which,
+                                               data):
+    n = 30
+    files = {
+        "scores": b"frame,score\n" + "".join(
+            f"{i},{0.05 * (i % 7) + (0.6 if 8 <= i < 20 else 0.0)!r}\n"
+            for i in range(n)).encode(),
+        "mask": b"frame,label\n" + "".join(
+            f"{i},{int(8 <= i < 20)}\n" for i in range(n)).encode(),
+    }
+    body = bytearray(files[which])
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.sampled_from(range(len(body) + (op == "insert"))))
+        if op == "delete":
+            del body[at]
+        else:
+            body[at:at + (op == "replace")] = [data.draw(_FUZZ_BYTES)]
+    files[which] = bytes(body)
+    path = _write_manifest(tmp_path, files["scores"], files["mask"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evaluate", str(path)])
+    captured = capsysbinary.readouterr()
+    err = captured.err.decode()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        json.loads(captured.out)
+    else:
+        assert code in (1, 2)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

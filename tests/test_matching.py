@@ -9,7 +9,6 @@ from event_eval import (
     TemporalEvent,
     ValidationError,
     VideoIdMismatch,
-    event_prf,
     mask_to_events,
     match_events,
     multi_threshold_eval,
@@ -137,17 +136,6 @@ def test_greedy_tie_breaks_are_deterministic():
     pred = eventset([(0, 9), (20, 29)])
     res = match_events(gt, pred, 0.5)
     assert res.pairs == ((0, 0, 1.0), (1, 1, 1.0))
-
-
-def test_event_prf_examples():
-    assert event_prf(eventset([(0, 9)]), eventset([(0, 9)]), 0.5) == \
-        (1.0, 1.0, 1.0)
-    assert event_prf(eventset([(0, 9)]), eventset([], video_id="v"), 0.5) == \
-        (0.0, 0.0, 0.0)
-    # 1 TP, 1 FP, 1 FN
-    got = event_prf(eventset([(0, 9), (20, 29)]),
-                    eventset([(0, 9), (50, 59)]), 0.5)
-    assert got == (0.5, 0.5, 0.5)
 
 
 def test_tp_monotone_in_threshold():
