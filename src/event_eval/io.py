@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from io import StringIO
+from io import BytesIO
 from pathlib import Path
 from typing import Sequence
 
@@ -232,38 +233,39 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
     return values
 
 
-def _canonical_column(path: Path, value_header: str, value_chars: bytes,
-                      dtype: type) -> tuple[bytes, np.ndarray] | None:
-    """The body and value column of a canonical CSV, or None.
+# A canonical CSV, a subset of what _read_csv_column accepts: the exact
+# header, then one 'frame,value' line per frame, each ending in '\n'; labels
+# are the single byte 0 or 1. So there are no quotes, CRs, spaces, blank
+# lines, extra columns or non-ASCII bytes. Frames are 1-18 digits because
+# some numpy releases read a frame like '1.9', or one past int64, as a
+# truncated float with only a warning.
+_CANONICAL = {
+    "score": re.compile(rb"frame,score\n(?:[0-9]{1,18},[0-9+\-.eE]+\n)+"),
+    "label": re.compile(rb"frame,label\n(?:[0-9]{1,18},[01]\n)+"),
+}
 
-    Canonical is a subset of what _read_csv_column accepts: the header line
-    exactly 'frame,<value_header>', then one 'frame,value' line per frame,
-    each ending in '\n', with frames counting 0..n-1 and fields made of
-    digits and value_chars. So there are no quotes, CRs, spaces, blank lines
-    or non-ASCII bytes. np.loadtxt parses the fields; None sends the caller
-    to the line parser, which raises the error or parses the lenient variant.
-    """
+
+def _canonical_column(path: Path, value_header: str,
+                      dtype: type) -> np.ndarray | None:
+    """The value column of a canonical CSV whose frames count 0..n-1, or
+    None, which sends the caller to the line parser for the error or the
+    lenient variant."""
     try:
         data = path.read_bytes()
     except OSError:
         return None
-    header = f"frame,{value_header}\n".encode()
-    body = data[len(header):]
-    if (not data.startswith(header) or not body.endswith(b"\n")
-            or body.translate(None, b"0123456789,\n" + value_chars)
-            or body.count(b",") != body.count(b"\n")):
+    if not _CANONICAL[value_header].fullmatch(data):
         return None
-    # loadtxt skips blank lines but rejects any row that is not two fields,
-    # so with as many commas as lines each line holds exactly one
     try:
-        rows = np.loadtxt(StringIO(body.decode("ascii")), delimiter=",",
+        # not the path: numpy would pick a decompressor by its suffix
+        rows = np.loadtxt(BytesIO(data), delimiter=",", skiprows=1,
                           dtype=[("frame", np.int64), ("value", dtype)],
                           ndmin=1)
-    except ValueError:   # a row that is not two fields, or a bad field
+    except ValueError:   # a score field that is not a number
         return None
     if not np.array_equal(rows["frame"], np.arange(rows.size)):
         return None
-    return body, rows["value"]
+    return rows["value"]
 
 
 def _fast_scores(path: Path) -> np.ndarray | None:
@@ -272,22 +274,10 @@ def _fast_scores(path: Path) -> np.ndarray | None:
     loadtxt converts each field with the C function behind Python's
     float(), so the values are the line parser's, bit for bit.
     """
-    column = _canonical_column(path, "score", b"+-.eE", np.float64)
-    if column is None:
+    scores = _canonical_column(path, "score", np.float64)
+    if scores is None or not np.isfinite(scores).all():
         return None
-    _, scores = column
-    return scores if np.isfinite(scores).all() else None
-
-
-def _fast_labels(path: Path) -> np.ndarray | None:
-    """Labels of a canonical 'frame,label' CSV of single '0'/'1' bytes."""
-    column = _canonical_column(path, "label", b"", np.uint8)
-    if column is None:
-        return None
-    body, labels = column
-    # loadtxt reads '01' as 1; the line parser rejects it
-    single = body.count(b",0\n") + body.count(b",1\n") == labels.size
-    return labels if single else None
+    return scores
 
 
 def _scores_from_lines(path: Path, video_id: str) -> list[float]:
@@ -322,7 +312,7 @@ def load_scores(path: str | Path,
                 video_id: str | None = None) -> ScoreSequence:
     """Load a 'frame,score' CSV into a ScoreSequence.
 
-    Canonical files (see _canonical_column) are read by np.loadtxt; every
+    Canonical files (see _CANONICAL) are read by np.loadtxt; every
     other file, and every error, goes through the line parser.
     """
     path = Path(path)
@@ -337,7 +327,7 @@ def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
     """Load a 'frame,label' CSV into a FrameMask; paths as in load_scores."""
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem
-    labels = _fast_labels(path)
+    labels = _canonical_column(path, "label", np.uint8)
     if labels is None:
         labels = _labels_from_lines(path, video_id)
     return FrameMask(video_id=video_id, labels=labels)

@@ -47,9 +47,9 @@ def _score_bits(seq: ScoreSequence) -> tuple:
 
 
 def assert_same_as_line_parser(path: Path, kind: str) -> None:
-    """Same values or error; a warning counts as a differing outcome."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    """Same values or error, and no warning from either path."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         if kind == "score":
             got = _outcome(lambda: _score_bits(load_scores(path, "v")))
             want = _outcome(lambda: _score_bits(ScoreSequence(
@@ -59,6 +59,7 @@ def assert_same_as_line_parser(path: Path, kind: str) -> None:
             want = _outcome(lambda: FrameMask(
                 "v", io_mod._labels_from_lines(path, "v")).labels)
     assert got == want
+    assert [str(w.message) for w in caught] == []
 
 
 ADVERSARIAL = [
@@ -96,6 +97,8 @@ ADVERSARIAL = [
     ("score", b"frame,score\n 0,0.5\n"),
     ("score", b"frame,score\n0.0,0.5\n"),
     ("score", b"frame,score\n0e0,0.5\n"),
+    ("score", b"frame,score\n0,0.5\n1.9,0.25\n"),  # a float frame
+    ("label", b"frame,label\n0,0\n1.9,1\n"),
     ("score", b"frame,score\n0_0,0.5\n"),
     # non-digit frame bytes whose offsets from '0' could pass for 21 and 63
     ("score", b"frame,score\n" + b"".join(b"%d,0.5\n" % i for i in range(21))
@@ -290,6 +293,18 @@ def test_crlf_file_reaches_line_parser(tmp_path, monkeypatch):
     assert calls == [path]
 
 
+@pytest.mark.parametrize("frame", [b"0.0", b"0e0", b"-0", b"9" * 19])
+def test_non_digit_or_long_frames_never_reach_loadtxt(tmp_path, monkeypatch,
+                                                     frame):
+    # numpy releases with the deprecated int-via-float fallback would warn
+    # and truncate such a frame instead of rejecting it
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"frame,score\n" + frame + b",0.5\n")
+    monkeypatch.setattr(io_mod.np, "loadtxt", lambda *a, **k: pytest.fail(
+        "loadtxt was called"))
+    assert io_mod._fast_scores(path) is None
+
+
 # ---------------------------------------------------------------------------
 # undecodable bytes
 
@@ -462,9 +477,10 @@ def test_cli_evaluate_fuzzed_csv_exits_cleanly(tmp_path, capsysbinary, which,
             body[at:at + (op == "replace")] = [data.draw(_FUZZ_BYTES)]
     files[which] = bytes(body)
     path = _write_manifest(tmp_path, files["scores"], files["mask"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["evaluate", str(path)])
+    assert [str(w.message) for w in caught] == []
     captured = capsysbinary.readouterr()
     err = captured.err.decode()
     assert "Traceback" not in err
