@@ -72,7 +72,7 @@ from .io import (
     load_scores,
     run_evaluation,
 )
-from .matching import MatchResult, match_events, multi_threshold_eval, tiou
+from .matching import MatchResult, match_events, multi_threshold_eval
 from .report import emit_report
 from .smoothing import GaussianKernel, build_kernel, hierarchical_smooth, smooth_once
 from .thresholds import (

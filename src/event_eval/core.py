@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,13 +68,14 @@ class FrameMask:
         if bad.size:
             raise NonBinaryLabel(int(bad[0]), video_id=self.video_id)
         object.__setattr__(self, "labels",
-                           tuple(raw.astype(int).tolist()))
+                           tuple(raw.astype(np.uint8).tobytes()))
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=int)
+        # labels are 0/1 ints, which bytes() reads faster than np.asarray
+        return np.frombuffer(bytes(self.labels), dtype=np.uint8).astype(int)
 
 
 @dataclass(frozen=True, order=True)
@@ -97,29 +98,56 @@ class TemporalEvent:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EventSet:
     """Events of one video, sorted by start, pairwise disjoint with gaps.
 
     Adjacent runs of anomalous frames are by construction a single event,
-    so consecutive events are separated by at least one normal frame.
+    so consecutive events are separated by at least one normal frame. The
+    bounds are stored as read-only int64 arrays; .events builds the
+    TemporalEvents on access. Internal producers, whose runs are valid by
+    construction, skip the checks through _of.
     """
 
     video_id: str
-    events: tuple[TemporalEvent, ...]
+    starts: np.ndarray
+    ends: np.ndarray
 
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
+    def __init__(self, video_id: str,
+                 events: Iterable[TemporalEvent] = ()) -> None:
+        events = tuple(events)
         for prev, cur in zip(events, events[1:]):
             if cur.start < prev.end + 2:
                 raise ValidationError(
                     f"events [{prev.start},{prev.end}] and "
-                    f"[{cur.start},{cur.end}] of {self.video_id!r} are not "
+                    f"[{cur.start},{cur.end}] of {video_id!r} are not "
                     "sorted, overlap, or touch")
+        self._fill(video_id, [e.start for e in events],
+                   [e.end for e in events])
+
+    @classmethod
+    def _of(cls, video_id: str, starts, ends) -> EventSet:
+        self = object.__new__(cls)
+        self._fill(video_id, starts, ends)
+        return self
+
+    def _fill(self, video_id: str, starts, ends) -> None:
+        starts, ends = (np.array(a, dtype=np.int64) for a in (starts, ends))
+        starts.flags.writeable = ends.flags.writeable = False
+        self.__dict__.update(video_id=video_id, starts=starts, ends=ends)
+
+    @property
+    def events(self) -> tuple[TemporalEvent, ...]:
+        return tuple(map(TemporalEvent, self.starts.tolist(),
+                         self.ends.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, EventSet) and self.video_id == other.video_id
+                and np.array_equal(self.starts, other.starts)
+                and np.array_equal(self.ends, other.ends))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.starts)
 
     def __iter__(self):
         return iter(self.events)
@@ -136,6 +164,18 @@ class ThresholdStrategy(str, Enum):
 def _is_real(value) -> bool:
     """An int or float (numpy scalars included), but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_tiou_thresholds(thresholds: Sequence[float]) -> None:
+    """At least one tIoU threshold, each a number in (0, 1], none repeated."""
+    if not thresholds:
+        raise ValidationError("need at least one tiou threshold")
+    for k, t in enumerate(thresholds):
+        if not (_is_real(t) and 0.0 < t <= 1.0):
+            raise ValidationError(
+                f"tiou threshold {t!r} is not a number in (0, 1]")
+        if t in thresholds[:k]:
+            raise ValidationError(f"tiou threshold {t!r} appears twice")
 
 
 @dataclass(frozen=True)
@@ -159,10 +199,9 @@ class EvalConfig:
         try:
             thresholds = tuple(self.tiou_thresholds)
         except TypeError:
-            thresholds = None
-        if thresholds is None or not all(map(_is_real, thresholds)):
             raise ValidationError("tiou_thresholds must be a list of numbers, "
-                                  f"got {self.tiou_thresholds!r}")
+                                  f"got {self.tiou_thresholds!r}") from None
+        check_tiou_thresholds(thresholds)
         object.__setattr__(self, "tiou_thresholds",
                            tuple(float(t) for t in thresholds))
         object.__setattr__(self, "threshold_strategy",
@@ -181,14 +220,9 @@ class EvalConfig:
             raise ValidationError(
                 f"vote_stride {self.vote_stride} exceeds vote_window "
                 f"{self.vote_window}: frames would go unvoted")
-        if not self.tiou_thresholds:
-            raise ValidationError("tiou_thresholds must not be empty")
-        if any(b <= a for a, b in zip(self.tiou_thresholds,
-                                      self.tiou_thresholds[1:])):
+        if any(b < a for a, b in zip(self.tiou_thresholds,
+                                     self.tiou_thresholds[1:])):
             raise ValidationError("tiou_thresholds must be strictly ascending")
-        for t in self.tiou_thresholds:
-            if not 0.0 < t <= 1.0:
-                raise ValidationError(f"tiou threshold {t} outside (0, 1]")
         if not (_is_real(self.hprs_beta) and 0 < self.hprs_beta < np.inf):
             raise ValidationError(f"hprs_beta must be positive and finite, "
                                   f"got {self.hprs_beta!r}")
@@ -289,8 +323,8 @@ def validate_pair(scores: ScoreSequence, mask: FrameMask) -> None:
 
 def events_within(events: EventSet, n_frames: int) -> None:
     """Raise EventOutOfRange unless every event fits in [0, n_frames - 1]."""
-    for e in events:
-        if e.end >= n_frames:
-            raise EventOutOfRange(
-                f"event [{e.start},{e.end}] of {events.video_id!r} exceeds "
-                f"video length {n_frames}")
+    k = int(np.searchsorted(events.ends, n_frames))
+    if k < len(events):
+        raise EventOutOfRange(
+            f"event [{events.starts[k]},{events.ends[k]}] of "
+            f"{events.video_id!r} exceeds video length {n_frames}")

@@ -17,7 +17,6 @@ from .core import (
     EventSet,
     FrameMask,
     ScoreSequence,
-    TemporalEvent,
     events_within,
 )
 from .errors import InvalidWindow, ValidationError
@@ -49,13 +48,10 @@ class AuditReport:
 
 def mask_to_events(mask: FrameMask) -> EventSet:
     """Decompose a mask into maximal runs of 1s."""
-    labels = mask.as_array()
-    padded = np.concatenate([[0], labels, [0]])
-    delta = np.diff(padded)
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1) - 1
-    events = tuple(map(TemporalEvent, starts.tolist(), ends.tolist()))
-    return EventSet(video_id=mask.video_id, events=events)
+    # in the zero-padded mask, rises and falls alternate
+    padded = np.concatenate([[0], mask.as_array(), [0]])
+    edges = np.flatnonzero(np.diff(padded))
+    return EventSet._of(mask.video_id, edges[0::2], edges[1::2] - 1)
 
 
 def events_to_mask(events: EventSet, n: int) -> FrameMask:
@@ -65,8 +61,8 @@ def events_to_mask(events: EventSet, n: int) -> FrameMask:
     events_within(events, n)
     # events are disjoint and non-adjacent, so no two bounds share an index
     delta = np.zeros(n + 1, dtype=int)
-    delta[[e.start for e in events]] = 1
-    delta[[e.end + 1 for e in events]] = -1
+    delta[events.starts] = 1
+    delta[events.ends + 1] = -1
     return FrameMask(video_id=events.video_id, labels=np.cumsum(delta[:n]))
 
 
@@ -103,8 +99,9 @@ def filter_short_events(events: EventSet, d_min: int) -> EventSet:
     """Drop events whose duration is strictly shorter than d_min frames."""
     if d_min < 1:
         raise ValidationError(f"d_min must be >= 1, got {d_min}")
-    kept = tuple(e for e in events if e.duration >= d_min)
-    return EventSet(video_id=events.video_id, events=kept)
+    keep = events.ends - events.starts + 1 >= d_min
+    return EventSet._of(events.video_id, events.starts[keep],
+                        events.ends[keep])
 
 
 def refine_smoothed(smoothed: ScoreSequence, tau: float,
@@ -144,21 +141,20 @@ def audit_dataset(masks: list[FrameMask],
     if micro_threshold < 1:
         raise ValidationError(
             f"micro_threshold must be >= 1, got {micro_threshold}")
-    total = 0
-    durations: list[int] = []
-    for mask in masks:
-        total += len(mask)
-        durations.extend(e.duration for e in mask_to_events(mask))
-    anomalous = sum(durations)
+    total = sum(len(mask) for mask in masks)
+    durations = np.concatenate([es.ends - es.starts + 1
+                                for es in map(mask_to_events, masks)])
+    anomalous = int(durations.sum())
     count = len(durations)
     return AuditReport(
         normal_frames=total - anomalous,
         anomalous_frames=anomalous,
         event_count=count,
         avg_duration_frames=anomalous / count if count else 0.0,
-        min_duration=min(durations) if durations else 0,
-        max_duration=max(durations) if durations else 0,
-        micro_event_count=sum(1 for d in durations if d < micro_threshold),
+        min_duration=int(durations.min()) if count else 0,
+        max_duration=int(durations.max()) if count else 0,
+        micro_event_count=int(np.count_nonzero(
+            durations < micro_threshold)),
     )
 
 

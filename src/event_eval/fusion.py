@@ -109,7 +109,7 @@ def windows_to_events(window_scores: Sequence[tuple[int, int, float]],
                 f"length {video_len}")
         if score >= tau:
             labels[start:start + length] = 1
-    return mask_to_events(FrameMask(video_id=video_id, labels=tuple(labels)))
+    return mask_to_events(FrameMask(video_id=video_id, labels=labels))
 
 
 def run_dual_pipeline(batches: Mapping[str, Sequence[BranchErrors]],

@@ -412,8 +412,8 @@ def _int_bounds(span) -> tuple[int, int]:
 
 
 def events_to_json_obj(events_by_id: dict[str, EventSet]) -> dict:
-    return {vid: [[e.start, e.end] for e in events_by_id[vid]]
-            for vid in sorted(events_by_id)}
+    return {vid: np.column_stack((es.starts, es.ends)).tolist()
+            for vid, es in sorted(events_by_id.items())}
 
 
 # ---------------------------------------------------------------------------

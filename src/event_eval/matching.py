@@ -2,8 +2,11 @@
 
 Matching is greedy over descending tIoU with deterministic tie-breaks
 (lower gt index, then lower pred index) and one-to-one: a predicted event
-consumes at most one ground-truth event and vice versa. Counts are
-micro-averaged across videos: TP/FP/FN are summed first, then ratios taken.
+consumes at most one ground-truth event and vice versa. The candidates at
+a threshold are a prefix of that descending order, so one greedy pass at
+the lowest threshold serves every threshold: the matches at theta are the
+accepted pairs with tIoU >= theta. Counts are micro-averaged across videos:
+TP/FP/FN are pooled per threshold first, then ratios taken.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import EventMetrics, EventPrf, EventSet, TemporalEvent
-from .errors import ValidationError, VideoIdMismatch
+import numpy as np
+
+from .core import EventMetrics, EventPrf, EventSet, check_tiou_thresholds
+from .errors import VideoIdMismatch
 from .thresholds import prf
 
 
@@ -25,13 +30,29 @@ class MatchResult:
     unmatched_pred: tuple[int, ...]
 
 
-def tiou(a: TemporalEvent, b: TemporalEvent) -> float:
-    """Temporal IoU of two closed frame intervals; 0 when disjoint."""
-    inter = min(a.end, b.end) - max(a.start, b.start) + 1
-    if inter <= 0:
-        return 0.0
-    union = a.duration + b.duration - inter
-    return inter / union
+def _greedy(gt: EventSet, pred: EventSet,
+            floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The accepted (gt index, pred index, tIoU) arrays of greedy matching
+    over the pairs with tIoU >= floor, in acceptance order."""
+    # gt i overlaps exactly preds lo[i] .. lo[i] + count[i] - 1
+    lo = np.searchsorted(pred.ends, gt.starts, "left")
+    count = np.maximum(np.searchsorted(pred.starts, gt.ends, "right") - lo, 0)
+    i = np.repeat(np.arange(len(gt)), count)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(count) - count - lo, count)
+    gs, ge, ps, pe = gt.starts[i], gt.ends[i], pred.starts[j], pred.ends[j]
+    inter = np.minimum(ge, pe) - np.maximum(gs, ps) + 1
+    # int64 -> float64 is exact here, so this is Python's int / int
+    t = inter / (ge - gs + pe - ps + 2 - inter)
+    keep = t >= floor
+    i, j, t = i[keep], j[keep], t[keep]
+    order = np.lexsort((j, i, -t))
+    used_gt, used_pred = bytearray(len(gt)), bytearray(len(pred))
+    accepted = []
+    for k, a, b in zip(order.tolist(), i[order].tolist(), j[order].tolist()):
+        if not (used_gt[a] or used_pred[b]):
+            used_gt[a] = used_pred[b] = 1
+            accepted.append(k)
+    return i[accepted], j[accepted], t[accepted]
 
 
 def match_events(gt: EventSet, pred: EventSet,
@@ -41,29 +62,12 @@ def match_events(gt: EventSet, pred: EventSet,
     Candidates are visited in descending tIoU order; any pair touching an
     already-matched event is skipped.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError(f"tiou threshold {threshold} outside (0, 1]")
-    candidates = []
-    for i, g in enumerate(gt):
-        for j, p in enumerate(pred):
-            t = tiou(g, p)
-            if t >= threshold:
-                candidates.append((i, j, t))
-    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
-    used_gt: set[int] = set()
-    used_pred: set[int] = set()
-    pairs = []
-    for i, j, t in candidates:
-        if i in used_gt or j in used_pred:
-            continue
-        used_gt.add(i)
-        used_pred.add(j)
-        pairs.append((i, j, t))
+    check_tiou_thresholds((threshold,))
+    i, j, t = _greedy(gt, pred, threshold)
     return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_gt=tuple(i for i in range(len(gt)) if i not in used_gt),
-        unmatched_pred=tuple(j for j in range(len(pred))
-                             if j not in used_pred),
+        pairs=tuple(zip(i.tolist(), j.tolist(), t.tolist())),
+        unmatched_gt=tuple(np.setdiff1d(np.arange(len(gt)), i).tolist()),
+        unmatched_pred=tuple(np.setdiff1d(np.arange(len(pred)), j).tolist()),
     )
 
 
@@ -72,12 +76,13 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
                          thresholds: Sequence[float]) -> EventMetrics:
     """Micro-averaged event metrics across videos at each tIoU threshold.
 
-    gt_all and pred_all are aligned by video_id; TP/FP/FN are pooled over
-    videos per threshold, and average_f1 is the plain mean of the
-    per-threshold F1 values.
+    gt_all and pred_all are aligned by video_id. One greedy pass at the
+    lowest threshold matches every video; TP/FP/FN are pooled over videos
+    per threshold, and average_f1 is the plain mean of the per-threshold F1
+    values, in the caller's threshold order.
     """
-    if not thresholds:
-        raise ValidationError("need at least one tiou threshold")
+    thresholds = tuple(thresholds)
+    check_tiou_thresholds(thresholds)
     gt_by_id = {es.video_id: es for es in gt_all}
     pred_by_id = {es.video_id: es for es in pred_all}
     if len(gt_by_id) != len(gt_all) or len(pred_by_id) != len(pred_all):
@@ -86,15 +91,23 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
         missing = sorted(gt_by_id.keys() ^ pred_by_id.keys())
         raise VideoIdMismatch(
             f"gt and predictions cover different videos: {missing}")
+    # Lay the videos end to end, each shifted past the last event of the one
+    # before, so one pass matches them all and no pair spans two videos.
+    bounds = [[np.zeros(0, np.int64)] for _ in range(4)]
+    offset = 0
+    for video_id, gt in gt_by_id.items():
+        pred = pred_by_id[video_id]
+        for side, arr in zip(bounds, (gt.starts, gt.ends, pred.starts,
+                                      pred.ends)):
+            side.append(arr + offset)
+        offset += 2 + max([0, *gt.ends[-1:], *pred.ends[-1:]])
+    all_gt, all_pred = (EventSet._of("", np.concatenate(s), np.concatenate(e))
+                        for s, e in (bounds[:2], bounds[2:]))
+    matched = _greedy(all_gt, all_pred, min(thresholds))[2]
     per_tiou: dict[float, EventPrf] = {}
     for threshold in thresholds:
-        tp = fp = fn = 0
-        for video_id in sorted(gt_by_id):
-            result = match_events(gt_by_id[video_id], pred_by_id[video_id],
-                                  threshold)
-            tp += len(result.pairs)
-            fn += len(result.unmatched_gt)
-            fp += len(result.unmatched_pred)
+        tp = int(np.count_nonzero(matched >= threshold))
+        fp, fn = len(all_pred) - tp, len(all_gt) - tp
         per_tiou[float(threshold)] = EventPrf(*prf(tp, fp, tp + fn),
                                               tp=tp, fp=fp, fn=fn)
     average_f1 = sum(e.f1 for e in per_tiou.values()) / len(per_tiou)

@@ -4,6 +4,7 @@ import copy
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from event_eval import (
@@ -23,6 +24,8 @@ from event_eval import (
     VideoIdMismatch,
     validate_pair,
 )
+from event_eval.core import events_within
+from event_eval.errors import EventOutOfRange
 
 
 def test_validate_pair_ok():
@@ -95,6 +98,30 @@ def test_event_set_requires_sorted_disjoint_nonadjacent():
         EventSet("v", (TemporalEvent(0, 5), TemporalEvent(3, 9)))
     with pytest.raises(ValidationError):  # out of order
         EventSet("v", (TemporalEvent(5, 9), TemporalEvent(0, 3)))
+
+
+def test_event_set_is_read_only_arrays_with_event_views():
+    events = EventSet("v", (TemporalEvent(0, 3), TemporalEvent(5, 9)))
+    assert events.starts.dtype == events.ends.dtype == np.int64
+    assert events.starts.tolist() == [0, 5] and events.ends.tolist() == [3, 9]
+    with pytest.raises(ValueError):
+        events.starts[0] = 1
+    assert events.events == (TemporalEvent(0, 3), TemporalEvent(5, 9))
+    assert list(events) == list(events.events) and len(events) == 2
+    assert events != EventSet("w", events.events)
+    assert events != EventSet("v", events.events[:1])
+    assert len(EventSet("v")) == 0
+
+
+def test_events_within_names_first_event_past_the_end():
+    events = EventSet("p", (TemporalEvent(0, 3), TemporalEvent(10, 20),
+                            TemporalEvent(30, 40)))
+    events_within(events, 41)
+    with pytest.raises(EventOutOfRange) as exc:
+        events_within(events, 15)
+    assert str(exc.value) == "event [10,20] of 'p' exceeds video length 15"
+    with pytest.raises(EventOutOfRange, match=r"\[30,40\]"):
+        events_within(events, 40)
 
 
 def test_config_defaults_are_valid():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from event_eval import (
     EventSet,
@@ -12,10 +13,9 @@ from event_eval import (
     mask_to_events,
     match_events,
     multi_threshold_eval,
-    tiou,
 )
 
-from oracles import interval_tiou, optimal_assignment
+from oracles import interval_tiou, optimal_assignment, runs_of_ones
 
 
 def eventset(spans, video_id="v"):
@@ -31,26 +31,31 @@ def random_eventset(rng, video_id, max_events=6):
             return es
 
 
+def tiou(a, b):
+    """tIoU of two spans as the matcher computes it; 0 when disjoint."""
+    pairs = match_events(eventset([a]), eventset([b]), 1e-300).pairs
+    return pairs[0][2] if pairs else 0.0
+
+
 def test_tiou_examples():
-    assert tiou(TemporalEvent(0, 9), TemporalEvent(0, 9)) == 1.0
+    assert tiou((0, 9), (0, 9)) == 1.0
     # intersection 5 frames, union 15 frames
-    assert tiou(TemporalEvent(0, 9), TemporalEvent(5, 14)) == \
-        pytest.approx(1 / 3)
-    assert tiou(TemporalEvent(0, 4), TemporalEvent(10, 12)) == 0.0
+    assert tiou((0, 9), (5, 14)) == pytest.approx(1 / 3)
+    assert tiou((0, 4), (10, 12)) == 0.0
+    assert tiou((0, 0), (0, 0)) == 1.0 and tiou((0, 0), (1, 1)) == 0.0
 
 
 def test_tiou_symmetric_and_bounded():
     rng = np.random.default_rng(83)
     for _ in range(200):
         s1, s2 = rng.integers(0, 100, size=2)
-        a = TemporalEvent(int(s1), int(s1 + rng.integers(0, 40)))
-        b = TemporalEvent(int(s2), int(s2 + rng.integers(0, 40)))
+        a = (int(s1), int(s1 + rng.integers(0, 40)))
+        b = (int(s2), int(s2 + rng.integers(0, 40)))
         t = tiou(a, b)
         assert t == tiou(b, a)
         assert 0.0 <= t <= 1.0
         assert tiou(a, a) == 1.0
-        assert t == pytest.approx(interval_tiou((a.start, a.end),
-                                                (b.start, b.end)))
+        assert t == pytest.approx(interval_tiou(a, b))
 
 
 def test_match_events_examples():
@@ -119,9 +124,9 @@ def test_greedy_known_suboptimal_case():
     # (A-Q, B-P) that would match both ground-truth events.
     gt = eventset([(0, 99), (101, 200)])        # A, B
     pred = eventset([(0, 19), (21, 120)])       # Q, P
-    assert tiou(gt.events[0], pred.events[1]) == pytest.approx(79 / 121)
-    assert tiou(gt.events[0], pred.events[0]) == pytest.approx(0.2)
-    assert tiou(gt.events[1], pred.events[1]) == pytest.approx(20 / 180)
+    assert tiou((0, 99), (21, 120)) == pytest.approx(79 / 121)
+    assert tiou((0, 99), (0, 19)) == pytest.approx(0.2)
+    assert tiou((101, 200), (21, 120)) == pytest.approx(20 / 180)
 
     res = match_events(gt, pred, 0.1)
     assert [(i, j) for i, j, _ in res.pairs] == [(0, 1)]  # greedy: 1 match
@@ -194,3 +199,109 @@ def test_multi_threshold_eval_video_id_mismatch():
     pred = [eventset([(0, 9)], "b")]
     with pytest.raises(VideoIdMismatch):
         multi_threshold_eval(gt, pred, (0.5,))
+
+
+@pytest.mark.parametrize("thresholds", [
+    (1.5, -2.0), (0.0,), (0.5, 1.0000001), (float("nan"),), (True,),
+    ("0.5",), (None,), (0.5, 0.2, 0.5), (0.3, 0.3),
+])
+def test_multi_threshold_eval_rejects_bad_thresholds(thresholds):
+    with pytest.raises(ValidationError):
+        multi_threshold_eval([], [], thresholds)
+    gt = [eventset([(0, 9)], "a")]
+    with pytest.raises(ValidationError):
+        multi_threshold_eval(gt, gt, thresholds)
+
+
+def test_multi_threshold_eval_keeps_caller_threshold_order():
+    rng = np.random.default_rng(97)
+    gt = [random_eventset(rng, f"v{k}") for k in range(5)]
+    pred = [random_eventset(rng, f"v{k}") for k in range(5)]
+    order = (0.5, 0.2, 0.4, 0.3)
+    metrics = multi_threshold_eval(gt, pred, order)
+    assert list(metrics.per_tiou) == list(order)
+    f1s = [metrics.per_tiou[t].f1 for t in order]
+    assert metrics.average_f1 == sum(f1s) / len(f1s)
+    ascending = multi_threshold_eval(gt, pred, sorted(order))
+    assert ascending.per_tiou == metrics.per_tiou
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernel against the former per-threshold O(G x P) greedy
+
+
+def reference_match(gt_spans, pred_spans, threshold):
+    """Greedy matching as it was before the array kernel, kept as reference."""
+    candidates = []
+    for i, (gs, ge) in enumerate(gt_spans):
+        for j, (ps, pe) in enumerate(pred_spans):
+            inter = min(ge, pe) - max(gs, ps) + 1
+            if inter <= 0:
+                continue
+            t = inter / ((ge - gs + 1) + (pe - ps + 1) - inter)
+            if t >= threshold:
+                candidates.append((i, j, t))
+    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
+    used_gt, used_pred, pairs = set(), set(), []
+    for i, j, t in candidates:
+        if i in used_gt or j in used_pred:
+            continue
+        used_gt.add(i)
+        used_pred.add(j)
+        pairs.append((i, j, t))
+    return pairs
+
+
+@st.composite
+def clips(draw):
+    """(gt spans, pred spans) of one clip; pred is often gt shifted by one
+    frame, which forces equal tIoUs between neighbouring pairs."""
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=40))
+    gt = runs_of_ones(labels)
+    if draw(st.booleans()):
+        pred = runs_of_ones(draw(st.lists(st.sampled_from([0, 1]),
+                                  min_size=len(labels),
+                                  max_size=len(labels))))
+    elif draw(st.booleans()):
+        pred = runs_of_ones([0] + labels[:-1])
+    else:
+        pred = runs_of_ones(labels[1:] + [0])
+    return gt, pred
+
+
+TIE_THRESHOLDS = [0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 2 / 3, 0.75, 1.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(videos=st.lists(clips(), max_size=4),
+       thresholds=st.lists(st.sampled_from(TIE_THRESHOLDS)
+                           | st.floats(0.01, 1.0), min_size=1, max_size=4,
+                           unique=True))
+@example(videos=[([(0, 1), (3, 4)], [(1, 3)])], thresholds=[0.25])
+@example(videos=[([(0, 9), (20, 29)], [(0, 9), (20, 29)])],
+         thresholds=[1.0])
+@example(videos=[([], [(0, 0)]), ([(0, 0)], [])], thresholds=[0.5])
+@example(videos=[([(0, 0), (2, 2)], [(0, 0), (2, 2)]),
+                 ([(0, 2)], [(2, 2)])], thresholds=[1.0, 1 / 3])
+@example(videos=[([(0, 0)], [(0, 5)]), ([(0, 5)], [(0, 0)])],
+         thresholds=[0.5])  # pred of v0 outlasts its gt, into v1's frames
+def test_one_pass_equals_per_threshold_greedy(videos, thresholds):
+    # every clip starts at frame 0, so laid end to end without offsets
+    # the videos' events would overlap
+    gt_all = [eventset(g, f"v{k}") for k, (g, _) in enumerate(videos)]
+    pred_all = [eventset(p, f"v{k}") for k, (_, p) in enumerate(videos)]
+    metrics = multi_threshold_eval(gt_all, pred_all, thresholds)
+    n_gt = sum(len(g) for g, _ in videos)
+    n_pred = sum(len(p) for _, p in videos)
+    for threshold in thresholds:
+        tp = sum(len(reference_match(g, p, threshold)) for g, p in videos)
+        entry = metrics.per_tiou[threshold]
+        assert (entry.tp, entry.fp, entry.fn) == (tp, n_pred - tp, n_gt - tp)
+        for (g, p), gt, pred in zip(videos, gt_all, pred_all):
+            want = reference_match(g, p, threshold)
+            res = match_events(gt, pred, threshold)
+            assert list(res.pairs) == want
+            assert res.unmatched_gt == tuple(
+                i for i in range(len(g)) if i not in {w[0] for w in want})
+            assert res.unmatched_pred == tuple(
+                j for j in range(len(p)) if j not in {w[1] for w in want})
