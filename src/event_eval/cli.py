@@ -10,19 +10,20 @@ import argparse
 import sys
 
 from .core import EvalConfig, ThresholdStrategy, events_within
-from .errors import EventEvalError, InputError, ValidationError
+from .errors import (EventEvalError, InputError, ValidationError,
+                     WindowOutOfRange)
 from .events import audit_dataset, mask_to_events
-from .fusion import run_dual_pipeline
+from .fusion import mark_windows
 from .io import (
     BASELINE,
     REFINED,
     compute_frame_metrics,
     events_to_json_obj,
-    load_branch_errors,
     load_config,
     load_events_json,
     load_manifest,
     load_videos,
+    load_window_scores,
     predict_at_taus,
     run_evaluation,
 )
@@ -149,17 +150,20 @@ def _run(args: argparse.Namespace) -> int:
         if tau is None:
             raise ValidationError(
                 "fuse needs --tau or a config with fixed_tau")
-        videos = load_videos(manifest)
-        lens = {s.video_id: len(s) for s, _ in videos}
-        batches = {}
-        for entry in manifest.videos:
-            if entry.branch_errors_path is None:
-                raise ValidationError(
-                    f"video {entry.video_id!r} has no branch_errors file "
-                    "in the manifest")
-            batches[entry.video_id] = load_branch_errors(
-                entry.branch_errors_path)
-        events = run_dual_pipeline(batches, float(tau), lens)
+        lens = {s.video_id: len(s) for s, _ in load_videos(manifest)}
+        events = {}
+        for entry in sorted(manifest.videos, key=lambda e: e.video_id):
+            vid, path = entry.video_id, entry.branch_errors_path
+            if path is None:
+                raise ValidationError(f"video {vid!r} has no branch_errors "
+                                      "file in the manifest")
+            windows = load_window_scores(path)
+            try:
+                events[vid] = mark_windows(*windows, float(tau), lens[vid],
+                                           vid)
+            except WindowOutOfRange as exc:
+                exc.args = (f"{exc} | video_id={vid!r} | path={path}",)
+                raise
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "evaluate":
         report = run_evaluation(manifest, cfg, mode=args.mode)

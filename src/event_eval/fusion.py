@@ -3,8 +3,11 @@
 A short branch covers a target window of length i; a long branch covers the
 3i-frame neighborhood centered on it. The long branch's middle third is
 aligned with the target window, the two error sequences are averaged
-frame-wise, and the fused response is mean-pooled into one window score.
-Scored windows then mark their frame spans to form events.
+frame-wise, and the fused response is mean-pooled, summed left to right,
+into one window score. Errors are finite and >= 0. Every window scoring
+>= tau marks its frame span, which must lie inside the video; overlapping or
+adjacent spans merge into one event. score_windows and mark_windows take
+all windows of a video at once as arrays.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EventSet, FrameMask
+from .core import EventSet
 from .errors import BadLength, LengthMismatch, ValidationError, WindowOutOfRange
-from .events import mask_to_events
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,19 @@ def fuse_frames(short: Sequence[float],
     return [(float(s) + float(l)) / 2.0 for s, l in zip(short, aligned_long)]
 
 
+# a sum past the float64 range is inf, as in Python, and not a warning
+@np.errstate(over="ignore")
+def _pool(fused: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, summed left to right: np.mean sums
+    pairwise, and Python's sum() compensates since 3.12."""
+    return np.cumsum(fused, axis=-1)[..., -1] / fused.shape[-1]
+
+
 def pool_event_score(fused: Sequence[float]) -> float:
     """Mean of the fused responses over the target window."""
     if not len(fused):
         raise ValidationError("cannot pool an empty window")
-    return float(sum(float(v) for v in fused) / len(fused))
+    return float(_pool(np.asarray(fused, dtype=np.float64)))
 
 
 def score_window(window: BranchErrors) -> float:
@@ -88,28 +98,58 @@ def score_window(window: BranchErrors) -> float:
     return pool_event_score(fuse_frames(window.short, aligned))
 
 
-def windows_to_events(window_scores: Sequence[tuple[int, int, float]],
-                      tau: float, video_len: int,
-                      video_id: str = "") -> EventSet:
+@np.errstate(over="ignore")
+def score_windows(errors: np.ndarray, i: int) -> np.ndarray:
+    """score_window of each row of 4i errors: i short, then 3i long."""
+    return _pool((errors[:, :i] + errors[:, 2 * i:3 * i]) / 2.0)
+
+
+def _columns(rows) -> tuple[np.ndarray, ...]:
+    """The (start, length, score) columns of rows as arrays. No dtype: a
+    start past int64 stays a Python int for mark_windows' range check."""
+    return tuple(np.array(c) for c in (list(zip(*rows)) or [(), (), ()]))
+
+
+def window_arrays(windows: Sequence[BranchErrors]) -> tuple[np.ndarray, ...]:
+    """Target starts, window lengths and scores of windows, in order."""
+    return _columns((w.target_start, w.window_len, score_window(w))
+                    for w in windows)
+
+
+def mark_windows(starts: np.ndarray, lengths: np.ndarray,
+                 scores: np.ndarray, tau: float, video_len: int,
+                 video_id: str = "") -> EventSet:
     """Mark the frame span of every window scoring >= tau, merge, extract.
 
-    window_scores holds (target_start, window_len, score) triples. Marking
-    is order-independent: overlapping or adjacent spans merge into one event
-    through the mask.
+    Windows may overlap or coincide: a frame is marked while more hit
+    windows have started than ended. The first window, in the given
+    order, that leaves [0, video_len) raises WindowOutOfRange.
     """
     if not np.isfinite(tau):
         raise ValidationError(f"tau must be finite, got {tau}")
     if video_len < 1:
         raise ValidationError(f"video_len must be >= 1, got {video_len}")
-    labels = np.zeros(video_len, dtype=int)
-    for start, length, score in window_scores:
-        if start < 0 or start + length > video_len:
-            raise WindowOutOfRange(
-                f"window [{start},{start + length - 1}] exceeds video "
-                f"length {video_len}")
-        if score >= tau:
-            labels[start:start + length] = 1
-    return mask_to_events(FrameMask(video_id=video_id, labels=labels))
+    # not starts + lengths > video_len, which can wrap around in int64
+    bad = np.asarray((starts < 0) | (lengths < 0)
+                     | (starts > video_len - lengths), dtype=bool)
+    if bad.any():
+        start, length = int(starts[bad.argmax()]), int(lengths[bad.argmax()])
+        raise WindowOutOfRange(f"window [{start},{start + length - 1}] "
+                               f"exceeds video length {video_len}")
+    hit = scores >= tau
+    starts = starts[hit].astype(np.int64)
+    ends = starts + lengths[hit].astype(np.int64)
+    depth = np.cumsum(np.bincount(starts, minlength=video_len + 1)
+                      - np.bincount(ends, minlength=video_len + 1))
+    edges = np.flatnonzero(np.diff(depth > 0, prepend=False))
+    return EventSet._of(video_id, edges[0::2], edges[1::2] - 1)
+
+
+def windows_to_events(window_scores: Sequence[tuple[int, int, float]],
+                      tau: float, video_len: int,
+                      video_id: str = "") -> EventSet:
+    """mark_windows over (target_start, window_len, score) triples."""
+    return mark_windows(*_columns(window_scores), tau, video_len, video_id)
 
 
 def run_dual_pipeline(batches: Mapping[str, Sequence[BranchErrors]],
@@ -119,11 +159,6 @@ def run_dual_pipeline(batches: Mapping[str, Sequence[BranchErrors]],
     missing = sorted(set(batches) - set(video_lens))
     if missing:
         raise ValidationError(f"no video length given for: {missing}")
-    out: dict[str, EventSet] = {}
-    for video_id in sorted(batches):
-        scored = [(w.target_start, w.window_len, score_window(w))
-                  for w in batches[video_id]]
-        out[video_id] = windows_to_events(scored, tau,
-                                          video_lens[video_id],
-                                          video_id=video_id)
-    return out
+    return {video_id: mark_windows(*window_arrays(batches[video_id]), tau,
+                                   video_lens[video_id], video_id=video_id)
+            for video_id in sorted(batches)}

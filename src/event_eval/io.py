@@ -49,7 +49,7 @@ from .events import (
     mask_to_events,
     refine_smoothed,
 )
-from .fusion import BranchErrors
+from .fusion import BranchErrors, score_windows, window_arrays
 from .matching import multi_threshold_eval
 from .smoothing import hierarchical_smooth
 from .thresholds import frame_metrics
@@ -242,28 +242,38 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
 _CANONICAL = {
     "score": re.compile(rb"frame,score\n(?:[0-9]{1,18},[0-9+\-.eE]+\n)+"),
     "label": re.compile(rb"frame,label\n(?:[0-9]{1,18},[01]\n)+"),
+    # branch errors: 'start len values...' lines split by single spaces;
+    # a start or length of at most 15 digits is exact in a float64
+    "branch": re.compile(rb"(?:[0-9]{1,15} [0-9]{1,15}(?: [0-9+\-.eE]+)+\n)+"),
 }
 
 
-def _canonical_column(path: Path, value_header: str,
-                      dtype: type) -> np.ndarray | None:
-    """The value column of a canonical CSV whose frames count 0..n-1, or
-    None, which sends the caller to the line parser for the error or the
-    lenient variant."""
+def _loadtxt_canonical(path: Path, pattern: re.Pattern,
+                       **kwargs) -> np.ndarray | None:
+    """np.loadtxt of a file whose bytes fullmatch pattern, or None, which
+    sends the caller to the line parser for the error or the lenient
+    variant."""
     try:
         data = path.read_bytes()
     except OSError:
         return None
-    if not _CANONICAL[value_header].fullmatch(data):
+    if not pattern.fullmatch(data):
         return None
     try:
         # not the path: numpy would pick a decompressor by its suffix
-        rows = np.loadtxt(BytesIO(data), delimiter=",", skiprows=1,
-                          dtype=[("frame", np.int64), ("value", dtype)],
-                          ndmin=1)
-    except ValueError:   # a score field that is not a number
+        return np.loadtxt(BytesIO(data), **kwargs)
+    except ValueError:   # a field that is not a number, or ragged rows
         return None
-    if not np.array_equal(rows["frame"], np.arange(rows.size)):
+
+
+def _canonical_column(path: Path, value_header: str,
+                      dtype: type) -> np.ndarray | None:
+    """The value column of a canonical CSV whose frames count 0..n-1."""
+    rows = _loadtxt_canonical(path, _CANONICAL[value_header], delimiter=",",
+                              skiprows=1, ndmin=1, dtype=[
+                                  ("frame", np.int64), ("value", dtype)])
+    if rows is None or not np.array_equal(rows["frame"],
+                                          np.arange(rows.size)):
         return None
     return rows["value"]
 
@@ -374,6 +384,32 @@ def load_branch_errors(path: str | Path) -> list[BranchErrors]:
     if not windows:
         raise ParseError(str(path), None, "file contains no windows")
     return windows
+
+
+def _fast_window_scores(path: Path) -> tuple[np.ndarray, ...] | None:
+    """load_window_scores of a canonical file whose windows all have one
+    length i >= 1 and finite errors >= 0, or None."""
+    rows = _loadtxt_canonical(path, _CANONICAL["branch"], delimiter=" ",
+                              ndmin=2)
+    if rows is None:
+        return None
+    i, extra = divmod(rows.shape[1] - 2, 4)   # the pattern makes i >= 1
+    if (extra or (rows[:, 1] != i).any() or not np.isfinite(rows).all()
+            or (rows < 0).any()):
+        return None
+    return (rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64),
+            score_windows(rows[:, 2:], i))
+
+
+def load_window_scores(path: str | Path) -> tuple[np.ndarray, ...]:
+    """Target starts, window lengths and scores of a branch-error file's
+    windows, in file order.
+
+    Canonical files (see _CANONICAL) are read by one np.loadtxt call;
+    every other file, and every error, goes through load_branch_errors.
+    """
+    path = Path(path)
+    return _fast_window_scores(path) or window_arrays(load_branch_errors(path))
 
 
 def _load_json_object(path: Path) -> dict:

@@ -1,9 +1,11 @@
-"""Score/mask CSV loading: the vectorized path against the line parser.
+"""Score/mask CSV and branch-error loading: the vectorized path against
+the line parser.
 
-load_scores and load_mask parse canonical files with numpy and send every
-other file to the line parser. The vectorized path must accept a subset of
-what the line parser accepts and give bit-identical values on it; on every
-other input the line parser's values or error (type and message) stand.
+load_scores, load_mask and load_window_scores parse canonical files with
+numpy and send every other file to the line parser. The vectorized path
+must accept a subset of what the line parser accepts and give bit-identical
+values on it; on every other input the line parser's values or error (type
+and message) stand.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from event_eval import (
     load_scores,
 )
 from event_eval.cli import main
+from event_eval.fusion import window_arrays
 from event_eval.synthetic import make_dataset, write_dataset
 
 HEADERS = {"score": b"frame,score\n", "label": b"frame,label\n"}
@@ -480,6 +483,203 @@ def test_cli_evaluate_fuzzed_csv_exits_cleanly(tmp_path, capsysbinary, which,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["evaluate", str(path)])
+    assert [str(w.message) for w in caught] == []
+    captured = capsysbinary.readouterr()
+    err = captured.err.decode()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        json.loads(captured.out)
+    else:
+        assert code in (1, 2)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# branch-error files
+
+
+def _window_bits(columns) -> tuple:
+    starts, lengths, scores = columns
+    return (starts.tolist(), lengths.tolist(),
+            np.asarray(scores, dtype=np.float64).view(np.uint64).tolist())
+
+
+def assert_branch_same_as_line_parser(path: Path) -> None:
+    """load_window_scores gives the line parser's windows, scored by
+    score_window, or its error; and neither path warns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(lambda: _window_bits(io_mod.load_window_scores(path)))
+        want = _outcome(lambda: _window_bits(window_arrays(
+            load_branch_errors(path))))
+    assert got == want
+    assert [str(w.message) for w in caught] == []
+
+
+WINDOW = b"0 1 0.1 0.2 0.3 0.4"
+BRANCH_VARIANTS = [
+    WINDOW + b"\r\n",  # CRLF
+    WINDOW,  # no final newline
+    WINDOW + b"\n" + WINDOW,
+    b"0  1 0.1 0.2 0.3 0.4\n",  # double space
+    b"0 1 0.1  0.2 0.3 0.4\n",
+    b"0\t1 0.1 0.2 0.3 0.4\n",  # tab
+    b" " + WINDOW + b"\n",
+    WINDOW + b" \n",
+    b"# comment\n" + WINDOW + b"\n",
+    b"  # indented comment\n" + WINDOW + b"\n",
+    WINDOW + b" # x\n",  # a trailing comment is a parse error
+    WINDOW + b"#\n",
+    b"\xef\xbb\xbf" + WINDOW + b"\n",  # BOM
+    WINDOW + b"\n\n" + WINDOW + b"\n",  # blank line
+    b"\n" + WINDOW + b"\n",
+    WINDOW + b"\n4 2 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\n",  # mixed lengths
+    b"4 2 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\n" + WINDOW + b"\n",
+    b"1234567890123456 1 0.1 0.2 0.3 0.4\n",  # 16-digit start
+    b"9" * 20 + b" 1 0.1 0.2 0.3 0.4\n",  # past int64
+    b"9223372036854775807 1 0.1 0.2 0.3 0.4\n",  # int64 max
+    b"0 0000000000000001 0.1 0.2 0.3 0.4\n",  # 16-digit length
+    b"0 1 0.1 0.2 0.3 1e999\n",
+    b"0 1 0.1 0.2 0.3 " + b"1" * 400 + b"\n",
+    b"0 1 -0.1 0.2 0.3 0.4\n",
+    b"0 1 0.1 0.2 0.3 -1e-300\n",
+    b"0 1 nan 0.2 0.3 0.4\n",
+    b"0 1 0.1 inf 0.3 0.4\n",
+    b"0 2 0.1 0.2 0.3\n",  # short row
+    b"0 1 0.1 0.2 0.3 0.4 0.5\n",  # long row
+    WINDOW + b"\n1 1 0.1 0.2 0.3\n",  # ragged rows
+    b"0 0\n",
+    b"0 0 0.1 0.2 0.3 0.4\n",  # length 0 with values
+    b"0 3 0.1 0.2 0.3 0.4\n",  # length disagrees with the values
+    b"0\n",
+    b"",
+    b"\n",
+    b"# only a comment\n",
+    b"-1 1 0.1 0.2 0.3 0.4\n",
+    b"+1 1 0.1 0.2 0.3 0.4\n",
+    b"1.0 1 0.1 0.2 0.3 0.4\n",
+    b"0 1e0 0.1 0.2 0.3 0.4\n",
+    b"0 1 0.1 0.2 0.3 1_0\n",
+    b"0 1 0.1 0.2 0.3 0x10\n",
+    b"0 1 0.1 0.2 0.3 1e\n",
+    b"0 1 0.1 0.2 0.3 .\n",
+    b"0 1 0.1 0.2 0.3 +-1\n",
+    b"0 1 0.1 0.2 0.3 1.5.\n",
+    b"0 1 0.1 0.2 0.3 e5\n",
+    b"0 1 0.1 0.2 0.3 0.4\x00\n",
+    "٠ 1 0.1 0.2 0.3 0.4\n".encode(),  # Arabic-Indic 0
+    b"0 1 0.1 0.2 0.3 0.\xff\n",  # not UTF-8
+]
+
+
+@pytest.mark.parametrize("body", BRANCH_VARIANTS)
+def test_branch_variants_take_the_line_parser(tmp_path, body):
+    path = tmp_path / "b.txt"
+    path.write_bytes(body)
+    assert io_mod._fast_window_scores(path) is None
+    assert_branch_same_as_line_parser(path)
+
+
+@pytest.mark.parametrize("body", [
+    WINDOW + b"\n",
+    b"007 01 0.1 0.2 0.3 0.4\n",  # leading zeros
+    b"999999999999999 1 0.1 0.2 0.3 0.4\n",  # 15 digits
+    b"0 1 -0 1. .5 +.5e-3\n1 1 1E5 0 1e-400 4.9406564584124654e-324\n",
+    b"3 1 1.7976931348623157e308 1 1.7976931348623157e308 0\n",
+    b"0 3 " + b" ".join(b"%d" % k for k in range(12)) + b"\n",
+])
+def test_canonical_branch_variants_take_the_vectorized_path(tmp_path, body):
+    path = tmp_path / "b.txt"
+    path.write_bytes(body)
+    assert io_mod._fast_window_scores(path) is not None
+    assert_branch_same_as_line_parser(path)
+
+
+def _left_to_right_score(values: list[float], i: int) -> float:
+    """The window score summed in index order, as a loop would."""
+    fused = [(s + l) / 2.0 for s, l in zip(values[:i], values[2 * i:3 * i])]
+    total = fused[0]
+    for v in fused[1:]:
+        total += v
+    return total / i
+
+
+_ERRORS = st.one_of(
+    st.floats(0, 1e6).map(repr),
+    st.floats(0, 1e300).map(repr),
+    st.floats(0, 3, width=32).map(repr),
+    st.tuples(st.floats(0, 1e3), st.integers(0, 20)).map(
+        lambda t: f"{t[0]:.{t[1]}e}"),
+)
+
+
+@_PROPERTY
+@given(i=st.integers(1, 6), data=st.data())
+def test_canonical_branch_files_are_bit_identical_property(tmp_path, i,
+                                                           data):
+    rows = [(data.draw(st.integers(0, 10 ** 15 - 1)),
+             data.draw(st.lists(_ERRORS, min_size=4 * i, max_size=4 * i)))
+            for _ in range(data.draw(st.integers(1, 8)))]
+    path = tmp_path / "b.txt"
+    path.write_bytes("".join(f"{start} {i} {' '.join(values)}\n"
+                             for start, values in rows).encode())
+    fast = io_mod._fast_window_scores(path)
+    assert fast is not None
+    assert _window_bits(fast) == _window_bits(window_arrays(
+        load_branch_errors(path)))
+    assert _window_bits(fast) == _window_bits((
+        np.array([start for start, _ in rows]), np.full(len(rows), i),
+        [_left_to_right_score([float(v) for v in values], i)
+         for _, values in rows]))
+
+
+def test_fuse_takes_vectorized_path_for_canonical_files(tmp_path,
+                                                       monkeypatch):
+    i = 2
+    (tmp_path / "b.txt").write_text("".join(
+        f"{k * i} {i} {' '.join(['0.9' if k == 1 else '0.1'] * 4 * i)}\n"
+        for k in range(4)))
+    _write_manifest(tmp_path, b"frame,score\n" + b"".join(
+        b"%d,0.5\n" % t for t in range(8)), b"frame,label\n" + b"".join(
+        b"%d,0\n" % t for t in range(8)), "branch_errors: b.txt\n")
+    monkeypatch.setattr(io_mod, "load_branch_errors", lambda path:
+                        pytest.fail("the line parser was called"))
+    assert main(["fuse", str(tmp_path / "manifest.txt"), "--tau",
+                 "0.5"]) == 0
+
+
+_BRANCH_FUZZ_BYTES = st.sampled_from(list(b"0123456789 .\n\r#eE+-\t\x00\xff"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuse_fuzzed_branch_file_exits_cleanly(tmp_path, capsysbinary,
+                                                   data):
+    n, i = 24, 2
+    scores = b"frame,score\n" + b"".join(b"%d,0.5\n" % t for t in range(n))
+    mask = b"frame,label\n" + b"".join(
+        b"%d,%d\n" % (t, 8 <= t < 16) for t in range(n))
+    body = bytearray("".join(
+        f"{start} {i} "
+        + " ".join(repr(0.2 + 0.05 * (k % 5) + (0.5 if 8 <= start < 16
+                                               else 0.0))
+                   for k in range(4 * i)) + "\n"
+        for start in range(0, n - i + 1, 3)).encode())
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.sampled_from(range(len(body) + (op == "insert"))))
+        if op == "delete":
+            del body[at]
+        else:
+            body[at:at + (op == "replace")] = [data.draw(_BRANCH_FUZZ_BYTES)]
+    (tmp_path / "b.txt").write_bytes(bytes(body))
+    path = _write_manifest(tmp_path, scores, mask, "branch_errors: b.txt\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fuse", str(path), "--tau", "0.5"])
     assert [str(w.message) for w in caught] == []
     captured = capsysbinary.readouterr()
     err = captured.err.decode()

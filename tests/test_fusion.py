@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from event_eval import (
     BadLength,
@@ -17,7 +20,9 @@ from event_eval import (
     windows_to_events,
 )
 
-from oracles import middle_third
+from event_eval.fusion import mark_windows, score_windows
+
+from oracles import middle_third, runs_of_ones
 
 
 def branch(short, long, start=0):
@@ -89,6 +94,26 @@ def test_pool_event_score():
     assert pool_event_score([3.7] * 11) == pytest.approx(3.7)
     with pytest.raises(ValidationError):
         pool_event_score([])
+
+
+def test_pool_event_score_sums_left_to_right():
+    # 1.0 + 1e-16 rounds back to 1.0; a compensated sum (math.fsum, or
+    # Python's sum() since 3.12) keeps the two small terms
+    fused = [1.0, 1e-16, 1e-16]
+    assert math.fsum(fused) != 1.0
+    assert pool_event_score(fused) == 1.0 / 3
+    w = branch(fused, [0.0] * 3 + fused + [0.0] * 3)
+    assert score_window(w) == 1.0 / 3
+    assert score_windows(np.array([w.short + w.long]), 3)[0] == 1.0 / 3
+
+
+def test_score_windows_matches_score_window_bits():
+    rng = np.random.default_rng(53)
+    for i in (1, 2, 7, 16, 40):
+        errors = rng.uniform(0, 3, size=(25, 4 * i)) ** 3
+        got = score_windows(errors, i)
+        want = [score_window(branch(row[:i], row[i:])) for row in errors]
+        assert got.tolist() == want
 
 
 def test_pool_of_fusion_equals_mean_of_branch_means():
@@ -176,3 +201,52 @@ def test_run_dual_pipeline_needs_video_lengths():
     windows = [branch([0.1] * i, [0.1] * (3 * i))]
     with pytest.raises(ValidationError):
         run_dual_pipeline({"v": windows}, 0.5, video_lens={})
+
+
+def test_windows_to_events_overlapping_and_coinciding_windows():
+    windows = [(0, 8, 0.9), (4, 8, 0.9), (4, 8, 0.9), (12, 4, 0.6),
+               (17, 2, 0.7), (30, 6, 0.1), (19, 1, 0.2)]
+    events = windows_to_events(windows, 0.5, 40, video_id="v")
+    assert [(e.start, e.end) for e in events] == [(0, 15), (17, 18)]
+    assert events.video_id == "v"
+    # a zero-length window marks nothing
+    assert len(windows_to_events([(3, 0, 0.9)], 0.5, 10)) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_mark_windows_equals_frame_marking(n, data):
+    windows = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, 12), st.floats(0, 1)),
+        max_size=12).map(lambda ws: [(s, min(k, n - s), v)
+                                     for s, k, v in ws]))
+    tau = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    labels = [0] * n
+    for start, length, score in windows:
+        if score >= tau:
+            labels[start:start + length] = [1] * length
+    got = windows_to_events(windows, tau, n)
+    assert [(e.start, e.end) for e in got] == runs_of_ones(labels)
+
+
+def test_mark_windows_names_first_out_of_range_window():
+    starts = np.array([0, 30, 18, -1])
+    lengths = np.array([4, 4, 4, 2])
+    scores = np.array([0.9, 0.1, 0.9, 0.9])
+    with pytest.raises(WindowOutOfRange, match=r"window \[30,33\] exceeds "
+                       r"video length 20$"):
+        mark_windows(starts, lengths, scores, 0.5, 20)
+    with pytest.raises(WindowOutOfRange, match=r"window \[5,1\]"):
+        windows_to_events([(5, -3, 0.9)], 0.5, 20)
+    huge = 10 ** 20
+    for start in (huge, 2 ** 63, 2 ** 63 - 1):
+        with pytest.raises(WindowOutOfRange, match=rf"window \[{start},"):
+            windows_to_events([(0, 1, 0.9), (start, 1, 0.9)], 0.5, 20)
+    with pytest.raises(WindowOutOfRange, match=rf"\[{huge},"):
+        run_dual_pipeline({"v": [branch([0.1], [0.1] * 3, start=huge)]},
+                          0.5, {"v": 20})
+
+
+def test_run_dual_pipeline_without_windows():
+    out = run_dual_pipeline({"v": []}, 0.5, video_lens={"v": 5})
+    assert len(out["v"]) == 0 and out["v"].video_id == "v"

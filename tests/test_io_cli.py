@@ -341,6 +341,22 @@ def test_cli_fuse(tmp_path, capsysbinary):
     assert events == {"v": [[i, 3 * i - 1]]}
 
 
+def test_cli_fuse_window_out_of_range_names_video_and_file(tmp_path,
+                                                         capsysbinary):
+    write(tmp_path / "s.csv", scores_csv([0.1] * 4))
+    write(tmp_path / "m.csv", mask_csv([0, 1, 1, 0]))
+    branch = write(tmp_path / "b.txt", "0 2 " + " ".join(["0.9"] * 8)
+                   + "\n3 2 " + " ".join(["0.1"] * 8) + "\n")
+    write(tmp_path / "manifest.txt",
+          "dataset: d\nvideo: cam1\nscores: s.csv\nmask: m.csv\n"
+          "branch_errors: b.txt\n")
+    assert main(["fuse", str(tmp_path / "manifest.txt"), "--tau",
+                 "0.5"]) == 1
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert err == ["error: window [3,4] exceeds video length 4 | "
+                   f"video_id='cam1' | path={branch}"]
+
+
 def test_cli_fuse_requires_tau(tmp_path, capsysbinary):
     manifest = str(perfect_fixture(tmp_path))
     assert main(["fuse", manifest]) == 1
