@@ -6,8 +6,8 @@ aligned with the target window, the two error sequences are averaged
 frame-wise, and the fused response is mean-pooled, summed left to right,
 into one window score. Errors are finite and >= 0. Every window scoring
 >= tau marks its frame span, which must lie inside the video; overlapping or
-adjacent spans merge into one event. score_windows and mark_windows take
-all windows of a video at once as arrays.
+adjacent spans merge into one event. score_window also takes all windows
+of a video at once as an array, and mark_windows marks them.
 """
 
 from __future__ import annotations
@@ -92,16 +92,18 @@ def pool_event_score(fused: Sequence[float]) -> float:
     return float(_pool(np.asarray(fused, dtype=np.float64)))
 
 
-def score_window(window: BranchErrors) -> float:
-    """align_center -> fuse_frames -> pool_event_score for one window."""
-    aligned = align_center(window.long, window.window_len)
-    return pool_event_score(fuse_frames(window.short, aligned))
-
-
 @np.errstate(over="ignore")
-def score_windows(errors: np.ndarray, i: int) -> np.ndarray:
-    """score_window of each row of 4i errors: i short, then 3i long."""
-    return _pool((errors[:, :i] + errors[:, 2 * i:3 * i]) / 2.0)
+def score_window(window: BranchErrors | np.ndarray) -> float | np.ndarray:
+    """align_center -> fuse_frames -> pool_event_score for one window.
+
+    Given instead a 2-D array whose rows hold 4i errors each (i short,
+    then 3i long), the score of every row, with the same bits.
+    """
+    if isinstance(window, BranchErrors):
+        aligned = align_center(window.long, window.window_len)
+        return pool_event_score(fuse_frames(window.short, aligned))
+    i = window.shape[1] // 4
+    return _pool((window[:, :i] + window[:, 2 * i:3 * i]) / 2.0)
 
 
 def _columns(rows) -> tuple[np.ndarray, ...]:

@@ -49,7 +49,7 @@ from .events import (
     mask_to_events,
     refine_smoothed,
 )
-from .fusion import BranchErrors, score_windows, window_arrays
+from .fusion import BranchErrors, score_window, window_arrays
 from .matching import multi_threshold_eval
 from .smoothing import hierarchical_smooth
 from .thresholds import frame_metrics
@@ -398,7 +398,7 @@ def _fast_window_scores(path: Path) -> tuple[np.ndarray, ...] | None:
             or (rows < 0).any()):
         return None
     return (rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64),
-            score_windows(rows[:, 2:], i))
+            score_window(rows[:, 2:]))
 
 
 def load_window_scores(path: str | Path) -> tuple[np.ndarray, ...]:

@@ -20,7 +20,7 @@ from event_eval import (
     windows_to_events,
 )
 
-from event_eval.fusion import mark_windows, score_windows
+from event_eval.fusion import mark_windows
 
 from oracles import middle_third, runs_of_ones
 
@@ -104,14 +104,14 @@ def test_pool_event_score_sums_left_to_right():
     assert pool_event_score(fused) == 1.0 / 3
     w = branch(fused, [0.0] * 3 + fused + [0.0] * 3)
     assert score_window(w) == 1.0 / 3
-    assert score_windows(np.array([w.short + w.long]), 3)[0] == 1.0 / 3
+    assert score_window(np.array([w.short + w.long]))[0] == 1.0 / 3
 
 
-def test_score_windows_matches_score_window_bits():
+def test_score_window_of_rows_matches_per_window_bits():
     rng = np.random.default_rng(53)
     for i in (1, 2, 7, 16, 40):
         errors = rng.uniform(0, 3, size=(25, 4 * i)) ** 3
-        got = score_windows(errors, i)
+        got = score_window(errors)
         want = [score_window(branch(row[:i], row[i:])) for row in errors]
         assert got.tolist() == want
 
