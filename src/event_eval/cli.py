@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error (bad data or configuration),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .core import EvalConfig, ThresholdStrategy, events_within
@@ -98,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _derive_tau(videos, cfg: EvalConfig, explicit: float | None) -> float:
     if explicit is not None:
+        if not math.isfinite(explicit):
+            raise ValidationError(f"tau must be finite, got {explicit}")
         return explicit
     if cfg.threshold_strategy is ThresholdStrategy.FIXED:
         return float(cfg.fixed_tau)

@@ -1,8 +1,10 @@
 """Core domain types: score sequences, binary masks, temporal events, config.
 
-All types are immutable value objects validated at construction. Frame
-indexing is 0-based and event intervals are closed [start, end]; an event's
-duration is end - start + 1.
+All types are immutable value objects. Input is checked where it enters:
+in the public constructors and in the loaders of io.py. Internal producers
+whose output is valid by construction build through the private _of, which
+skips the checks. Frame indexing is 0-based and event intervals are closed
+[start, end]; an event's duration is end - start + 1.
 """
 
 from __future__ import annotations
@@ -26,56 +28,106 @@ from .errors import (
 DEFAULT_TIOU_THRESHOLDS = (0.2, 0.3, 0.4, 0.5)
 
 
-@dataclass(frozen=True)
-class ScoreSequence:
+class _Arrays:
+    """A video id plus the read-only arrays named in _arrays, copied in.
+
+    Public constructors check their input; internal producers whose output
+    is valid by construction build through _of, which skips the checks.
+    """
+
+    _arrays: tuple[str, ...]
+    _dtype: type
+
+    @classmethod
+    def _of(cls, video_id: str, *arrays):
+        self = object.__new__(cls)
+        self._fill(video_id, *arrays)
+        return self
+
+    def _fill(self, video_id: str, *arrays) -> None:
+        self.__dict__["video_id"] = video_id
+        for name, values in zip(self._arrays, arrays):
+            self.__dict__[name] = arr = np.array(values, dtype=self._dtype)
+            arr.flags.writeable = False
+
+    def _stored(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.__dict__[name] for name in self._arrays)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.video_id == other.video_id
+                and all(map(np.array_equal, self._stored(), other._stored())))
+
+    def __hash__(self) -> int:
+        return hash((self.video_id,
+                     *(tuple(a.tolist()) for a in self._stored())))
+
+    def __len__(self) -> int:
+        return len(self._stored()[0])
+
+    def __reduce__(self):
+        # copies and unpickled objects come back through _of, read-only
+        return type(self)._of, (self.video_id, *self._stored())
+
+
+def _one_d(video_id: str, values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValidationError(
+            f"{what} for {video_id!r} must be 1-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValidationError(f"empty {what} for {video_id!r}")
+    return arr
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class ScoreSequence(_Arrays):
     """Per-frame real-valued anomaly scores for one video.
 
     Scores are not constrained to [0, 1]; reconstruction errors are
     unbounded and threshold search operates on the empirical distribution.
+    as_array() returns the stored float64 array itself, shared and
+    read-only; .scores builds a tuple of floats on each access.
     """
 
     video_id: str
     scores: tuple[float, ...]
+    _arrays, _dtype = ("_scores",), np.float64
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.scores, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError(f"empty score sequence for {self.video_id!r}")
-        object.__setattr__(self, "scores", tuple(arr.tolist()))
+    def __init__(self, video_id: str, scores: Iterable[float]) -> None:
+        arr = _one_d(video_id, scores, "score sequence")
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
-            raise NonFiniteScore(int(bad[0]), video_id=self.video_id)
+            raise NonFiniteScore(int(bad[0]), video_id=video_id)
+        self._fill(video_id, arr)
 
-    def __len__(self) -> int:
-        return len(self.scores)
+    scores = property(lambda self: tuple(self._scores.tolist()))
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.scores, dtype=float)
+        return self._scores
 
 
-@dataclass(frozen=True)
-class FrameMask:
-    """Per-frame binary labels: 1 marks an anomalous frame, 0 a normal one."""
+@dataclass(frozen=True, init=False, eq=False)
+class FrameMask(_Arrays):
+    """Per-frame binary labels: 1 marks an anomalous frame, 0 a normal one.
+
+    Stored and returned by as_array() as uint8, like ScoreSequence.
+    """
 
     video_id: str
     labels: tuple[int, ...]
+    _arrays, _dtype = ("_labels",), np.uint8
 
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.labels, dtype=float)
-        if raw.ndim != 1 or raw.size == 0:
-            raise ValidationError(f"empty frame mask for {self.video_id!r}")
+    def __init__(self, video_id: str, labels: Iterable[int]) -> None:
+        raw = _one_d(video_id, labels, "frame mask")
         bad = np.flatnonzero((raw != 0.0) & (raw != 1.0))
         if bad.size:
-            raise NonBinaryLabel(int(bad[0]), video_id=self.video_id)
-        object.__setattr__(self, "labels",
-                           tuple(raw.astype(np.uint8).tobytes()))
+            raise NonBinaryLabel(int(bad[0]), video_id=video_id)
+        self._fill(video_id, raw)
 
-    def __len__(self) -> int:
-        return len(self.labels)
+    labels = property(lambda self: tuple(self._labels.tolist()))
 
     def as_array(self) -> np.ndarray:
-        # labels are 0/1 ints, which bytes() reads faster than np.asarray
-        return np.frombuffer(bytes(self.labels), dtype=np.uint8).astype(int)
+        return self._labels
 
 
 @dataclass(frozen=True, order=True)
@@ -99,19 +151,19 @@ class TemporalEvent:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class EventSet:
+class EventSet(_Arrays):
     """Events of one video, sorted by start, pairwise disjoint with gaps.
 
     Adjacent runs of anomalous frames are by construction a single event,
     so consecutive events are separated by at least one normal frame. The
     bounds are stored as read-only int64 arrays; .events builds the
-    TemporalEvents on access. Internal producers, whose runs are valid by
-    construction, skip the checks through _of.
+    TemporalEvents on access.
     """
 
     video_id: str
     starts: np.ndarray
     ends: np.ndarray
+    _arrays, _dtype = ("starts", "ends"), np.int64
 
     def __init__(self, video_id: str,
                  events: Iterable[TemporalEvent] = ()) -> None:
@@ -125,29 +177,10 @@ class EventSet:
         self._fill(video_id, [e.start for e in events],
                    [e.end for e in events])
 
-    @classmethod
-    def _of(cls, video_id: str, starts, ends) -> EventSet:
-        self = object.__new__(cls)
-        self._fill(video_id, starts, ends)
-        return self
-
-    def _fill(self, video_id: str, starts, ends) -> None:
-        starts, ends = (np.array(a, dtype=np.int64) for a in (starts, ends))
-        starts.flags.writeable = ends.flags.writeable = False
-        self.__dict__.update(video_id=video_id, starts=starts, ends=ends)
-
     @property
     def events(self) -> tuple[TemporalEvent, ...]:
         return tuple(map(TemporalEvent, self.starts.tolist(),
                          self.ends.tolist()))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EventSet) and self.video_id == other.video_id
-                and np.array_equal(self.starts, other.starts)
-                and np.array_equal(self.ends, other.ends))
-
-    def __len__(self) -> int:
-        return len(self.starts)
 
     def __iter__(self):
         return iter(self.events)
@@ -309,8 +342,9 @@ class EventMetrics:
 def validate_pair(scores: ScoreSequence, mask: FrameMask) -> None:
     """Check that a score sequence and a mask describe the same frames.
 
-    Finiteness and binariness are already enforced by the type constructors;
-    this guards the cross-cutting invariants (same video, same length).
+    Finiteness and binariness were checked where the data entered (a public
+    constructor or a loader); this guards the cross-cutting invariants
+    (same video, same length).
     """
     if scores.video_id != mask.video_id:
         raise VideoIdMismatch(

@@ -63,13 +63,12 @@ def events_to_mask(events: EventSet, n: int) -> FrameMask:
     delta = np.zeros(n + 1, dtype=int)
     delta[events.starts] = 1
     delta[events.ends + 1] = -1
-    return FrameMask(video_id=events.video_id, labels=np.cumsum(delta[:n]))
+    return FrameMask._of(events.video_id, np.cumsum(delta[:n]))
 
 
 def binarize(scores: ScoreSequence, tau: float) -> FrameMask:
     """Frames with score >= tau become anomalous."""
-    labels = (scores.as_array() >= tau).astype(int)
-    return FrameMask(video_id=scores.video_id, labels=labels)
+    return FrameMask._of(scores.video_id, scores.as_array() >= tau)
 
 
 def majority_vote_refine(mask: FrameMask, window: int,
@@ -87,12 +86,12 @@ def majority_vote_refine(mask: FrameMask, window: int,
         raise InvalidWindow(
             f"need 1 <= stride <= window <= mask length, got stride={stride}"
             f" window={window} length={n}")
-    ones = np.concatenate(([0], np.cumsum(mask.as_array())))
+    # labels are uint8: widen before summing
+    ones = np.concatenate(([0], np.cumsum(mask.as_array(), dtype=np.int64)))
     starts = np.arange(0, n, stride)
     ends = np.minimum(starts + window, n)
     decision = 2 * (ones[ends] - ones[starts]) >= ends - starts
-    return FrameMask(video_id=mask.video_id,
-                     labels=np.repeat(decision, stride)[:n])
+    return FrameMask._of(mask.video_id, np.repeat(decision, stride)[:n])
 
 
 def filter_short_events(events: EventSet, d_min: int) -> EventSet:

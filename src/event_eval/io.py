@@ -323,24 +323,25 @@ def load_scores(path: str | Path,
     """Load a 'frame,score' CSV into a ScoreSequence.
 
     Canonical files (see _CANONICAL) are read by np.loadtxt; every
-    other file, and every error, goes through the line parser.
+    other file, and every error, goes through the line parser. Both check
+    every value, so the ScoreSequence is built without a second check.
     """
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem
     scores = _fast_scores(path)
     if scores is None:
         scores = _scores_from_lines(path, video_id)
-    return ScoreSequence(video_id=video_id, scores=scores)
+    return ScoreSequence._of(video_id, scores)
 
 
 def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
-    """Load a 'frame,label' CSV into a FrameMask; paths as in load_scores."""
+    """Load a 'frame,label' CSV into a FrameMask; as in load_scores."""
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem
     labels = _canonical_column(path, "label", np.uint8)
     if labels is None:
         labels = _labels_from_lines(path, video_id)
-    return FrameMask(video_id=video_id, labels=labels)
+    return FrameMask._of(video_id, labels)
 
 
 def load_branch_errors(path: str | Path) -> list[BranchErrors]:
@@ -420,6 +421,8 @@ def _load_json_object(path: Path) -> dict:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.msg)
+    except RecursionError:
+        raise ParseError(str(path), None, "JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError(str(path), None, "expected a JSON object")
     return data

@@ -89,8 +89,8 @@ def _smooth_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
     """Convolve one sequence with a kernel under reflect padding."""
     w = np.asarray(kernel.weights, dtype=float)
-    return ScoreSequence(video_id=scores.video_id,
-                         scores=_smooth_array(scores.as_array(), w))
+    return ScoreSequence._of(scores.video_id,
+                             _smooth_array(scores.as_array(), w))
 
 
 def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
@@ -107,4 +107,4 @@ def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
     x = scores.as_array()
     for sigma in range(1, sigma_max + 1):
         x = _smooth_array(x, _gaussian_weights(sigma, default_radius(sigma)))
-    return ScoreSequence(video_id=scores.video_id, scores=x)
+    return ScoreSequence._of(scores.video_id, x)

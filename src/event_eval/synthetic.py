@@ -40,8 +40,8 @@ def make_video(rng: np.random.Generator, video_id: str,
     inside = labels == 1
     high = inside & (rng.random(n) >= dip_prob)
     scores[high] = rng.normal(0.88, 0.03, size=int(high.sum()))
-    return (ScoreSequence(video_id=video_id, scores=tuple(scores)),
-            FrameMask(video_id=video_id, labels=tuple(labels)))
+    return (ScoreSequence(video_id=video_id, scores=scores),
+            FrameMask(video_id=video_id, labels=labels))
 
 
 def make_dataset(n_videos: int = 20, seed: int = 7, **kwargs,

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import copy
 import math
+import pickle
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from event_eval import (
     EvalConfig,
@@ -67,6 +69,19 @@ def test_empty_sequences_rejected():
         ScoreSequence("v", ())
     with pytest.raises(ValidationError):
         FrameMask("v", ())
+
+
+@pytest.mark.parametrize("cls,what", [(ScoreSequence, "score sequence"),
+                                      (FrameMask, "frame mask")])
+@pytest.mark.parametrize("values,shape", [([[0.0, 1.0]], (1, 2)),
+                                          ("1", ()), (1.0, ()),
+                                          ([[]], (1, 0))])
+def test_input_that_is_not_1d_names_its_shape(cls, what, values, shape):
+    with pytest.raises(ValidationError) as exc:
+        cls("v", values)
+    assert str(exc.value) == f"{what} for 'v' must be 1-D, got shape {shape}"
+    with pytest.raises(ValidationError, match=f"^empty {what} for 'v'$"):
+        cls("v", [])
 
 
 def test_non_binary_label_reports_index():
@@ -208,3 +223,59 @@ def test_values_are_plain_and_round_trip():
 def test_scores_may_leave_unit_interval():
     seq = ScoreSequence("v", (-5.0, 0.0, 123.4))
     assert min(seq.scores) == -5.0
+
+
+_VALUE_OBJECT_SETTINGS = settings(max_examples=200, deadline=None,
+                                  derandomize=True, database=None)
+
+
+def _assert_value_object(obj, view: tuple, values) -> None:
+    """The tuple view, equality, asdict/copy/pickle round trips, and a
+    read-only array that the constructor copied from the caller's input."""
+    assert obj.as_array() is obj.as_array()
+    assert tuple(obj.as_array().tolist()) == view and len(obj) == len(view)
+    rebuilt = type(obj)(**asdict(obj))
+    for other in (rebuilt, copy.copy(obj), copy.deepcopy(obj),
+                  pickle.loads(pickle.dumps(obj))):
+        assert other == obj and hash(other) == hash(obj)
+        with pytest.raises(ValueError):
+            other.as_array()[0] = 1
+    assert obj != type(obj)("w", view)
+    source = np.array(values, dtype=float)
+    copied = type(obj)("v", source)
+    source[0] = 1 - source[0]
+    assert copied == obj
+
+
+@_VALUE_OBJECT_SETTINGS
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=20))
+def test_score_sequence_stores_a_checked_read_only_array(values):
+    bad = [i for i, v in enumerate(values) if not math.isfinite(v)]
+    if bad:
+        with pytest.raises(NonFiniteScore) as exc:
+            ScoreSequence("v", values)
+        assert exc.value.index == bad[0]
+        assert str(exc.value) == str(NonFiniteScore(bad[0], video_id="v"))
+        return
+    seq = ScoreSequence("v", values)
+    assert seq.scores == tuple(float(v) for v in values)
+    assert seq.as_array().dtype == np.float64
+    _assert_value_object(seq, seq.scores, values)
+
+
+@_VALUE_OBJECT_SETTINGS
+@given(values=st.lists(st.one_of(st.sampled_from([0, 1, 0.0, 1.0]),
+                                 st.integers(-2, 3), st.floats(width=64)),
+                       min_size=1, max_size=20))
+def test_frame_mask_stores_a_checked_read_only_array(values):
+    bad = [i for i, v in enumerate(values) if v != 0 and v != 1]
+    if bad:
+        with pytest.raises(NonBinaryLabel) as exc:
+            FrameMask("v", values)
+        assert exc.value.index == bad[0]
+        assert str(exc.value) == str(NonBinaryLabel(bad[0], video_id="v"))
+        return
+    mask = FrameMask("v", values)
+    assert mask.labels == tuple(int(v) for v in values)
+    assert mask.as_array().dtype == np.uint8
+    _assert_value_object(mask, mask.labels, values)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 import event_eval.io as io_mod
 from event_eval import (
@@ -452,37 +453,31 @@ def test_cli_header_only_csv_is_one_line_error(tmp_path, capsysbinary):
 
 
 # ---------------------------------------------------------------------------
-# fuzzed CSV bytes end in a report or in one error line
+# fuzzed input bytes end in a result or in one error line
 
 _FUZZ_BYTES = st.sampled_from(list(b"0123456789,.\n\r\"eE+-_ x\x00\xff"))
+_FUZZ_SETTINGS = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+_FUZZ_FRAMES = 30
+_FUZZ_SCORES = b"frame,score\n" + "".join(
+    f"{i},{0.05 * (i % 7) + (0.6 if 8 <= i < 20 else 0.0)!r}\n"
+    for i in range(_FUZZ_FRAMES)).encode()
+_FUZZ_MASK = b"frame,label\n" + "".join(
+    f"{i},{int(8 <= i < 20)}\n" for i in range(_FUZZ_FRAMES)).encode()
+# the fuzzed config leaves sigma_max out: smoothing time grows with its
+# square, and a few inserted digits would make one run take minutes
+_JSON_FUZZ_BYTES = st.sampled_from(
+    list(b'{}[]",:.-0123456789eE tfnaulsx\n\xff'))
+_DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(which=st.sampled_from(["scores", "mask"]), data=st.data())
-def test_cli_evaluate_fuzzed_csv_exits_cleanly(tmp_path, capsysbinary, which,
-                                               data):
-    n = 30
-    files = {
-        "scores": b"frame,score\n" + "".join(
-            f"{i},{0.05 * (i % 7) + (0.6 if 8 <= i < 20 else 0.0)!r}\n"
-            for i in range(n)).encode(),
-        "mask": b"frame,label\n" + "".join(
-            f"{i},{int(8 <= i < 20)}\n" for i in range(n)).encode(),
-    }
-    body = bytearray(files[which])
-    for _ in range(data.draw(st.integers(1, 4))):
-        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
-        at = data.draw(st.sampled_from(range(len(body) + (op == "insert"))))
-        if op == "delete":
-            del body[at]
-        else:
-            body[at:at + (op == "replace")] = [data.draw(_FUZZ_BYTES)]
-    files[which] = bytes(body)
-    path = _write_manifest(tmp_path, files["scores"], files["mask"])
+def _assert_clean_exit(argv: list[str], capsysbinary) -> None:
+    """Exit 0 with JSON on stdout, or 1/2 with one 'error:' line; never a
+    traceback or a warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["evaluate", str(path)])
+        code = main(argv)
     assert [str(w.message) for w in caught] == []
     captured = capsysbinary.readouterr()
     err = captured.err.decode()
@@ -494,6 +489,75 @@ def test_cli_evaluate_fuzzed_csv_exits_cleanly(tmp_path, capsysbinary, which,
         assert code in (1, 2)
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@st.composite
+def _mutated(draw, base: bytes, alphabet) -> bytes:
+    """base with 1-4 single-byte inserts, deletes or replacements."""
+    body = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = draw(st.integers(0, len(body) - (op != "insert")))
+        if op == "delete":
+            del body[at]
+        else:
+            body[at:at + (op == "replace")] = [draw(alphabet)]
+    return bytes(body)
+
+
+@_FUZZ_SETTINGS
+@given(which=st.sampled_from(["scores", "mask"]), data=st.data())
+def test_cli_evaluate_fuzzed_csv_exits_cleanly(tmp_path, capsysbinary, which,
+                                               data):
+    files = {"scores": _FUZZ_SCORES, "mask": _FUZZ_MASK}
+    body = bytearray(files[which])
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.sampled_from(range(len(body) + (op == "insert"))))
+        if op == "delete":
+            del body[at]
+        else:
+            body[at:at + (op == "replace")] = [data.draw(_FUZZ_BYTES)]
+    files[which] = bytes(body)
+    path = _write_manifest(tmp_path, files["scores"], files["mask"])
+    _assert_clean_exit(["evaluate", str(path)], capsysbinary)
+
+
+@_FUZZ_SETTINGS
+@given(body=_mutated(
+    b"dataset: d\n\nvideo: v\nscores: s.csv\nmask: m.csv\n",
+    st.sampled_from(list(b"dataset:vidocrmk.v# \n\r\x00\xff"))))
+def test_cli_evaluate_fuzzed_manifest_exits_cleanly(tmp_path, capsysbinary,
+                                                    body):
+    path = _write_manifest(tmp_path, _FUZZ_SCORES, _FUZZ_MASK)
+    path.write_bytes(body)
+    _assert_clean_exit(["evaluate", str(path)], capsysbinary)
+
+
+@_FUZZ_SETTINGS
+@given(body=_mutated(json.dumps({
+    "vote_window": 9, "vote_stride": 3, "min_event_len": 5,
+    "tiou_thresholds": [0.1, 0.5], "threshold_strategy": "hprs",
+    "hprs_beta": 0.5, "fixed_tau": None}).encode(), _JSON_FUZZ_BYTES))
+@example(body=_DEEP_JSON)
+def test_cli_evaluate_fuzzed_config_exits_cleanly(tmp_path, capsysbinary,
+                                                  body):
+    path = _write_manifest(tmp_path, _FUZZ_SCORES, _FUZZ_MASK)
+    (tmp_path / "cfg.json").write_bytes(body)
+    _assert_clean_exit(["--config", str(tmp_path / "cfg.json"), "evaluate",
+                        str(path)], capsysbinary)
+
+
+@_FUZZ_SETTINGS
+@given(body=_mutated(b'{"v": [[8, 19], [21, 25]]}', _JSON_FUZZ_BYTES))
+@example(body=_DEEP_JSON)
+def test_cli_event_metrics_fuzzed_predictions_exit_cleanly(tmp_path,
+                                                           capsysbinary,
+                                                           body):
+    path = _write_manifest(tmp_path, _FUZZ_SCORES, _FUZZ_MASK)
+    (tmp_path / "pred.json").write_bytes(body)
+    _assert_clean_exit(["event-metrics", str(path), "--pred",
+                        str(tmp_path / "pred.json")], capsysbinary)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +717,7 @@ def test_fuse_takes_vectorized_path_for_canonical_files(tmp_path,
 _BRANCH_FUZZ_BYTES = st.sampled_from(list(b"0123456789 .\n\r#eE+-\t\x00\xff"))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@_FUZZ_SETTINGS
 @given(data=st.data())
 def test_cli_fuse_fuzzed_branch_file_exits_cleanly(tmp_path, capsysbinary,
                                                    data):
@@ -677,17 +740,4 @@ def test_cli_fuse_fuzzed_branch_file_exits_cleanly(tmp_path, capsysbinary,
             body[at:at + (op == "replace")] = [data.draw(_BRANCH_FUZZ_BYTES)]
     (tmp_path / "b.txt").write_bytes(bytes(body))
     path = _write_manifest(tmp_path, scores, mask, "branch_errors: b.txt\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["fuse", str(path), "--tau", "0.5"])
-    assert [str(w.message) for w in caught] == []
-    captured = capsysbinary.readouterr()
-    err = captured.err.decode()
-    assert "Traceback" not in err
-    if code == 0:
-        assert err == ""
-        json.loads(captured.out)
-    else:
-        assert code in (1, 2)
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+    _assert_clean_exit(["fuse", str(path), "--tau", "0.5"], capsysbinary)

@@ -10,10 +10,12 @@ from event_eval import (
     BadLength,
     DuplicateVideoId,
     EvalConfig,
+    FrameMask,
     MissingFile,
     NonBinaryLabel,
     NonFiniteScore,
     ParseError,
+    ScoreSequence,
     ValidationError,
     emit_report,
     hierarchical_smooth,
@@ -247,6 +249,21 @@ def test_run_evaluation_smooths_each_video_once(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["refined", "baseline"])
+def test_run_evaluation_builds_no_per_frame_tuple(tmp_path, monkeypatch,
+                                                  mode):
+    scores, masks = make_dataset(n_videos=4, seed=5)
+    manifest = load_manifest(write_dataset(tmp_path, scores, masks))
+
+    def refuse(self):
+        raise AssertionError("per-frame tuple built during evaluation")
+
+    monkeypatch.setattr(ScoreSequence, "scores", property(refuse))
+    monkeypatch.setattr(FrameMask, "labels", property(refuse))
+    report = run_evaluation(manifest, EvalConfig(), mode=mode)
+    assert report.audit.event_count > 0
+
+
 def test_emit_report_deterministic_and_round_trips(tmp_path):
     manifest = load_manifest(perfect_fixture(tmp_path))
     report = run_evaluation(manifest, EvalConfig())
@@ -388,6 +405,29 @@ def test_cli_exit_codes(tmp_path, capsysbinary):
     assert main(["evaluate", str(path)]) == 1
     err = capsysbinary.readouterr().err.decode()
     assert "video_id='v'" in err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_cli_refine_rejects_non_finite_tau(tmp_path, capsysbinary, tau):
+    manifest = str(perfect_fixture(tmp_path))
+    assert main(["refine", manifest, f"--tau={tau}"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode().splitlines() == [
+        f"error: tau must be finite, got {float(tau)}"]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--pred"])
+def test_cli_deeply_nested_json_is_a_parse_error(tmp_path, capsysbinary,
+                                                 flag):
+    manifest = str(perfect_fixture(tmp_path))
+    deep = write(tmp_path / "deep.json", "[" * 100_000 + "]" * 100_000)
+    argv = (["--config", str(deep), "evaluate", manifest]
+            if flag == "--config"
+            else ["event-metrics", manifest, "--pred", str(deep)])
+    assert main(argv) == 2
+    assert capsysbinary.readouterr().err.decode().splitlines() == [
+        f"error: {deep}: JSON nested too deeply"]
 
 
 def test_cli_jobs_flag_is_a_usage_error(tmp_path, capsysbinary):
