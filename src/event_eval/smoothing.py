@@ -9,13 +9,17 @@ not artificially damped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ScoreSequence
 from .errors import InvalidSigma, ValidationError
+
+_BLOCK = 4096  # rows per product in _smooth_array, a multiple of 4
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,13 @@ class GaussianKernel:
             raise ValidationError("kernel weights must sum to 1")
 
 
+@functools.lru_cache(maxsize=128)
 def _gaussian_weights(sigma: float, radius: int) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1, dtype=float)
     raw = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
     w = raw / raw.sum()
     w[radius] += 1.0 - w.sum()
+    w.flags.writeable = False
     return w
 
 
@@ -59,9 +65,9 @@ def build_kernel(sigma: float, radius: int) -> GaussianKernel:
         raise InvalidSigma(f"sigma must be positive, got {sigma}")
     if radius < 1:
         raise ValidationError(f"radius must be >= 1, got {radius}")
+    w = _gaussian_weights.__wrapped__(sigma, radius)  # unmemoized: any sigma
     return GaussianKernel(sigma=float(sigma), radius=int(radius),
-                          weights=tuple(_gaussian_weights(sigma,
-                                                          radius).tolist()))
+                          weights=tuple(w.tolist()))
 
 
 def default_radius(sigma: float) -> int:
@@ -73,15 +79,24 @@ def _smooth_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Convolve a float64 array with kernel weights under reflect padding.
 
     Computed in centered form, out[t] = x[t] + sum_j w_j * (x_pad[t+j] - x[t]),
-    so constant inputs pass through bit-exactly; the result is then clipped to
-    the input range, which the exact convex combination guarantees anyway but
-    float rounding can overshoot by ~1 ulp.
+    so constant stretches, such as a plateau's frames r or more from its edges,
+    pass through bit-exactly (np.convolve puts a 0.9 plateau just below 0.9).
+    The result is clipped to the input range, which rounding can overshoot by
+    ~1 ulp and an overflowing difference by inf. The product runs over blocks
+    of _BLOCK rows from the clip's first frame: a gemv row's bits depend on its
+    place in groups of 4 rows, and a 1-row product takes another path, so they
+    give one single-threaded product's bits without its (n, 2r+1) matrix.
     """
-    r = w.size // 2
-    padded = np.pad(x, r, mode="reflect") if x.size > 1 else np.full(
-        x.size + 2 * r, x[0])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w.size)
-    out = x + (windows - x[:, None]) @ w
+    n, r = x.size, w.size // 2
+    # the periodic mirror index, which also covers r >= n and n == 1
+    edge = np.concatenate((np.arange(-r, 0), np.arange(n, n + r)))
+    edge = (n - 1) - np.abs(edge % max(2 * n - 2, 1) - (n - 1))
+    padded = np.concatenate((x[edge[:r]], x, x[edge[r:]]))
+    windows = as_strided(padded, (n, w.size), 2 * padded.strides)
+    bounds = [0, *range(_BLOCK, n - 1, _BLOCK), n]
+    with np.errstate(over="ignore"):
+        out = np.concatenate([x[a:b] + (windows[a:b] - x[a:b, None]) @ w
+                              for a, b in zip(bounds, bounds[1:])])
     np.clip(out, x.min(), x.max(), out=out)
     return out
 

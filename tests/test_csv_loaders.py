@@ -472,9 +472,9 @@ _JSON_FUZZ_BYTES = st.sampled_from(
 _DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
 
-def _assert_clean_exit(argv: list[str], capsysbinary) -> None:
-    """Exit 0 with JSON on stdout, or 1/2 with one 'error:' line; never a
-    traceback or a warning."""
+def _assert_clean_exit(argv: list[str], capsysbinary) -> int:
+    """Exit 0 with strict JSON on stdout, or 1/2 with one 'error:' line;
+    never a traceback or a warning. Returns the exit code."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
@@ -484,11 +484,24 @@ def _assert_clean_exit(argv: list[str], capsysbinary) -> None:
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
-        json.loads(captured.out)
+        json.loads(captured.out, parse_constant=lambda token: pytest.fail(
+            f"non-standard JSON constant {token}"))
     else:
         assert code in (1, 2)
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+    return code
+
+
+def test_cli_evaluate_overflowing_score_differences_exit_cleanly(
+        tmp_path, capsysbinary):
+    # neighbours 3.4e308 apart: their smoothing differences overflow
+    scores = b"frame,score\n" + "".join(
+        f"{i},{(-1) ** i * 1.7e308!r}\n" for i in range(40)).encode()
+    mask = b"frame,label\n" + "".join(
+        f"{i},{int(8 <= i < 20)}\n" for i in range(40)).encode()
+    path = _write_manifest(tmp_path, scores, mask)
+    assert _assert_clean_exit(["evaluate", str(path)], capsysbinary) == 0
 
 
 @st.composite

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from event_eval import (
     GaussianKernel,
     InvalidSigma,
     ScoreSequence,
     ValidationError,
+    binarize,
     build_kernel,
     hierarchical_smooth,
     smooth_once,
+    smoothing,
 )
 from event_eval.smoothing import default_radius
 
@@ -151,6 +154,46 @@ def test_hierarchical_equals_composed_passes_bit_for_bit():
                 composed = smooth_once(composed,
                                        build_kernel(k, default_radius(k)))
                 assert hierarchical_smooth(seq, k).scores == composed.scores
+
+
+def one_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The centered smoothing formula as one product over the whole clip."""
+    r = w.size // 2
+    windows = sliding_window_view(np.pad(x, r, mode="reflect"), w.size)
+    return np.clip(x + (windows - x[:, None]) @ w, x.min(), x.max())
+
+
+@pytest.mark.parametrize("block,n", [
+    (smoothing._BLOCK, 2 * smoothing._BLOCK + 3),
+    (64, 2 * 64 + 1),  # a last block of 1 row would take another path
+    (64, 2 * 64 + 2),
+    (64, 2 * 64 + 3),
+    (64, 3 * 64),
+    (64, 1),
+    (64, 2),
+    (64, 7),  # r >= n from sigma = 3 on
+])
+def test_blocked_product_equals_one_product_bit_for_bit(monkeypatch, block,
+                                                        n):
+    monkeypatch.setattr(smoothing, "_BLOCK", block)
+    x = np.random.default_rng(n).normal(0.0, 2.0, size=n)
+    for sigma in range(1, 6):
+        w = smoothing._gaussian_weights(sigma, default_radius(sigma))
+        got = smoothing._smooth_array(x, w)
+        assert got.tobytes() == one_product(x, w).tobytes()
+
+
+def test_plateau_interior_passes_through_exactly():
+    # sigma = 1..5 reach 3 + 6 + 9 + 12 + 15 frames past the plateau's edges
+    reach = sum(default_radius(sigma) for sigma in range(1, 6))
+    start, end = 100, 100 + 2 * reach + 10
+    values = np.full(end + 100, 0.1)
+    values[start:end + 1] = 0.9
+    values[-1] = 1.0  # so the clip to [min, max] cannot hide an overshoot
+    out = hierarchical_smooth(ScoreSequence("v", values), 5)
+    inner = slice(start + reach, end - reach + 1)
+    assert np.all(out.as_array()[inner] == 0.9)
+    assert np.all(binarize(out, 0.9).as_array()[inner] == 1)
 
 
 def test_hierarchical_constant_fixed_point():
