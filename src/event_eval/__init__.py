@@ -44,7 +44,6 @@ from .events import (
     AuditReport,
     audit_dataset,
     binarize,
-    clean_micro_events,
     events_to_mask,
     filter_short_events,
     majority_vote_refine,

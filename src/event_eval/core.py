@@ -26,6 +26,8 @@ from .errors import (
 )
 
 DEFAULT_TIOU_THRESHOLDS = (0.2, 0.3, 0.4, 0.5)
+# smoothing time grows as O(n * sigma_max**2); 64 costs ~130x the default 5
+MAX_SIGMA = 64
 
 
 class _Arrays:
@@ -216,7 +218,8 @@ class EvalConfig:
     """All pipeline knobs, with the documented defaults.
 
     vote_stride must not exceed vote_window so every frame receives a vote
-    decision. A FIXED strategy requires fixed_tau.
+    decision, and sigma_max must not exceed MAX_SIGMA. A FIXED strategy
+    requires fixed_tau.
     """
 
     sigma_max: int = 5
@@ -249,6 +252,9 @@ class EvalConfig:
                     or value < 1:
                 raise ValidationError(f"{name} must be a positive integer, "
                                       f"got {value!r}")
+        if self.sigma_max > MAX_SIGMA:
+            raise ValidationError(f"sigma_max must be at most {MAX_SIGMA}, "
+                                  f"got {self.sigma_max}")
         if self.vote_stride > self.vote_window:
             raise ValidationError(
                 f"vote_stride {self.vote_stride} exceeds vote_window "

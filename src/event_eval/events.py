@@ -155,16 +155,3 @@ def audit_dataset(masks: list[FrameMask],
         micro_event_count=int(np.count_nonzero(
             durations < micro_threshold)),
     )
-
-
-def clean_micro_events(masks: list[FrameMask],
-                       micro_threshold: int) -> list[FrameMask]:
-    """Flip ground-truth events shorter than micro_threshold back to 0."""
-    if micro_threshold < 1:
-        raise ValidationError(
-            f"micro_threshold must be >= 1, got {micro_threshold}")
-    cleaned = []
-    for mask in masks:
-        kept = filter_short_events(mask_to_events(mask), micro_threshold)
-        cleaned.append(events_to_mask(kept, len(mask)))
-    return cleaned

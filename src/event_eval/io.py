@@ -15,6 +15,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from io import BytesIO
 from pathlib import Path
 from typing import Sequence
@@ -233,61 +234,105 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
     return values
 
 
-# A canonical CSV, a subset of what _read_csv_column accepts: the exact
-# header, then one 'frame,value' line per frame, each ending in '\n'; labels
-# are the single byte 0 or 1. So there are no quotes, CRs, spaces, blank
-# lines, extra columns or non-ASCII bytes. Frames are 1-18 digits because
-# some numpy releases read a frame like '1.9', or one past int64, as a
-# truncated float with only a warning.
-_CANONICAL = {
-    "score": re.compile(rb"frame,score\n(?:[0-9]{1,18},[0-9+\-.eE]+\n)+"),
-    "label": re.compile(rb"frame,label\n(?:[0-9]{1,18},[01]\n)+"),
-    # branch errors: 'start len values...' lines split by single spaces;
-    # a start or length of at most 15 digits is exact in a float64
-    "branch": re.compile(rb"(?:[0-9]{1,15} [0-9]{1,15}(?: [0-9+\-.eE]+)+\n)+"),
-}
-
-
-def _loadtxt_canonical(path: Path, pattern: re.Pattern,
-                       **kwargs) -> np.ndarray | None:
-    """np.loadtxt of a file whose bytes fullmatch pattern, or None, which
-    sends the caller to the line parser for the error or the lenient
-    variant."""
+def _read_bytes(path: Path) -> bytes | None:
+    """The file's bytes, or None, which sends the caller to the line parser
+    for the error."""
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError:
         return None
-    if not pattern.fullmatch(data):
-        return None
-    try:
-        # not the path: numpy would pick a decompressor by its suffix
-        return np.loadtxt(BytesIO(data), **kwargs)
-    except ValueError:   # a field that is not a number, or ragged rows
-        return None
 
 
-def _canonical_column(path: Path, value_header: str,
-                      dtype: type) -> np.ndarray | None:
-    """The value column of a canonical CSV whose frames count 0..n-1."""
-    rows = _loadtxt_canonical(path, _CANONICAL[value_header], delimiter=",",
-                              skiprows=1, ndmin=1, dtype=[
-                                  ("frame", np.int64), ("value", dtype)])
-    if rows is None or not np.array_equal(rows["frame"],
-                                          np.arange(rows.size)):
+def _headed_lines(path: Path, header: bytes) -> tuple[bytes, int]:
+    """The bytes of a file that starts with the exact header and ends in
+    '\\n', and its count of lines after the header; else (b"", 0)."""
+    data = _read_bytes(path)
+    if data is None or not (data.startswith(header) and data.endswith(b"\n")):
+        return b"", 0
+    return data, data.count(b"\n") - 1
+
+
+def _frame_column(n: int) -> bytes:
+    """b"0\\n1\\n...\\n" for at least n frames, built once per power of
+    two."""
+    return _column_of(1 << (n - 1).bit_length())
+
+
+@lru_cache(maxsize=None)
+def _column_of(size: int) -> bytes:
+    # 4,096 frames at a time, so that it never holds one str per frame
+    return "".join("\n".join(map(str, range(k, min(k + 4096, size)))) + "\n"
+                   for k in range(0, size, 4096)).encode()
+
+
+_LABEL_HEADER = b"frame,label\n"
+_SCORE_HEADER = b"frame,score\n"
+
+
+def _fast_labels(path: Path) -> np.ndarray | None:
+    """Labels of a canonical 'frame,label' CSV, or None: the exact header,
+    then the lines 'i,0' or 'i,1' for i = 0..n-1, each ending in '\\n'."""
+    data, n = _headed_lines(path, _LABEL_HEADER)
+    if (n < 1 or data.count(b",") != n + 1
+            or data.count(b",0\n") + data.count(b",1\n") != n):
         return None
-    return rows["value"]
+    # every comma after the header starts a ',0\n' or ',1\n', so what is
+    # left of the lines are their frames
+    frames = data.replace(b",0\n", b"\n").replace(b",1\n", b"\n")
+    if not _frame_column(n).startswith(
+            memoryview(frames)[len(_LABEL_HEADER):]):
+        return None
+    view = np.frombuffer(data, np.uint8, offset=len(_LABEL_HEADER))
+    return view[np.flatnonzero(view == ord("\n")) - 1] - ord("0")
+
+
+# every byte but the separators ',', '\n' and '\r' (a line break to csv)
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
+_BLOCK = 1 << 16   # bytes of lines split and converted at a time
 
 
 def _fast_scores(path: Path) -> np.ndarray | None:
     """Scores of a canonical, all-finite 'frame,score' CSV, or None.
 
-    loadtxt converts each field with the C function behind Python's
-    float(), so the values are the line parser's, bit for bit.
+    Canonical: the exact header, then one 'frame,value' line per frame, each
+    ending in '\\n', with no CR; the frames count 0..n-1 in 1-18 ASCII
+    digits, checked against the frame column and, past leading zeros, one
+    int() at a time. Each value goes through float(), the line parser's own
+    converter, so the scores are the line parser's, bit for bit. A quote
+    makes float() or the frame check fail, so csv quoting never splits a
+    line differently. Lines are split in blocks of about _BLOCK bytes, which
+    bounds the temporary bytes and float objects on long clips.
     """
-    scores = _canonical_column(path, "score", np.float64)
-    if scores is None or not np.isfinite(scores).all():
+    data, n = _headed_lines(path, _SCORE_HEADER)
+    if n < 1:
         return None
-    return scores
+    column = _frame_column(n)
+    scores = np.empty(n)
+    k, at, pos = 0, len(_SCORE_HEADER), 0   # frames done; at in data, column
+    while at < len(data):
+        end = data.find(b"\n", at + _BLOCK) + 1 or len(data)
+        lines = data[at:end]
+        # one comma on every line, and no CR
+        seps = lines.translate(None, _NOT_SEPARATORS)
+        if seps != b",\n" * (len(seps) // 2):
+            return None
+        fields = lines.replace(b",", b"\n").split(b"\n")
+        frames, values = fields[:-1:2], fields[1::2]
+        joined = b"\n".join(fields[0::2])   # 'f0\n...\n': the last is b""
+        if pos >= 0 and column.startswith(joined, pos):
+            pos += len(joined)
+        elif (all(f.isdigit() and len(f) <= 18 for f in frames)
+              and list(map(int, frames)) == list(range(k, k + len(frames)))):
+            pos = -1   # leading zeros: no column offset from here on
+        else:
+            return None
+        try:
+            scores[k:k + len(values)] = np.fromiter(map(float, values),
+                                                    np.float64, len(values))
+        except ValueError:
+            return None
+        k, at = k + len(values), end
+    return scores if np.isfinite(scores).all() else None
 
 
 def _scores_from_lines(path: Path, video_id: str) -> list[float]:
@@ -322,9 +367,10 @@ def load_scores(path: str | Path,
                 video_id: str | None = None) -> ScoreSequence:
     """Load a 'frame,score' CSV into a ScoreSequence.
 
-    Canonical files (see _CANONICAL) are read by np.loadtxt; every
-    other file, and every error, goes through the line parser. Both check
-    every value, so the ScoreSequence is built without a second check.
+    Canonical files (see _fast_scores) are read in one pass over their
+    bytes; every other file, and every error, goes through the line parser.
+    Both check every value, so the ScoreSequence is built without a second
+    check.
     """
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem
@@ -338,7 +384,7 @@ def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
     """Load a 'frame,label' CSV into a FrameMask; as in load_scores."""
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem
-    labels = _canonical_column(path, "label", np.uint8)
+    labels = _fast_labels(path)
     if labels is None:
         labels = _labels_from_lines(path, video_id)
     return FrameMask._of(video_id, labels)
@@ -387,12 +433,26 @@ def load_branch_errors(path: str | Path) -> list[BranchErrors]:
     return windows
 
 
+# A canonical branch-error file: lines 'start len values...' split by
+# single spaces, each ending in '\n', of the bytes _BRANCH_BYTES only. A
+# start or length of at most 15 digits is exact in a float64.
+_BRANCH_BYTES = b"0123456789+-.eE \n"
+_BRANCH_LINES = re.compile(rb"(?:[0-9]{1,15} [0-9]{1,15} [^\n]*\n)+")
+_BRANCH_SPACING = re.compile(rb" [ \n]")   # an empty field
+
+
 def _fast_window_scores(path: Path) -> tuple[np.ndarray, ...] | None:
     """load_window_scores of a canonical file whose windows all have one
     length i >= 1 and finite errors >= 0, or None."""
-    rows = _loadtxt_canonical(path, _CANONICAL["branch"], delimiter=" ",
-                              ndmin=2)
-    if rows is None:
+    data = _read_bytes(path)
+    if (data is None or data.translate(None, _BRANCH_BYTES)
+            or _BRANCH_SPACING.search(data)
+            or not _BRANCH_LINES.fullmatch(data)):
+        return None
+    try:
+        # not the path: numpy would pick a decompressor by its suffix
+        rows = np.loadtxt(BytesIO(data), delimiter=" ", ndmin=2)
+    except ValueError:   # a field that is not a number, or ragged rows
         return None
     i, extra = divmod(rows.shape[1] - 2, 4)   # the pattern makes i >= 1
     if (extra or (rows[:, 1] != i).any() or not np.isfinite(rows).all()
@@ -406,7 +466,7 @@ def load_window_scores(path: str | Path) -> tuple[np.ndarray, ...]:
     """Target starts, window lengths and scores of a branch-error file's
     windows, in file order.
 
-    Canonical files (see _CANONICAL) are read by one np.loadtxt call;
+    Canonical files (see _BRANCH_LINES) are read by one np.loadtxt call;
     every other file, and every error, goes through load_branch_errors.
     """
     path = Path(path)

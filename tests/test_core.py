@@ -166,10 +166,15 @@ def test_config_defaults_are_valid():
     {"hprs_beta": None},
     {"tiou_thresholds": 0.3},
     {"threshold_strategy": "fixed", "fixed_tau": "x"},
+    {"sigma_max": 65},  # past MAX_SIGMA
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):
         EvalConfig(**kwargs)
+
+
+def test_config_sigma_max_cap_is_inclusive():
+    assert EvalConfig(sigma_max=64).sigma_max == 64
 
 
 def test_config_fixed_strategy_with_tau():

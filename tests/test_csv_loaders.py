@@ -11,6 +11,7 @@ and message) stand.
 from __future__ import annotations
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -70,6 +71,7 @@ ADVERSARIAL = [
     ("score", b"frame,score\r\n0,0.5\r\n1,0.25\r\n"),  # CRLF
     ("score", b"frame,score\n0,0.5\r\n1,0.25\n"),  # one CRLF
     ("score", b"frame,score\r0,0.5\r1,0.25\r"),  # lone CR
+    ("score", b"frame,score\n0,\r0.5\n"),  # a lone CR inside a field
     ("score", b'frame,score\n"0","0.5"\n1,0.25\n'),  # quoted
     ("score", b'"frame","score"\n0,0.5\n'),  # quoted header
     ("score", b'frame,score\n0,"0.5\n1,0.25"\n'),  # quoted newline
@@ -88,6 +90,7 @@ ADVERSARIAL = [
     ("score", b"frame,score"),
     ("score", b""),
     ("score", b"frame,score\n0,5\n1,6,2\n7\n"),  # realigns
+    ("score", b"frame,score\n0\n0.5,1,0.7\n"),  # a comma per line on average
     ("score", b"frame,score\n0,5,\n1,6\n"),
     ("score", b"frame,score\n0,0.5\n1\n"),
     ("score", b"frame,score\n0,\n"),  # empty value
@@ -199,7 +202,16 @@ _ODD_SCORES = st.sampled_from([
     "1_0", "nan", "inf", "-inf", "1e400", "0x10", "1e", ".", "", " 0.5",
     "0.5 ", "-0", "1.", ".5", "+.5e-3", '"0.5"', "١", "1,2"])
 _ODD_LABELS = st.sampled_from([" 1", "+1", "01", "1.0", "2", "", '"1"',
-                               "١", "1,0"])
+                               "١", "1,0", "1\t", "\x0b0\x0c", "1\r", "\r0"])
+
+
+def _odd_value(v: str):
+    """v with whitespace, '_', a quote, a CR or a comma added, or a value
+    float() reads as non-finite."""
+    return st.sampled_from([
+        f" {v}", f"{v}  ", f"\t{v}", f"{v}\x0b", f"\x0c{v}\x0c",
+        f"{v[:1]}_{v[1:]}", f"{v[:1]} {v[1:]}", f'"{v}"', f'{v}"', f'"{v}',
+        f"{v}\r", f"\r{v}", f"{v},{v}", f"{v},", "nan", "-inf", "Infinity"])
 
 
 def _odd_frames(i: int):
@@ -212,25 +224,39 @@ _ODD_EOLS = st.sampled_from(["\r\n", "", "\n\n", "\r"])
 
 @st.composite
 def csv_bodies(draw, kind: str) -> bytes:
-    """Canonical CSVs with each field made odd with chance `level`/10."""
-    level = draw(st.sampled_from([0, 0, 1, 3]))
+    """Canonical CSVs with each field made odd with chance `level`/10, or,
+    at level None (half the draws), with just one odd value or one comma
+    moved: a lone oddity is what reaches the vectorized path."""
+    level = draw(st.sampled_from([0, 1, 3, None, None, None]))
 
     def pick(canonical, odd):
-        return draw(odd) if draw(st.integers(0, 9)) < level else canonical
+        return (draw(odd) if draw(st.integers(0, 9)) < (level or 0)
+                else canonical)
 
     header = pick(f"frame,{kind}",
                   st.sampled_from([f"frame, {kind}", "frame", ""]))
     lines = [header + pick("\n", _ODD_EOLS)]
-    for i in range(draw(st.integers(0, 12))):
+    n = draw(st.integers(0, 12))
+    odd_at = draw(st.integers(0, n)) if level is None else -1   # n: a comma
+    for i in range(n):
         value = (draw(_FINITE) if kind == "score"
                  else draw(st.sampled_from(["0", "1"])))
-        value = pick(value, _ODD_SCORES if kind == "score" else _ODD_LABELS)
+        odd = _odd_value(value) if kind == "score" else _ODD_LABELS
+        value = draw(odd) if i == odd_at else pick(
+            value, st.one_of(_ODD_SCORES, odd) if kind == "score" else odd)
         lines.append(pick(str(i), _odd_frames(i)) + "," + value
                      + pick("\n", _ODD_EOLS))
+    if len(lines) > 2 and (odd_at == n
+                           or draw(st.integers(0, 9)) < (level or 0)):
+        # move a line's comma into the next line
+        i = draw(st.integers(1, len(lines) - 2))
+        lines[i] = lines[i].replace(",", "", 1)
+        at = draw(st.integers(0, len(lines[i + 1])))
+        lines[i + 1] = lines[i + 1][:at] + "," + lines[i + 1][at:]
     return "".join(lines).encode()
 
 
-_RAW = st.text(alphabet="0123456789,.\n\r\"e+-_ x١", max_size=40)
+_RAW = st.text(alphabet="0123456789,.\n\r\t\x0b\"e+-_ xnaif١", max_size=40)
 
 _PROPERTY = settings(
     max_examples=300, deadline=None, derandomize=True, database=None,
@@ -248,6 +274,36 @@ def test_loaders_match_line_parser_property(tmp_path, kind, data):
     path = tmp_path / "v.csv"
     path.write_bytes(body)
     assert_same_as_line_parser(path, kind)
+
+
+_EDIT_BYTES = b"0123456789,.\n\r\t\x0b\x0c \"_+-eEnaif\xff"
+
+
+def _single_edits(body: bytes, start: int):
+    """body with one byte deleted, replaced or inserted at or after start,
+    or with two bytes there swapped (a comma with a line break, say)."""
+    for at in range(start, len(body) + 1):
+        if at < len(body):
+            yield body[:at] + body[at + 1:]
+            yield from (body[:at] + bytes([c]) + body[at + 1:]
+                        for c in _EDIT_BYTES)
+        yield from (body[:at] + bytes([c]) + body[at:] for c in _EDIT_BYTES)
+    for i in range(start, len(body)):
+        for j in range(i + 1, len(body)):
+            yield (body[:i] + body[j:j + 1] + body[i + 1:j] + body[i:i + 1]
+                   + body[j + 1:])
+
+
+@pytest.mark.parametrize("kind,lines", [
+    ("score", b"0,0.5\n1,12.25\n"), ("label", b"0,1\n1,0\n2,1\n")])
+def test_every_single_edit_matches_line_parser(tmp_path, kind, lines):
+    path = tmp_path / "v.csv"
+    for body in _single_edits(HEADERS[kind] + lines, len(HEADERS[kind])):
+        path.write_bytes(body)
+        try:
+            assert_same_as_line_parser(path, kind)
+        except AssertionError:
+            pytest.fail(f"differs from the line parser on {body!r}")
 
 
 @_PROPERTY
@@ -295,6 +351,26 @@ def test_crlf_file_reaches_line_parser(tmp_path, monkeypatch):
     calls = _count_line_parser(monkeypatch)
     assert load_scores(path, "v").scores == (0.5, 0.25)
     assert calls == [path]
+
+
+def test_canonical_scores_peak_memory_is_a_small_multiple_of_the_file(
+        tmp_path, monkeypatch):
+    # the lines are split and converted in blocks, so the peak is about the
+    # file's bytes plus the scores (1.6-1.9x the file); splitting the whole
+    # file at once peaked near 11x
+    values = np.random.default_rng(0).random(100_000).tolist()
+    path = tmp_path / "v.csv"
+    path.write_bytes(HEADERS["score"] + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(values)).encode())
+    calls = _count_line_parser(monkeypatch)
+    tracemalloc.start()
+    try:
+        seq = load_scores(path, "v")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and seq.as_array().tolist() == values
+    assert peak <= 3 * path.stat().st_size
 
 
 @pytest.mark.parametrize("frame", [b"0.0", b"0e0", b"-0", b"9" * 19])
@@ -465,8 +541,6 @@ _FUZZ_SCORES = b"frame,score\n" + "".join(
     for i in range(_FUZZ_FRAMES)).encode()
 _FUZZ_MASK = b"frame,label\n" + "".join(
     f"{i},{int(8 <= i < 20)}\n" for i in range(_FUZZ_FRAMES)).encode()
-# the fuzzed config leaves sigma_max out: smoothing time grows with its
-# square, and a few inserted digits would make one run take minutes
 _JSON_FUZZ_BYTES = st.sampled_from(
     list(b'{}[]",:.-0123456789eE tfnaulsx\n\xff'))
 _DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
@@ -549,7 +623,7 @@ def test_cli_evaluate_fuzzed_manifest_exits_cleanly(tmp_path, capsysbinary,
 
 @_FUZZ_SETTINGS
 @given(body=_mutated(json.dumps({
-    "vote_window": 9, "vote_stride": 3, "min_event_len": 5,
+    "sigma_max": 5, "vote_window": 9, "vote_stride": 3, "min_event_len": 5,
     "tiou_thresholds": [0.1, 0.5], "threshold_strategy": "hprs",
     "hprs_beta": 0.5, "fixed_tau": None}).encode(), _JSON_FUZZ_BYTES))
 @example(body=_DEEP_JSON)

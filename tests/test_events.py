@@ -14,7 +14,6 @@ from event_eval import (
     TemporalEvent,
     audit_dataset,
     binarize,
-    clean_micro_events,
     events_to_mask,
     filter_short_events,
     hierarchical_smooth,
@@ -238,11 +237,3 @@ def test_audit_across_videos():
 def test_audit_requires_masks():
     with pytest.raises(Exception):
         audit_dataset([], micro_threshold=2)
-
-
-def test_clean_micro_events_examples():
-    assert clean_micro_events([mask(0, 1, 0, 0)], 2)[0].labels == (0, 0, 0, 0)
-    original = mask(0, 1, 0, 0)
-    assert clean_micro_events([original], 1)[0] == original
-    got = clean_micro_events([mask(1, 0, 1, 1, 1, 0)], 2)[0]
-    assert got.labels == (0, 0, 1, 1, 1, 0)

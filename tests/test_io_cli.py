@@ -407,6 +407,16 @@ def test_cli_exit_codes(tmp_path, capsysbinary):
     assert "video_id='v'" in err
 
 
+def test_cli_sigma_max_past_cap_exits_1(tmp_path, capsysbinary):
+    manifest = str(perfect_fixture(tmp_path))
+    config = write(tmp_path / "cfg.json", '{"sigma_max": 65}')
+    assert main(["--config", str(config), "evaluate", manifest]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode().splitlines() == [
+        "error: sigma_max must be at most 64, got 65"]
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
 def test_cli_refine_rejects_non_finite_tau(tmp_path, capsysbinary, tau):
     manifest = str(perfect_fixture(tmp_path))
