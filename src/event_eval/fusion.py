@@ -13,7 +13,7 @@ of a video at once as an array, and mark_windows marks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,18 +106,6 @@ def score_window(window: BranchErrors | np.ndarray) -> float | np.ndarray:
     return _pool((window[:, :i] + window[:, 2 * i:3 * i]) / 2.0)
 
 
-def _columns(rows) -> tuple[np.ndarray, ...]:
-    """The (start, length, score) columns of rows as arrays. No dtype: a
-    start past int64 stays a Python int for mark_windows' range check."""
-    return tuple(np.array(c) for c in (list(zip(*rows)) or [(), (), ()]))
-
-
-def window_arrays(windows: Sequence[BranchErrors]) -> tuple[np.ndarray, ...]:
-    """Target starts, window lengths and scores of windows, in order."""
-    return _columns((w.target_start, w.window_len, score_window(w))
-                    for w in windows)
-
-
 def mark_windows(starts: np.ndarray, lengths: np.ndarray,
                  scores: np.ndarray, tau: float, video_len: int,
                  video_id: str = "") -> EventSet:
@@ -146,21 +134,3 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
     edges = np.flatnonzero(np.diff(depth > 0, prepend=False))
     return EventSet._of(video_id, edges[0::2], edges[1::2] - 1)
 
-
-def windows_to_events(window_scores: Sequence[tuple[int, int, float]],
-                      tau: float, video_len: int,
-                      video_id: str = "") -> EventSet:
-    """mark_windows over (target_start, window_len, score) triples."""
-    return mark_windows(*_columns(window_scores), tau, video_len, video_id)
-
-
-def run_dual_pipeline(batches: Mapping[str, Sequence[BranchErrors]],
-                      tau: float,
-                      video_lens: Mapping[str, int]) -> dict[str, EventSet]:
-    """Score every window of every video and threshold into event sets."""
-    missing = sorted(set(batches) - set(video_lens))
-    if missing:
-        raise ValidationError(f"no video length given for: {missing}")
-    return {video_id: mark_windows(*window_arrays(batches[video_id]), tau,
-                                   video_lens[video_id], video_id=video_id)
-            for video_id in sorted(batches)}

@@ -10,6 +10,7 @@ imputation corrupts event boundaries. Reports are written by report.py.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -50,7 +51,7 @@ from .events import (
     mask_to_events,
     refine_smoothed,
 )
-from .fusion import BranchErrors, score_window, window_arrays
+from .fusion import BranchErrors, score_window
 from .matching import multi_threshold_eval
 from .smoothing import hierarchical_smooth
 from .thresholds import frame_metrics
@@ -390,17 +391,20 @@ def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
     return FrameMask._of(video_id, labels)
 
 
-def load_branch_errors(path: str | Path) -> list[BranchErrors]:
-    """Load a record-per-window branch error file.
+def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
+    """Target starts, window lengths and scores of a record-per-window
+    branch error file, in file order.
 
     Each non-comment line is whitespace-separated numbers: target_start,
     window_len i, then 4i error values (the i short-branch values followed
-    by the 3i long-branch values).
+    by the 3i long-branch values). Each line is checked as a BranchErrors
+    and scored by score_window. The starts and lengths take no dtype, so a
+    start past int64 stays a Python int for mark_windows' range check.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
-    windows: list[BranchErrors] = []
+    starts, lengths, scores = [], [], []
     with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -421,16 +425,18 @@ def load_branch_errors(path: str | Path) -> list[BranchErrors]:
                     f"window of length {i} needs {4 * i} values (short then "
                     f"long), got {len(values)} | path={path}:{lineno}")
             try:
-                windows.append(BranchErrors(short=tuple(values[:i]),
-                                            long=tuple(values[i:]),
-                                            window_len=i,
-                                            target_start=start))
+                window = BranchErrors(short=tuple(values[:i]),
+                                      long=tuple(values[i:]), window_len=i,
+                                      target_start=start)
             except EventEvalError as exc:
                 exc.args = (f"{exc} | path={path}:{lineno}",)
                 raise
-    if not windows:
+            starts.append(start)
+            lengths.append(i)
+            scores.append(score_window(window))
+    if not starts:
         raise ParseError(str(path), None, "file contains no windows")
-    return windows
+    return np.array(starts), np.array(lengths), np.array(scores)
 
 
 # A canonical branch-error file: lines 'start len values...' split by
@@ -463,14 +469,11 @@ def _fast_window_scores(path: Path) -> tuple[np.ndarray, ...] | None:
 
 
 def load_window_scores(path: str | Path) -> tuple[np.ndarray, ...]:
-    """Target starts, window lengths and scores of a branch-error file's
-    windows, in file order.
-
-    Canonical files (see _BRANCH_LINES) are read by one np.loadtxt call;
-    every other file, and every error, goes through load_branch_errors.
-    """
+    """The arrays of load_branch_errors. Canonical files (see _BRANCH_LINES)
+    are read by one np.loadtxt call; every other file, and every error, goes
+    through the line parser."""
     path = Path(path)
-    return _fast_window_scores(path) or window_arrays(load_branch_errors(path))
+    return _fast_window_scores(path) or load_branch_errors(path)
 
 
 def _load_json_object(path: Path) -> dict:
@@ -520,27 +523,17 @@ def events_to_json_obj(events_by_id: dict[str, EventSet]) -> dict:
 
 
 def config_to_dict(cfg: EvalConfig) -> dict:
-    return {
-        "sigma_max": cfg.sigma_max,
-        "vote_window": cfg.vote_window,
-        "vote_stride": cfg.vote_stride,
-        "min_event_len": cfg.min_event_len,
-        "tiou_thresholds": list(cfg.tiou_thresholds),
-        "threshold_strategy": cfg.threshold_strategy.value,
-        "hprs_beta": cfg.hprs_beta,
-        "fixed_tau": cfg.fixed_tau,
-    }
+    return {**dataclasses.asdict(cfg),
+            "tiou_thresholds": list(cfg.tiou_thresholds),
+            "threshold_strategy": cfg.threshold_strategy.value}
 
 
 def config_from_dict(data: dict) -> EvalConfig:
-    known = {f: data[f] for f in (
-        "sigma_max", "vote_window", "vote_stride", "min_event_len",
-        "tiou_thresholds", "threshold_strategy", "hprs_beta", "fixed_tau")
-        if f in data}
-    unknown = sorted(set(data) - set(known))
+    names = {f.name for f in dataclasses.fields(EvalConfig)}
+    unknown = sorted(set(data) - names)
     if unknown:
         raise ValidationError(f"unknown config keys: {unknown}")
-    return EvalConfig(**known)
+    return EvalConfig(**data)
 
 
 def load_config(path: str | Path) -> EvalConfig:

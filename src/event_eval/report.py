@@ -12,10 +12,10 @@ import io as _io
 import json
 from dataclasses import asdict
 
-from .core import EventMetrics, EventPrf, FrameMetrics
+from .core import EventMetrics, FrameMetrics
 from .errors import ValidationError
 from .events import AuditReport
-from .io import Report, config_from_dict, config_to_dict
+from .io import Report, config_to_dict
 
 
 def json_bytes(obj) -> bytes:
@@ -43,25 +43,6 @@ def report_to_dict(report: Report) -> dict:
         },
         "audit": asdict(report.audit),
     }
-
-
-def report_from_json(blob: bytes | str) -> Report:
-    """Inverse of emit_report(..., 'json'), for round-tripping reports."""
-    data = json.loads(blob)
-
-    def event_metrics(d: dict) -> EventMetrics:
-        per = {row.pop("tiou"): EventPrf(**row) for row in d["per_tiou"]}
-        return EventMetrics(per_tiou=per, average_f1=d["average_f1"])
-
-    return Report(
-        frame_metrics=FrameMetrics(**data["frame_metrics"]),
-        event_metrics_eer=event_metrics(data["event_metrics"]["tau_eer"]),
-        event_metrics_hprs=event_metrics(data["event_metrics"]["tau_hprs"]),
-        audit=AuditReport(**data["audit"]),
-        config_echo=config_from_dict(data["config"]),
-        tool_version=data["tool_version"],
-        mode=data["mode"],
-    )
 
 
 def _flat(values: dict) -> list:

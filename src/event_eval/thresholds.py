@@ -10,7 +10,6 @@ one-pass ROC construction, Fawcett 2006, Alg. 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,27 +24,11 @@ class PrecisionRecallF1(NamedTuple):
     f1: float
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    far: float
-    frr: float
-    tpr: float
-    fpr: float
-
-
-@dataclass(frozen=True)
-class PrPoint:
-    threshold: float
-    precision: float
-    recall: float
-
-
 class RocCurve(NamedTuple):
     """Operating points sorted ascending by threshold, one array per field.
 
     far == fpr and frr == 1 - tpr by construction; tpr and fpr are monotone
-    non-increasing in the threshold. points builds RocPoints on access.
+    non-increasing in the threshold.
     """
 
     thresholds: np.ndarray
@@ -53,22 +36,6 @@ class RocCurve(NamedTuple):
     frr: np.ndarray
     tpr: np.ndarray
     fpr: np.ndarray
-
-    @property
-    def points(self) -> tuple[RocPoint, ...]:
-        return tuple(RocPoint(*p) for p in zip(*(a.tolist() for a in self)))
-
-
-class PrCurve(NamedTuple):
-    """Precision/recall sorted ascending by threshold, one array per field."""
-
-    thresholds: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-
-    @property
-    def points(self) -> tuple[PrPoint, ...]:
-        return tuple(PrPoint(*p) for p in zip(*(a.tolist() for a in self)))
 
 
 def _as_arrays(scores: Sequence[float],
@@ -89,18 +56,19 @@ def _as_arrays(scores: Sequence[float],
     return s, y.astype(int)
 
 
-def _candidate_counts(scores: Sequence[float], labels: Sequence[int],
+def _candidate_counts(s: np.ndarray, y: np.ndarray,
                       need_negatives: bool = True):
     """TP/FP counts of the >=-threshold classifier at every candidate.
 
-    Returns (candidates ascending, tp, fp, n_pos, n_neg). The distinct scores
-    are the first entry of each run of equal values in the sorted array, so
-    one stable argsort is the only sort; counts are exact integers.
+    s and y are checked: same-length 1-D arrays of finite scores and 0/1
+    labels. Returns (candidates ascending, tp, fp, n_pos, n_neg). The
+    distinct scores are the first entry of each run of equal values in the
+    sorted array, so one stable argsort is the only sort; counts are exact
+    int64 integers, whatever the labels' dtype.
     """
-    s, y = _as_arrays(scores, labels)
     order = np.argsort(s, kind="mergesort")
     s_sorted = s[order]
-    cum_pos = np.concatenate([[0], np.cumsum(y[order])])
+    cum_pos = np.concatenate([[0], np.cumsum(y[order], dtype=np.int64)])
     n_pos = int(cum_pos[-1])
     n_neg = s.size - n_pos
     if n_pos == 0 or (need_negatives and n_neg == 0):
@@ -169,7 +137,7 @@ def prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     """ROC operating points at every distinct score plus +-inf sentinels."""
-    return _roc(*_candidate_counts(scores, labels))
+    return _roc(*_candidate_counts(*_as_arrays(scores, labels)))
 
 
 def auc_roc(curve: RocCurve) -> float:
@@ -181,22 +149,14 @@ def auc_roc(curve: RocCurve) -> float:
     return _area((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)
 
 
-def pr_curve(scores: Sequence[float], labels: Sequence[int]) -> PrCurve:
-    """Precision/recall at every distinct score plus +-inf sentinels.
-
-    Precision of the empty prediction set (tau = +inf) is 0 by convention.
-    """
-    cand, tp, fp, n_pos, _ = _candidate_counts(scores, labels, False)
-    return PrCurve(cand, _precision(tp, fp), tp / n_pos)
-
-
 def auc_pr(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Step-wise (right-continuous) area under the precision-recall curve.
 
     Walking thresholds from high to low, each distinct score contributes
     (recall_k - recall_{k-1}) * precision_k.
     """
-    _, tp, fp, n_pos, _ = _candidate_counts(scores, labels, False)
+    _, tp, fp, n_pos, _ = _candidate_counts(*_as_arrays(scores, labels),
+                                            False)
     return _auc_pr(tp, fp, n_pos)
 
 
@@ -219,7 +179,7 @@ def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
     beta < 1 weights precision over recall; beta = 1 reduces to the
     F1-maximizing threshold.
     """
-    cand, tp, fp, n_pos, _ = _candidate_counts(scores, labels)
+    cand, tp, fp, n_pos, _ = _candidate_counts(*_as_arrays(scores, labels))
     return float(cand[_hprs_index(tp, fp, n_pos, beta)])
 
 
@@ -236,9 +196,12 @@ def f1_at_threshold(scores: Sequence[float], labels: Sequence[int],
     return prf(tp, int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(y)))
 
 
-def frame_metrics(scores: Sequence[float], labels: Sequence[int],
+def frame_metrics(scores: np.ndarray, labels: np.ndarray,
                   beta: float = 0.5) -> FrameMetrics:
     """Every frame-level metric from one sort of the scores.
+
+    scores and labels are the checked arrays of ScoreSequences and
+    FrameMasks, so they are not checked again.
 
     Equals composing the public functions above, except that a -inf tau_EER
     (all scores equal) is reported as the lowest observed score, which

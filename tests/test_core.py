@@ -3,31 +3,49 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import types
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from event_eval import (
+from event_eval.core import (
     EvalConfig,
     EventMetrics,
     EventPrf,
     EventSet,
     FrameMask,
     FrameMetrics,
-    LengthMismatch,
-    NonBinaryLabel,
-    NonFiniteScore,
     ScoreSequence,
     TemporalEvent,
     ThresholdStrategy,
-    ValidationError,
-    VideoIdMismatch,
+    events_within,
     validate_pair,
 )
-from event_eval.core import events_within
-from event_eval.errors import EventOutOfRange
+from event_eval.errors import (
+    EventOutOfRange,
+    LengthMismatch,
+    NonBinaryLabel,
+    NonFiniteScore,
+    ValidationError,
+    VideoIdMismatch,
+)
+
+
+def test_package_root_exports_the_documented_names_only():
+    import event_eval
+
+    public = {name for name, value in vars(event_eval).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == {
+        "EvalConfig", "ScoreSequence", "FrameMask", "EventSet",
+        "TemporalEvent", "audit_dataset", "events_to_mask",
+        "majority_vote_refine", "mask_to_events", "refine_pipeline",
+        "load_manifest", "load_mask", "run_evaluation", "match_events",
+        "emit_report", "build_kernel", "smooth_once", "auc_roc",
+        "eer_threshold", "hprs_threshold", "roc_curve"}
 
 
 def test_validate_pair_ok():

@@ -21,10 +21,10 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import event_eval.io as io_mod
-from event_eval import (
-    FrameMask,
-    ParseError,
-    ScoreSequence,
+from event_eval.cli import main
+from event_eval.core import FrameMask, ScoreSequence
+from event_eval.errors import ParseError
+from event_eval.io import (
     load_branch_errors,
     load_config,
     load_events_json,
@@ -32,8 +32,6 @@ from event_eval import (
     load_mask,
     load_scores,
 )
-from event_eval.cli import main
-from event_eval.fusion import window_arrays
 from event_eval.synthetic import make_dataset, write_dataset
 
 HEADERS = {"score": b"frame,score\n", "label": b"frame,label\n"}
@@ -658,13 +656,12 @@ def _window_bits(columns) -> tuple:
 
 
 def assert_branch_same_as_line_parser(path: Path) -> None:
-    """load_window_scores gives the line parser's windows, scored by
-    score_window, or its error; and neither path warns."""
+    """load_window_scores gives the line parser's arrays, or its error;
+    and neither path warns."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = _outcome(lambda: _window_bits(io_mod.load_window_scores(path)))
-        want = _outcome(lambda: _window_bits(window_arrays(
-            load_branch_errors(path))))
+        want = _outcome(lambda: _window_bits(load_branch_errors(path)))
     assert got == want
     assert [str(w.message) for w in caught] == []
 
@@ -778,8 +775,7 @@ def test_canonical_branch_files_are_bit_identical_property(tmp_path, i,
                              for start, values in rows).encode())
     fast = io_mod._fast_window_scores(path)
     assert fast is not None
-    assert _window_bits(fast) == _window_bits(window_arrays(
-        load_branch_errors(path)))
+    assert _window_bits(fast) == _window_bits(load_branch_errors(path))
     assert _window_bits(fast) == _window_bits((
         np.array([start for start, _ in rows]), np.full(len(rows), i),
         [_left_to_right_score([float(v) for v in values], i)

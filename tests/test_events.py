@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from event_eval import (
+from event_eval.core import (
     EvalConfig,
-    EventOutOfRange,
     EventSet,
     FrameMask,
-    InvalidWindow,
     ScoreSequence,
     TemporalEvent,
+)
+from event_eval.errors import EventOutOfRange, InvalidWindow
+from event_eval.events import (
     audit_dataset,
     binarize,
     events_to_mask,
     filter_short_events,
-    hierarchical_smooth,
     majority_vote_refine,
     mask_to_events,
     refine_pipeline,
 )
+from event_eval.smoothing import hierarchical_smooth
 
 from oracles import brute_majority_vote, runs_of_ones
 

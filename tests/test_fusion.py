@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from event_eval import (
+from event_eval.errors import (
     BadLength,
-    BranchErrors,
     LengthMismatch,
     ValidationError,
     WindowOutOfRange,
+)
+from event_eval.fusion import (
+    BranchErrors,
     align_center,
     fuse_frames,
+    mark_windows,
     pool_event_score,
-    run_dual_pipeline,
     score_window,
-    windows_to_events,
 )
-
-from event_eval.fusion import mark_windows
 
 from oracles import middle_third, runs_of_ones
 
@@ -28,6 +27,20 @@ from oracles import middle_third, runs_of_ones
 def branch(short, long, start=0):
     return BranchErrors(short=tuple(short), long=tuple(long),
                         window_len=len(short), target_start=start)
+
+
+def mark(triples, tau, video_len, video_id=""):
+    """mark_windows on np.array columns of (start, length, score) triples.
+    No dtype, as in the loaders: a start past int64 stays a Python int."""
+    columns = list(zip(*triples)) or [(), (), ()]
+    return mark_windows(*(np.array(c) for c in columns), tau, video_len,
+                        video_id)
+
+
+def mark_scored(windows, tau, video_len, video_id=""):
+    """score_window, then mark_windows, over BranchErrors."""
+    return mark([(w.target_start, w.window_len, score_window(w))
+                 for w in windows], tau, video_len, video_id)
 
 
 def test_branch_errors_validation():
@@ -137,24 +150,24 @@ def test_score_window_composition():
 
 def test_windows_to_events_marking_and_merge():
     assert [(e.start, e.end) for e in
-            windows_to_events([(0, 8, 0.9)], 0.5, 20)] == [(0, 7)]
-    merged = windows_to_events([(0, 8, 0.9), (8, 8, 0.8)], 0.5, 20)
+            mark([(0, 8, 0.9)], 0.5, 20)] == [(0, 7)]
+    merged = mark([(0, 8, 0.9), (8, 8, 0.8)], 0.5, 20)
     assert [(e.start, e.end) for e in merged] == [(0, 15)]
-    assert len(windows_to_events([(0, 8, 0.2)], 0.5, 20)) == 0
+    assert len(mark([(0, 8, 0.2)], 0.5, 20)) == 0
 
 
 def test_windows_to_events_order_independent():
     windows = [(0, 4, 0.9), (8, 4, 0.7), (4, 4, 0.1), (16, 4, 0.8)]
-    a = windows_to_events(windows, 0.5, 24)
-    b = windows_to_events(list(reversed(windows)), 0.5, 24)
+    a = mark(windows, 0.5, 24)
+    b = mark(list(reversed(windows)), 0.5, 24)
     assert a == b
 
 
 def test_windows_to_events_range_checked():
     with pytest.raises(WindowOutOfRange):
-        windows_to_events([(18, 4, 0.9)], 0.5, 20)
+        mark([(18, 4, 0.9)], 0.5, 20)
     with pytest.raises(WindowOutOfRange):
-        windows_to_events([(-1, 4, 0.9)], 0.5, 20)
+        mark([(-1, 4, 0.9)], 0.5, 20)
 
 
 def test_run_dual_pipeline_planted_span():
@@ -169,16 +182,15 @@ def test_run_dual_pipeline_planted_span():
         branch(loud, loud_long, start=2 * i),
         branch(quiet, quiet_long, start=3 * i),
     ]
-    out = run_dual_pipeline({"v": windows}, tau=0.5, video_lens={"v": 4 * i})
-    assert [(e.start, e.end) for e in out["v"].events] == [(i, 3 * i - 1)]
-    assert out["v"].video_id == "v"
+    out = mark_scored(windows, 0.5, 4 * i, "v")
+    assert [(e.start, e.end) for e in out.events] == [(i, 3 * i - 1)]
+    assert out.video_id == "v"
 
 
 def test_run_dual_pipeline_all_zero_errors():
     i = 4
     windows = [branch([0.0] * i, [0.0] * (3 * i), start=0)]
-    out = run_dual_pipeline({"v": windows}, tau=0.1, video_lens={"v": i})
-    assert len(out["v"]) == 0
+    assert len(mark_scored(windows, 0.1, i)) == 0
 
 
 def test_run_dual_pipeline_scale_equivariance():
@@ -187,30 +199,22 @@ def test_run_dual_pipeline_scale_equivariance():
     windows = [branch(rng.uniform(0, 1, size=i),
                       rng.uniform(0, 1, size=3 * i), start=k * i)
                for k in range(5)]
-    lens = {"v": 5 * i}
     tau = 0.4
-    base = run_dual_pipeline({"v": windows}, tau, lens)
+    base = mark_scored(windows, tau, 5 * i)
     doubled = [branch([2 * v for v in w.short], [2 * v for v in w.long],
                       start=w.target_start) for w in windows]
-    scaled = run_dual_pipeline({"v": doubled}, 2 * tau, lens)
+    scaled = mark_scored(doubled, 2 * tau, 5 * i)
     assert base == scaled
-
-
-def test_run_dual_pipeline_needs_video_lengths():
-    i = 2
-    windows = [branch([0.1] * i, [0.1] * (3 * i))]
-    with pytest.raises(ValidationError):
-        run_dual_pipeline({"v": windows}, 0.5, video_lens={})
 
 
 def test_windows_to_events_overlapping_and_coinciding_windows():
     windows = [(0, 8, 0.9), (4, 8, 0.9), (4, 8, 0.9), (12, 4, 0.6),
                (17, 2, 0.7), (30, 6, 0.1), (19, 1, 0.2)]
-    events = windows_to_events(windows, 0.5, 40, video_id="v")
+    events = mark(windows, 0.5, 40, video_id="v")
     assert [(e.start, e.end) for e in events] == [(0, 15), (17, 18)]
     assert events.video_id == "v"
     # a zero-length window marks nothing
-    assert len(windows_to_events([(3, 0, 0.9)], 0.5, 10)) == 0
+    assert len(mark([(3, 0, 0.9)], 0.5, 10)) == 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -225,7 +229,7 @@ def test_mark_windows_equals_frame_marking(n, data):
     for start, length, score in windows:
         if score >= tau:
             labels[start:start + length] = [1] * length
-    got = windows_to_events(windows, tau, n)
+    got = mark(windows, tau, n)
     assert [(e.start, e.end) for e in got] == runs_of_ones(labels)
 
 
@@ -237,16 +241,15 @@ def test_mark_windows_names_first_out_of_range_window():
                        r"video length 20$"):
         mark_windows(starts, lengths, scores, 0.5, 20)
     with pytest.raises(WindowOutOfRange, match=r"window \[5,1\]"):
-        windows_to_events([(5, -3, 0.9)], 0.5, 20)
+        mark([(5, -3, 0.9)], 0.5, 20)
     huge = 10 ** 20
     for start in (huge, 2 ** 63, 2 ** 63 - 1):
         with pytest.raises(WindowOutOfRange, match=rf"window \[{start},"):
-            windows_to_events([(0, 1, 0.9), (start, 1, 0.9)], 0.5, 20)
+            mark([(0, 1, 0.9), (start, 1, 0.9)], 0.5, 20)
     with pytest.raises(WindowOutOfRange, match=rf"\[{huge},"):
-        run_dual_pipeline({"v": [branch([0.1], [0.1] * 3, start=huge)]},
-                          0.5, {"v": 20})
+        mark_scored([branch([0.1], [0.1] * 3, start=huge)], 0.5, 20)
 
 
 def test_run_dual_pipeline_without_windows():
-    out = run_dual_pipeline({"v": []}, 0.5, video_lens={"v": 5})
-    assert len(out["v"]) == 0 and out["v"].video_id == "v"
+    out = mark_scored([], 0.5, 5, "v")
+    assert len(out) == 0 and out.video_id == "v"

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from event_eval import (
-    EventSet,
-    FrameMask,
-    TemporalEvent,
-    ValidationError,
-    VideoIdMismatch,
-    mask_to_events,
-    match_events,
-    multi_threshold_eval,
-)
+from event_eval.core import EventSet, FrameMask, TemporalEvent
+from event_eval.errors import ValidationError, VideoIdMismatch
+from event_eval.events import mask_to_events
+from event_eval.matching import match_events, multi_threshold_eval
 
 from oracles import interval_tiou, optimal_assignment, runs_of_ones
 

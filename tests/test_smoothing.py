@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from event_eval import (
+from event_eval import smoothing
+from event_eval.core import ScoreSequence
+from event_eval.errors import InvalidSigma, ValidationError
+from event_eval.events import binarize
+from event_eval.smoothing import (
     GaussianKernel,
-    InvalidSigma,
-    ScoreSequence,
-    ValidationError,
-    binarize,
     build_kernel,
+    default_radius,
     hierarchical_smooth,
     smooth_once,
-    smoothing,
 )
-from event_eval.smoothing import default_radius
 
 from oracles import naive_smooth, variance
 

@@ -6,23 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from event_eval import (
-    DegenerateLabels,
-    EvalConfig,
-    FrameMask,
-    FrameMetrics,
-    LengthMismatch,
-    ScoreSequence,
+from event_eval.core import EvalConfig, FrameMask, FrameMetrics, ScoreSequence
+from event_eval.errors import DegenerateLabels, LengthMismatch
+from event_eval.io import compute_frame_metrics
+from event_eval.thresholds import (
     auc_pr,
     auc_roc,
     eer_threshold,
     f1_at_threshold,
     hprs_threshold,
-    pr_curve,
     roc_curve,
 )
-
-from event_eval.io import compute_frame_metrics
 
 from oracles import (
     pair_count_auc,
@@ -52,15 +46,14 @@ def random_fixture(rng, n_max=300):
 
 def test_roc_curve_structure_and_invariants():
     curve = roc_curve(FIX_SCORES, FIX_LABELS)
-    thresholds = [p.threshold for p in curve.points]
-    assert thresholds == [-math.inf, 0.1, 0.35, 0.4, 0.8, math.inf]
-    assert curve.points[0].tpr == 1.0 and curve.points[0].fpr == 1.0
-    assert curve.points[-1].tpr == 0.0 and curve.points[-1].fpr == 0.0
-    for p in curve.points:
-        assert p.far == p.fpr
-        assert p.tpr == pytest.approx(1.0 - p.frr, abs=1e-12)
-    for a, b in zip(curve.points, curve.points[1:]):
-        assert b.tpr <= a.tpr and b.fpr <= a.fpr
+    assert curve.thresholds.tolist() == [-math.inf, 0.1, 0.35, 0.4, 0.8,
+                                         math.inf]
+    assert curve.tpr[0] == 1.0 and curve.fpr[0] == 1.0
+    assert curve.tpr[-1] == 0.0 and curve.fpr[-1] == 0.0
+    assert np.array_equal(curve.far, curve.fpr)
+    np.testing.assert_allclose(curve.tpr, 1.0 - curve.frr, rtol=0,
+                               atol=1e-12)
+    assert (np.diff(curve.tpr) <= 0).all() and (np.diff(curve.fpr) <= 0).all()
 
 
 def test_roc_requires_both_classes():
@@ -167,8 +160,8 @@ def test_eer_far_frr_within_one_grid_step():
         n_pos = int(labels.sum())
         n_neg = n - n_pos
         tau, _ = eer_threshold(curve)
-        point = next(p for p in curve.points if p.threshold == tau)
-        assert abs(point.far - point.frr) <= 1.0 / n_pos + 1.0 / n_neg
+        k = curve.thresholds.tolist().index(tau)
+        assert abs(curve.far[k] - curve.frr[k]) <= 1.0 / n_pos + 1.0 / n_neg
 
 
 def test_eer_and_hprs_match_exhaustive_sweep():
@@ -252,14 +245,6 @@ def test_hprs_precision_no_lower_than_eer_on_monotone_fixture():
     p_eer = f1_at_threshold(scores, labels, tau_eer).precision
     p_hprs = f1_at_threshold(scores, labels, tau_hprs).precision
     assert p_hprs >= p_eer
-
-
-def test_pr_curve_recall_monotone():
-    curve = pr_curve(FIX_SCORES, FIX_LABELS)
-    recalls = [p.recall for p in curve.points]
-    assert recalls == sorted(recalls, reverse=True)
-    assert curve.points[0].recall == 1.0
-    assert curve.points[-1].recall == 0.0
 
 
 # ---------------------------------------------------------------------------
