@@ -23,6 +23,7 @@ from .io import (
     load_config,
     load_events_json,
     load_manifest,
+    load_mask,
     load_videos,
     load_window_scores,
     predict_at_taus,
@@ -153,9 +154,12 @@ def _run(args: argparse.Namespace) -> int:
         if tau is None:
             raise ValidationError(
                 "fuse needs --tau or a config with fixed_tau")
-        lens = {s.video_id: len(s) for s, _ in load_videos(manifest)}
+        entries = sorted(manifest.videos, key=lambda e: e.video_id)
+        # a clip's length is its mask's; the scores are never read
+        lens = {e.video_id: len(load_mask(e.mask_path, e.video_id))
+                for e in entries}
         events = {}
-        for entry in sorted(manifest.videos, key=lambda e: e.video_id):
+        for entry in entries:
             vid, path = entry.video_id, entry.branch_errors_path
             if path is None:
                 raise ValidationError(f"video {vid!r} has no branch_errors "

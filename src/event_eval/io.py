@@ -582,10 +582,16 @@ def predict_at_taus(scores: ScoreSequence, taus: Sequence[float],
 
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
-    """Frame-level metrics over the concatenated scores of all videos."""
-    return frame_metrics(np.concatenate([s.as_array() for s, _ in videos]),
-                         np.concatenate([m.as_array() for _, m in videos]),
-                         cfg.hprs_beta)
+    """Frame-level metrics over the concatenated scores of all videos.
+
+    frame_metrics sorts both arrays in place, so they are fresh copies; a
+    mask's 0/1 bytes, viewed as bool, select its clip's positive frames.
+    """
+    return frame_metrics(
+        np.concatenate([s.as_array() for s, _ in videos]),
+        np.concatenate([s.as_array()[m.as_array().view(bool)]
+                        for s, m in videos]),
+        cfg.hprs_beta)
 
 
 def event_metrics_at_taus(videos: Sequence[tuple[ScoreSequence, FrameMask]],

@@ -4,8 +4,10 @@ All searches run over the finest lossless candidate grid: the distinct
 observed scores plus -inf/+inf sentinels. Binarization is score >= tau
 everywhere; thresholds are meant to be derived once per model-dataset pair
 from the concatenated test-set scores. Every metric is read from the TP/FP
-counts at those candidates, built from one stable sort of the scores (the
-one-pass ROC construction, Fawcett 2006, Alg. 2).
+counts at those candidates (the one-pass ROC construction, Fawcett 2006,
+Alg. 2). The counts come from one sort of all scores and one of the
+positives' scores. A count is read only where a run of equal scores
+starts, so the order inside a run never matters: neither sort is stable.
 """
 
 from __future__ import annotations
@@ -56,39 +58,68 @@ def _as_arrays(scores: Sequence[float],
     return s, y.astype(int)
 
 
-def _candidate_counts(s: np.ndarray, y: np.ndarray,
-                      need_negatives: bool = True):
-    """TP/FP counts of the >=-threshold classifier at every candidate.
+_BLOCK = 4096  # frames per block of frame_metrics' candidate sweep
 
-    s and y are checked: same-length 1-D arrays of finite scores and 0/1
-    labels. Returns (candidates ascending, tp, fp, n_pos, n_neg). The
-    distinct scores are the first entry of each run of equal values in the
-    sorted array, so one stable argsort is the only sort; counts are exact
-    int64 integers, whatever the labels' dtype.
-    """
-    order = np.argsort(s, kind="mergesort")
-    s_sorted = s[order]
-    cum_pos = np.concatenate([[0], np.cumsum(y[order], dtype=np.int64)])
-    n_pos = int(cum_pos[-1])
-    n_neg = s.size - n_pos
+
+def _class_sizes(n: int, n_pos: int,
+                 need_negatives: bool = True) -> tuple[int, int]:
+    n_neg = n - n_pos
     if n_pos == 0 or (need_negatives and n_neg == 0):
         need = "both classes" if need_negatives else "a positive frame"
         raise DegenerateLabels(f"need {need}, got {n_pos} positive / "
                                f"{n_neg} negative frames")
-    run_start = np.ones(s.size, dtype=bool)
-    np.not_equal(s_sorted[1:], s_sorted[:-1], out=run_start[1:])
-    first = np.flatnonzero(run_start)
-    idx = np.concatenate([[0], first, [s.size]])
-    tp = n_pos - cum_pos[idx]
-    return (np.concatenate([[-np.inf], s_sorted[first], [np.inf]]), tp,
-            (s.size - idx) - tp, n_pos, n_neg)
+    return n_pos, n_neg
 
 
-def _area(terms: np.ndarray) -> float:
-    # np.cumsum adds left to right, as a loop would; np.sum adds pairwise
-    # and would change the last bits of every reported area
-    area = np.cumsum(terms)[-1] if terms.size else 0.0
-    return float(min(1.0, max(0.0, area)))  # guard ulp-level overshoot
+def _count_blocks(s: np.ndarray, pos: np.ndarray, block: int):
+    """Exact int64 TP/FP counts of the >=-threshold classifier, in blocks
+    of candidates from the highest threshold down.
+
+    s holds every score and pos the positives' scores, both sorted
+    ascending. A block is (candidates ascending, tp, fp): the run starts
+    among `block` frames of s, then the previous block's lowest candidate
+    (first, the +inf sentinel), so neighbouring candidates share a block.
+    The -inf sentinel is left out: with the lowest score's counts it adds
+    0.0 to each area, and only makes eer_threshold's tau_EER -inf.
+    """
+    top, top_above = np.inf, 0  # a candidate and the frames scoring >= it
+    for end in range(s.size, 0, -block):
+        lo = max(end - block, 0)
+        seg = s[lo:end]
+        new = np.empty(seg.size, dtype=bool)
+        new[0] = lo == 0 or seg[0] != s[lo - 1]
+        np.not_equal(seg[1:], seg[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        cand = np.append(seg[first], top)
+        above = np.append(s.size - lo - first, top_above)
+        tp = pos.size - np.searchsorted(pos, cand)  # positives >= cand
+        yield cand, tp, above - tp
+        top, top_above = cand[0], above[0]
+
+
+def _candidate_counts(scores: Sequence[float], labels: Sequence[int],
+                      need_negatives: bool = True):
+    """(candidates ascending, tp, fp, n_pos, n_neg) as one block: every
+    distinct score plus the +inf sentinel, from two unstable sorts."""
+    s, y = _as_arrays(scores, labels)
+    n_pos, n_neg = _class_sizes(s.size, int(np.count_nonzero(y)),
+                                need_negatives)
+    ((cand, tp, fp),) = _count_blocks(np.sort(s), np.sort(s[y == 1]),
+                                      s.size)
+    return cand, tp, fp, n_pos, n_neg
+
+
+def _add(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., added left to right.
+
+    np.cumsum adds left to right, as a loop would; np.sum adds pairwise
+    and would change the last bits of every reported area.
+    """
+    return float(np.cumsum(np.append(total, terms))[-1])
+
+
+def _clip(area: float) -> float:
+    return min(1.0, max(0.0, area))  # guard ulp-level overshoot
 
 
 def _precision(tp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -100,21 +131,33 @@ def _roc(cand, tp, fp, n_pos: int, n_neg: int) -> RocCurve:
     return RocCurve(cand, fpr, (n_pos - tp) / n_pos, tp / n_pos, fpr)
 
 
-def _auc_pr(tp: np.ndarray, fp: np.ndarray, n_pos: int) -> float:
-    tp, fp = tp[-2:0:-1], fp[-2:0:-1]  # observed scores, high to low
+def _roc_terms(curve: RocCurve) -> np.ndarray:
+    """Trapezoids between neighbouring points, highest threshold first."""
+    fpr, tpr = curve.fpr, curve.tpr
+    return ((fpr[:-1] - fpr[1:]) * (tpr[:-1] + tpr[1:]) / 2.0)[::-1]
+
+
+def _pr_terms(tp: np.ndarray, fp: np.ndarray, n_pos: int) -> np.ndarray:
+    """Steps (recall_k - recall_k+1) * precision_k, highest threshold first.
+
+    The +inf sentinel's recall, 0.0, is the step base of the top score.
+    """
     recall = tp / n_pos
-    return _area((recall - np.concatenate([[0.0], recall[:-1]]))
-                 * _precision(tp, fp))
+    return ((recall[:-1] - recall[1:]) * _precision(tp[:-1], fp[:-1]))[::-1]
 
 
-def _eer_index(curve: RocCurve) -> int:
-    """Index of the first (lowest-threshold) minimum of |FAR - FRR|."""
-    return int(np.argmin(np.abs(curve.far - curve.frr)))
+def _eer_point(curve: RocCurve) -> tuple[int, float, float]:
+    """Index of the first (lowest-threshold) minimum of |FAR - FRR|, that
+    minimum, and the EER (FAR + FRR) / 2 there."""
+    gap = np.abs(curve.far - curve.frr)
+    i = int(np.argmin(gap))
+    return i, gap[i], (curve.far[i] + curve.frr[i]) / 2.0
 
 
-def _hprs_index(tp: np.ndarray, fp: np.ndarray, n_pos: int,
-                beta: float) -> int:
-    """Index of the last (highest-threshold) maximum of F_beta."""
+def _hprs_point(tp: np.ndarray, fp: np.ndarray, n_pos: int,
+                beta: float) -> tuple[int, float]:
+    """Index of the last (highest-threshold) maximum of F_beta, and that
+    maximum."""
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     b2 = beta * beta
@@ -123,7 +166,8 @@ def _hprs_index(tp: np.ndarray, fp: np.ndarray, n_pos: int,
     denom = b2 * prec + rec
     fb = np.divide((1.0 + b2) * prec * rec, denom, out=np.zeros(denom.size),
                    where=denom > 0)
-    return fb.size - 1 - int(np.argmax(fb[::-1]))
+    i = fb.size - 1 - int(np.argmax(fb[::-1]))
+    return i, fb[i]
 
 
 def prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
@@ -137,7 +181,10 @@ def prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     """ROC operating points at every distinct score plus +-inf sentinels."""
-    return _roc(*_candidate_counts(*_as_arrays(scores, labels)))
+    cand, tp, fp, n_pos, n_neg = _candidate_counts(scores, labels)
+    # -inf: every frame predicted positive
+    return _roc(np.append(-np.inf, cand), np.append(n_pos, tp),
+                np.append(n_neg, fp), n_pos, n_neg)
 
 
 def auc_roc(curve: RocCurve) -> float:
@@ -145,8 +192,7 @@ def auc_roc(curve: RocCurve) -> float:
 
     Equals the Mann-Whitney pair-counting statistic with ties worth 0.5.
     """
-    fpr, tpr = curve.fpr[::-1], curve.tpr[::-1]  # ascending fpr
-    return _area((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)
+    return _clip(_add(0.0, _roc_terms(curve)))
 
 
 def auc_pr(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -155,9 +201,8 @@ def auc_pr(scores: Sequence[float], labels: Sequence[int]) -> float:
     Walking thresholds from high to low, each distinct score contributes
     (recall_k - recall_{k-1}) * precision_k.
     """
-    _, tp, fp, n_pos, _ = _candidate_counts(*_as_arrays(scores, labels),
-                                            False)
-    return _auc_pr(tp, fp, n_pos)
+    _, tp, fp, n_pos, _ = _candidate_counts(scores, labels, False)
+    return _clip(_add(0.0, _pr_terms(tp, fp, n_pos)))
 
 
 def eer_threshold(curve: RocCurve) -> tuple[float, float]:
@@ -166,9 +211,8 @@ def eer_threshold(curve: RocCurve) -> tuple[float, float]:
     The reported EER is the midpoint (FAR + FRR) / 2 at that point, the
     standard convention since finite grids rarely yield exact equality.
     """
-    i = _eer_index(curve)
-    return float(curve.thresholds[i]), float((curve.far[i] + curve.frr[i])
-                                             / 2.0)
+    i, _, eer = _eer_point(curve)
+    return float(curve.thresholds[i]), float(eer)
 
 
 def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
@@ -179,8 +223,8 @@ def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
     beta < 1 weights precision over recall; beta = 1 reduces to the
     F1-maximizing threshold.
     """
-    cand, tp, fp, n_pos, _ = _candidate_counts(*_as_arrays(scores, labels))
-    return float(cand[_hprs_index(tp, fp, n_pos, beta)])
+    cand, tp, fp, n_pos, _ = _candidate_counts(scores, labels)
+    return float(cand[_hprs_point(tp, fp, n_pos, beta)[0]])
 
 
 def f1_at_threshold(scores: Sequence[float], labels: Sequence[int],
@@ -196,27 +240,43 @@ def f1_at_threshold(scores: Sequence[float], labels: Sequence[int],
     return prf(tp, int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(y)))
 
 
-def frame_metrics(scores: np.ndarray, labels: np.ndarray,
+def frame_metrics(scores: np.ndarray, positives: np.ndarray,
                   beta: float = 0.5) -> FrameMetrics:
     """Every frame-level metric from one sort of the scores.
 
-    scores and labels are the checked arrays of ScoreSequences and
-    FrameMasks, so they are not checked again.
+    scores holds every frame's score and positives the scores of the
+    frames labelled 1: checked arrays that the caller owns, sorted here in
+    place. The candidates are read in blocks of _BLOCK frames from the
+    highest threshold down, carrying the running areas and the best
+    operating points across blocks, so beyond the two arrays the memory
+    is a few blocks' worth.
 
     Equals composing the public functions above, except that a -inf tau_EER
     (all scores equal) is reported as the lowest observed score, which
     binarizes the data identically and keeps reports finite.
     """
-    cand, tp, fp, n_pos, n_neg = _candidate_counts(scores, labels)
-    curve = _roc(cand, tp, fp, n_pos, n_neg)
-    i_eer, i_hprs = _eer_index(curve), _hprs_index(tp, fp, n_pos, beta)
-    f1 = [prf(int(tp[i]), int(fp[i]), n_pos).f1 for i in (i_eer, i_hprs)]
+    scores.sort()
+    positives.sort()
+    n_pos, n_neg = _class_sizes(scores.size, positives.size)
+    area_roc = area_pr = 0.0
+    # best (|FAR - FRR| or F_beta, tau, F1 at tau[, EER]) so far
+    eer, hprs = (np.inf,), (-1.0,)
+    for cand, tp, fp in _count_blocks(scores, positives, _BLOCK):
+        curve = _roc(cand, tp, fp, n_pos, n_neg)
+        area_roc = _add(area_roc, _roc_terms(curve))
+        area_pr = _add(area_pr, _pr_terms(tp, fp, n_pos))
+        i, gap, value = _eer_point(curve)
+        if gap <= eer[0]:  # ties: the lower threshold wins
+            eer = gap, cand[i], prf(int(tp[i]), int(fp[i]), n_pos).f1, value
+        i, fb = _hprs_point(tp, fp, n_pos, beta)
+        if fb > hprs[0]:  # ties: the higher threshold wins
+            hprs = fb, cand[i], prf(int(tp[i]), int(fp[i]), n_pos).f1
     return FrameMetrics(
-        auc_roc=auc_roc(curve),
-        auc_pr=_auc_pr(tp, fp, n_pos),
-        eer=eer_threshold(curve)[1],
-        tau_eer=float(cand[max(i_eer, 1)]),  # cand[1]: lowest observed score
-        tau_hprs=float(cand[i_hprs]),
-        f1_at_tau_eer=f1[0],
-        f1_at_tau_hprs=f1[1],
+        auc_roc=_clip(area_roc),
+        auc_pr=_clip(area_pr),
+        eer=float(eer[3]),
+        tau_eer=float(eer[1]),
+        tau_hprs=float(hprs[1]),
+        f1_at_tau_eer=eer[2],
+        f1_at_tau_hprs=hprs[2],
     )

@@ -359,8 +359,8 @@ def test_cli_refine_then_event_metrics(tmp_path, capsysbinary):
                                                             0.4, 0.5]
 
 
-def test_cli_fuse(tmp_path, capsysbinary):
-    i = 8
+def fuse_fixture(tmp_path: Path, i: int = 8) -> Path:
+    """One 4i-frame video whose two middle windows of i frames are loud."""
     n = 4 * i
     write(tmp_path / "s.csv", scores_csv([0.1] * n))
     write(tmp_path / "m.csv", mask_csv([0] * i + [1] * (2 * i) + [0] * i))
@@ -369,13 +369,62 @@ def test_cli_fuse(tmp_path, capsysbinary):
     write(tmp_path / "b.txt", "\n".join(
         f"{k * i} {i} {loud if k in (1, 2) else quiet}"
         for k in range(4)) + "\n")
-    write(tmp_path / "manifest.txt",
-          "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n"
-          "branch_errors: b.txt\n")
-    assert main(["fuse", str(tmp_path / "manifest.txt"), "--tau",
+    return write(tmp_path / "manifest.txt",
+                 "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n"
+                 "branch_errors: b.txt\n")
+
+
+def test_cli_fuse(tmp_path, capsysbinary):
+    i = 8
+    assert main(["fuse", str(fuse_fixture(tmp_path, i)), "--tau",
                  "0.5"]) == 0
     events = json.loads(capsysbinary.readouterr().out)
     assert events == {"v": [[i, 3 * i - 1]]}
+
+
+@pytest.mark.parametrize("scores_text", [
+    "not,a\nscores file\n",
+    scores_csv([0.1] * 5),  # 5 frames against a 32-frame mask
+    "frame,score\n0,nan\n",
+])
+def test_cli_fuse_reads_lengths_from_masks_only(tmp_path, capsysbinary,
+                                                scores_text):
+    manifest = str(fuse_fixture(tmp_path))
+    assert main(["fuse", manifest, "--tau", "0.5"]) == 0
+    want = capsysbinary.readouterr().out
+    write(tmp_path / "s.csv", scores_text)
+    assert main(["fuse", manifest, "--tau", "0.5"]) == 0
+    assert capsysbinary.readouterr().out == want
+
+
+def test_cli_fuse_never_loads_scores(tmp_path, capsysbinary, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("fuse loaded a scores file")
+
+    monkeypatch.setattr("event_eval.io.load_scores", fail)
+    assert main(["fuse", str(fuse_fixture(tmp_path)), "--tau", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("mask_text,code,message", [
+    ("frame,label\n0,0\n1\n", 2, "m.csv:3: expected 2 columns, got 1"),
+    ("frame,label\n0,0\n1,2\n", 1, "label at frame 1 is not 0 or 1 | "
+                                    "video_id='v' | path="),
+])
+def test_cli_fuse_still_checks_masks(tmp_path, capsysbinary, mask_text,
+                                     code, message):
+    manifest = str(fuse_fixture(tmp_path))
+    write(tmp_path / "m.csv", mask_text)
+    assert main(["fuse", manifest, "--tau", "0.5"]) == code
+    err = capsysbinary.readouterr().err.decode()
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_fuse_missing_scores_file_is_an_io_error(tmp_path,
+                                                     capsysbinary):
+    manifest = str(fuse_fixture(tmp_path))
+    (tmp_path / "s.csv").unlink()
+    assert main(["fuse", manifest, "--tau", "0.5"]) == 2
+    assert "s.csv" in capsysbinary.readouterr().err.decode()
 
 
 def test_cli_fuse_window_out_of_range_names_video_and_file(tmp_path,

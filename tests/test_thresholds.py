@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,76 @@ def test_constant_scores_report_the_score_as_tau_eer():
     got = frame_metrics_of(scores, labels, 0.5, n_videos=3)
     assert got.tau_eer == 0.37
     assert got.f1_at_tau_eer == f1_at_threshold(scores, labels, -math.inf).f1
+
+
+def tied_fixture(kind: str, n: int = 10_000):
+    rng = np.random.default_rng(20260)
+    labels = (rng.random(n) < 0.3).astype(int)
+    if kind == "2 decimals":
+        scores = np.round(np.clip(rng.normal(0.4 + 0.2 * labels, 0.2),
+                                  0.0, 1.0), 2)
+    else:  # that many distinct scores, positives drawn from higher ones
+        k = int(kind)
+        levels = np.linspace(0.1, 0.9, k)
+        scores = levels[np.minimum(rng.integers(0, k, n) + labels, k - 1)]
+    return scores, labels
+
+
+@pytest.mark.parametrize("kind", ["1", "2", "5", "2 decimals"])
+def test_compute_frame_metrics_with_long_tied_runs(kind):
+    # at this size numpy's sorts leave insertion sort behind, and tied runs
+    # span several candidate blocks
+    scores, labels = tied_fixture(kind)
+    if kind != "2 decimals":
+        assert len(np.unique(scores)) == int(kind)
+    want_auc = loop_auc_roc(scores, labels)
+    want_pr = min(1.0, sweep_auc_pr(scores, labels))
+    want_eer = sweep_eer(scores, labels)[1]
+    for positives_first in (False, True):
+        # within each run of equal scores, all negatives first or all
+        # positives first
+        order = np.lexsort((-labels if positives_first else labels, scores))
+        s, y = scores[order], labels[order]
+        for beta in (0.5, 1.0, 2.0):
+            got = frame_metrics_of(s, y, beta, n_videos=7)
+            assert got == composed_frame_metrics(s, y, beta)
+            assert (got.auc_roc, got.auc_pr, got.eer) == (want_auc, want_pr,
+                                                         want_eer)
+            assert got.tau_hprs == sweep_fbeta(scores, labels, beta)
+
+
+def test_hprs_tie_far_apart_picks_the_higher_threshold():
+    # from the top: 2,000 positives, 4,000 negatives, 2,000 positives,
+    # 2,000 negatives, all scores distinct. F1 peaks twice with the same
+    # bits, 6,000 frames apart: at (tp, fp) = (2000, 0), precision 1 and
+    # recall 0.5, and at (4000, 4000), precision 0.5 and recall 1.
+    y = np.r_[np.ones(2000), np.zeros(4000), np.ones(2000),
+              np.zeros(2000)].astype(int)
+    scores = np.linspace(1.0, 0.0, y.size)
+    got = frame_metrics_of(scores, y, 1.0, n_videos=3)
+    assert got.tau_hprs == scores[1999]
+    assert got == composed_frame_metrics(scores, y, 1.0)
+
+
+def test_compute_frame_metrics_memory_per_frame():
+    # every score distinct: one candidate per frame, the worst case
+    n = 120_000
+    rng = np.random.default_rng(7)
+    scores = rng.permutation(n) / n
+    labels = (rng.random(n) < 0.4).astype(np.uint8)
+    parts = np.array_split(np.arange(n), 12)
+    videos = [(ScoreSequence(f"v{k}", scores[p]),
+               FrameMask(f"v{k}", labels[p])) for k, p in enumerate(parts)]
+    cfg = EvalConfig()
+    want = compute_frame_metrics(videos, cfg)
+    tracemalloc.start()
+    try:
+        got = compute_frame_metrics(videos, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 40 * n, f"{peak / n:.1f} bytes per frame"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
