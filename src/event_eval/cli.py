@@ -20,12 +20,12 @@ from .io import (
     REFINED,
     compute_frame_metrics,
     events_to_json_obj,
+    load_branch_errors,
     load_config,
     load_events_json,
     load_manifest,
-    load_mask,
+    load_masks,
     load_videos,
-    load_window_scores,
     predict_at_taus,
     run_evaluation,
 )
@@ -124,10 +124,9 @@ def _run(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
 
     if args.command == "audit":
-        videos = load_videos(manifest)
         threshold = (args.micro_threshold if args.micro_threshold is not None
                      else cfg.min_event_len)
-        audit = audit_dataset([m for _, m in videos], threshold)
+        audit = audit_dataset(load_masks(manifest), threshold)
         _emit(emit_audit(audit, args.format), args.out)
     elif args.command == "frame-metrics":
         videos = load_videos(manifest)
@@ -140,12 +139,12 @@ def _run(args: argparse.Namespace) -> int:
                   for s, _ in videos}
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "event-metrics":
-        videos = load_videos(manifest)
+        masks = load_masks(manifest)
         pred = load_events_json(args.pred)
-        for _, mask in videos:
+        for mask in masks:
             if mask.video_id in pred:
                 events_within(pred[mask.video_id], len(mask))
-        gt = [mask_to_events(m) for _, m in videos]
+        gt = [mask_to_events(m) for m in masks]
         metrics = multi_threshold_eval(gt, list(pred.values()),
                                        cfg.tiou_thresholds)
         _emit(emit_event_metrics(metrics, args.format), args.out)
@@ -154,19 +153,16 @@ def _run(args: argparse.Namespace) -> int:
         if tau is None:
             raise ValidationError(
                 "fuse needs --tau or a config with fixed_tau")
-        entries = sorted(manifest.videos, key=lambda e: e.video_id)
-        # a clip's length is its mask's; the scores are never read
-        lens = {e.video_id: len(load_mask(e.mask_path, e.video_id))
-                for e in entries}
+        branch = {e.video_id: e.branch_errors_path for e in manifest.videos}
         events = {}
-        for entry in entries:
-            vid, path = entry.video_id, entry.branch_errors_path
+        for mask in load_masks(manifest):
+            vid, path = mask.video_id, branch[mask.video_id]
             if path is None:
                 raise ValidationError(f"video {vid!r} has no branch_errors "
                                       "file in the manifest")
-            windows = load_window_scores(path)
+            windows = load_branch_errors(path)
             try:
-                events[vid] = mark_windows(*windows, float(tau), lens[vid],
+                events[vid] = mark_windows(*windows, float(tau), len(mask),
                                            vid)
             except WindowOutOfRange as exc:
                 exc.args = (f"{exc} | video_id={vid!r} | path={path}",)

@@ -6,8 +6,8 @@ aligned with the target window, the two error sequences are averaged
 frame-wise, and the fused response is mean-pooled, summed left to right,
 into one window score. Errors are finite and >= 0. Every window scoring
 >= tau marks its frame span, which must lie inside the video; overlapping or
-adjacent spans merge into one event. score_window also takes all windows
-of a video at once as an array, and mark_windows marks them.
+adjacent spans merge into one event. score_window scores all windows of a
+video at once, as the rows of an array, and mark_windows marks them.
 """
 
 from __future__ import annotations
@@ -93,17 +93,12 @@ def pool_event_score(fused: Sequence[float]) -> float:
 
 
 @np.errstate(over="ignore")
-def score_window(window: BranchErrors | np.ndarray) -> float | np.ndarray:
-    """align_center -> fuse_frames -> pool_event_score for one window.
-
-    Given instead a 2-D array whose rows hold 4i errors each (i short,
-    then 3i long), the score of every row, with the same bits.
+def score_window(rows: np.ndarray) -> np.ndarray:
+    """align_center -> fuse_frames -> pool_event_score, with the same bits,
+    for every row of a 2-D array of 4i errors each (i short, then 3i long).
     """
-    if isinstance(window, BranchErrors):
-        aligned = align_center(window.long, window.window_len)
-        return pool_event_score(fuse_frames(window.short, aligned))
-    i = window.shape[1] // 4
-    return _pool((window[:, :i] + window[:, 2 * i:3 * i]) / 2.0)
+    i = rows.shape[1] // 4
+    return _pool((rows[:, :i] + rows[:, 2 * i:3 * i]) / 2.0)
 
 
 def mark_windows(starts: np.ndarray, lengths: np.ndarray,

@@ -391,17 +391,12 @@ def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
     return FrameMask._of(video_id, labels)
 
 
-def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
-    """Target starts, window lengths and scores of a record-per-window
-    branch error file, in file order.
-
-    Each non-comment line is whitespace-separated numbers: target_start,
-    window_len i, then 4i error values (the i short-branch values followed
-    by the 3i long-branch values). Each line is checked as a BranchErrors
-    and scored by score_window. The starts and lengths take no dtype, so a
-    start past int64 stays a Python int for mark_windows' range check.
+def _branch_errors_from_lines(path: Path) -> tuple[np.ndarray, ...]:
+    """The line parser for branch-error files: every accepted variant, and
+    every error with its line. Each line is checked as a BranchErrors and
+    scored as a one-row score_window. The starts and lengths take no dtype,
+    so a start past int64 stays a Python int for mark_windows' range check.
     """
-    path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
     starts, lengths, scores = [], [], []
@@ -425,15 +420,14 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
                     f"window of length {i} needs {4 * i} values (short then "
                     f"long), got {len(values)} | path={path}:{lineno}")
             try:
-                window = BranchErrors(short=tuple(values[:i]),
-                                      long=tuple(values[i:]), window_len=i,
-                                      target_start=start)
+                BranchErrors(short=tuple(values[:i]), long=tuple(values[i:]),
+                             window_len=i, target_start=start)
             except EventEvalError as exc:
                 exc.args = (f"{exc} | path={path}:{lineno}",)
                 raise
             starts.append(start)
             lengths.append(i)
-            scores.append(score_window(window))
+            scores.append(score_window(np.array([values]))[0])
     if not starts:
         raise ParseError(str(path), None, "file contains no windows")
     return np.array(starts), np.array(lengths), np.array(scores)
@@ -447,9 +441,9 @@ _BRANCH_LINES = re.compile(rb"(?:[0-9]{1,15} [0-9]{1,15} [^\n]*\n)+")
 _BRANCH_SPACING = re.compile(rb" [ \n]")   # an empty field
 
 
-def _fast_window_scores(path: Path) -> tuple[np.ndarray, ...] | None:
-    """load_window_scores of a canonical file whose windows all have one
-    length i >= 1 and finite errors >= 0, or None."""
+def _fast_branch_errors(path: Path) -> tuple[np.ndarray, ...] | None:
+    """The arrays of a canonical file whose windows all have one length
+    i >= 1 and finite errors >= 0, or None."""
     data = _read_bytes(path)
     if (data is None or data.translate(None, _BRANCH_BYTES)
             or _BRANCH_SPACING.search(data)
@@ -468,12 +462,18 @@ def _fast_window_scores(path: Path) -> tuple[np.ndarray, ...] | None:
             score_window(rows[:, 2:]))
 
 
-def load_window_scores(path: str | Path) -> tuple[np.ndarray, ...]:
-    """The arrays of load_branch_errors. Canonical files (see _BRANCH_LINES)
-    are read by one np.loadtxt call; every other file, and every error, goes
-    through the line parser."""
+def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
+    """Target starts, window lengths and scores of a record-per-window
+    branch error file, in file order.
+
+    Each non-comment line is whitespace-separated numbers: target_start,
+    window_len i, then 4i error values (the i short-branch values followed
+    by the 3i long-branch values). Canonical files (see _BRANCH_LINES) are
+    read by one np.loadtxt call; every other file, and every error, goes
+    through the line parser.
+    """
     path = Path(path)
-    return _fast_window_scores(path) or load_branch_errors(path)
+    return _fast_branch_errors(path) or _branch_errors_from_lines(path)
 
 
 def _load_json_object(path: Path) -> dict:
@@ -551,18 +551,25 @@ def _reraise_with_video(exc: EventEvalError, video_id: str) -> None:
     raise exc
 
 
+def _by_video_id(manifest: Manifest) -> list[ManifestEntry]:
+    """The manifest's entries in video_id order, in which all are read."""
+    return sorted(manifest.videos, key=lambda e: e.video_id)
+
+
 def load_videos(manifest: Manifest) -> list[tuple[ScoreSequence, FrameMask]]:
     """Load and cross-validate every (scores, mask) pair, sorted by video_id."""
     videos = []
-    for entry in sorted(manifest.videos, key=lambda e: e.video_id):
+    for entry in _by_video_id(manifest):
         scores = load_scores(entry.scores_path, entry.video_id)
         mask = load_mask(entry.mask_path, entry.video_id)
-        try:
-            validate_pair(scores, mask)
-        except EventEvalError as exc:
-            _reraise_with_video(exc, entry.video_id)
+        validate_pair(scores, mask)
         videos.append((scores, mask))
     return videos
+
+
+def load_masks(manifest: Manifest) -> list[FrameMask]:
+    """Load every mask, sorted by video_id; no scores file is opened."""
+    return [load_mask(e.mask_path, e.video_id) for e in _by_video_id(manifest)]
 
 
 def predict_at_taus(scores: ScoreSequence, taus: Sequence[float],

@@ -1,7 +1,7 @@
 """Score/mask CSV and branch-error loading: the vectorized path against
 the line parser.
 
-load_scores, load_mask and load_window_scores parse canonical files with
+load_scores, load_mask and load_branch_errors parse canonical files with
 numpy and send every other file to the line parser. The vectorized path
 must accept a subset of what the line parser accepts and give bit-identical
 values on it; on every other input the line parser's values or error (type
@@ -656,12 +656,13 @@ def _window_bits(columns) -> tuple:
 
 
 def assert_branch_same_as_line_parser(path: Path) -> None:
-    """load_window_scores gives the line parser's arrays, or its error;
+    """load_branch_errors gives the line parser's arrays, or its error;
     and neither path warns."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _outcome(lambda: _window_bits(io_mod.load_window_scores(path)))
-        want = _outcome(lambda: _window_bits(load_branch_errors(path)))
+        got = _outcome(lambda: _window_bits(load_branch_errors(path)))
+        want = _outcome(lambda: _window_bits(
+            io_mod._branch_errors_from_lines(path)))
     assert got == want
     assert [str(w.message) for w in caught] == []
 
@@ -726,7 +727,7 @@ BRANCH_VARIANTS = [
 def test_branch_variants_take_the_line_parser(tmp_path, body):
     path = tmp_path / "b.txt"
     path.write_bytes(body)
-    assert io_mod._fast_window_scores(path) is None
+    assert io_mod._fast_branch_errors(path) is None
     assert_branch_same_as_line_parser(path)
 
 
@@ -741,7 +742,7 @@ def test_branch_variants_take_the_line_parser(tmp_path, body):
 def test_canonical_branch_variants_take_the_vectorized_path(tmp_path, body):
     path = tmp_path / "b.txt"
     path.write_bytes(body)
-    assert io_mod._fast_window_scores(path) is not None
+    assert io_mod._fast_branch_errors(path) is not None
     assert_branch_same_as_line_parser(path)
 
 
@@ -773,9 +774,10 @@ def test_canonical_branch_files_are_bit_identical_property(tmp_path, i,
     path = tmp_path / "b.txt"
     path.write_bytes("".join(f"{start} {i} {' '.join(values)}\n"
                              for start, values in rows).encode())
-    fast = io_mod._fast_window_scores(path)
+    fast = io_mod._fast_branch_errors(path)
     assert fast is not None
-    assert _window_bits(fast) == _window_bits(load_branch_errors(path))
+    assert _window_bits(fast) == _window_bits(
+        io_mod._branch_errors_from_lines(path))
     assert _window_bits(fast) == _window_bits((
         np.array([start for start, _ in rows]), np.full(len(rows), i),
         [_left_to_right_score([float(v) for v in values], i)
@@ -791,7 +793,7 @@ def test_fuse_takes_vectorized_path_for_canonical_files(tmp_path,
     _write_manifest(tmp_path, b"frame,score\n" + b"".join(
         b"%d,0.5\n" % t for t in range(8)), b"frame,label\n" + b"".join(
         b"%d,0\n" % t for t in range(8)), "branch_errors: b.txt\n")
-    monkeypatch.setattr(io_mod, "load_branch_errors", lambda path:
+    monkeypatch.setattr(io_mod, "_branch_errors_from_lines", lambda path:
                         pytest.fail("the line parser was called"))
     assert main(["fuse", str(tmp_path / "manifest.txt"), "--tau",
                  "0.5"]) == 0

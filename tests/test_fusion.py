@@ -37,9 +37,14 @@ def mark(triples, tau, video_len, video_id=""):
                         video_id)
 
 
+def row_score(w):
+    """score_window of one BranchErrors, as a one-row array."""
+    return score_window(np.array([w.short + w.long]))[0]
+
+
 def mark_scored(windows, tau, video_len, video_id=""):
-    """score_window, then mark_windows, over BranchErrors."""
-    return mark([(w.target_start, w.window_len, score_window(w))
+    """row_score, then mark_windows, over BranchErrors."""
+    return mark([(w.target_start, w.window_len, row_score(w))
                  for w in windows], tau, video_len, video_id)
 
 
@@ -116,8 +121,7 @@ def test_pool_event_score_sums_left_to_right():
     assert math.fsum(fused) != 1.0
     assert pool_event_score(fused) == 1.0 / 3
     w = branch(fused, [0.0] * 3 + fused + [0.0] * 3)
-    assert score_window(w) == 1.0 / 3
-    assert score_window(np.array([w.short + w.long]))[0] == 1.0 / 3
+    assert row_score(w) == 1.0 / 3
 
 
 def test_score_window_of_rows_matches_per_window_bits():
@@ -125,7 +129,9 @@ def test_score_window_of_rows_matches_per_window_bits():
     for i in (1, 2, 7, 16, 40):
         errors = rng.uniform(0, 3, size=(25, 4 * i)) ** 3
         got = score_window(errors)
-        want = [score_window(branch(row[:i], row[i:])) for row in errors]
+        want = [pool_event_score(fuse_frames(row[:i],
+                                             align_center(row[i:], i)))
+                for row in errors]
         assert got.tolist() == want
 
 
@@ -145,7 +151,7 @@ def test_score_window_composition():
     i = 8
     w = branch(rng.uniform(0, 2, size=i), rng.uniform(0, 2, size=3 * i))
     aligned = align_center(w.long, i)
-    assert score_window(w) == pool_event_score(fuse_frames(w.short, aligned))
+    assert row_score(w) == pool_event_score(fuse_frames(w.short, aligned))
 
 
 def test_windows_to_events_marking_and_merge():

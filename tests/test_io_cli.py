@@ -18,7 +18,11 @@ from event_eval.errors import (
     ParseError,
     ValidationError,
 )
-from event_eval.fusion import BranchErrors, score_window
+from event_eval.fusion import (
+    align_center,
+    fuse_frames,
+    pool_event_score,
+)
 from event_eval.io import (
     config_from_dict,
     config_to_dict,
@@ -163,10 +167,9 @@ def test_load_branch_errors(tmp_path):
     path = write(tmp_path / "b.txt", "# comment\n\n" + line + "\n")
     starts, lengths, scores = load_branch_errors(path)
     assert starts.tolist() == [4] and lengths.tolist() == [i]
-    window = BranchErrors(short=(0.1, 0.2),
-                          long=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
-                          window_len=i, target_start=4)
-    assert scores.tolist() == [score_window(window)]
+    short, long = (0.1, 0.2), (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+    assert scores.tolist() == [pool_event_score(
+        fuse_frames(short, align_center(long, i)))]
     assert scores[0] == pytest.approx((0.1 + 0.5 + 0.2 + 0.6) / 4)
 
 
@@ -180,11 +183,8 @@ def test_load_branch_errors_scores_each_line_as_score_window(tmp_path):
         for start, v in rows))
     starts, lengths, scores = load_branch_errors(path)
     assert starts.tolist() == [0, 7, 3] and lengths.tolist() == [1, 2, 3]
-    want = [score_window(BranchErrors(short=tuple(v[:len(v) // 4]),
-                                      long=tuple(v[len(v) // 4:]),
-                                      window_len=len(v) // 4,
-                                      target_start=start))
-            for start, v in rows]
+    want = [pool_event_score(fuse_frames(v[:i], align_center(v[i:], i)))
+            for (_, v), i in zip(rows, (1, 2, 3))]
     assert scores.view(np.uint64).tolist() == \
         np.array(want).view(np.uint64).tolist()
 
@@ -382,27 +382,45 @@ def test_cli_fuse(tmp_path, capsysbinary):
     assert events == {"v": [[i, 3 * i - 1]]}
 
 
+# subcommands that open only the masks: a scores file must exist, and is
+# never read
+MASK_ONLY = ["fuse", "audit", "event-metrics"]
+
+
+def mask_only_argv(tmp_path: Path, command: str) -> list[str]:
+    """argv running one MASK_ONLY subcommand on fuse_fixture."""
+    manifest = str(fuse_fixture(tmp_path))
+    if command == "fuse":
+        return ["fuse", manifest, "--tau", "0.5"]
+    if command == "audit":
+        return ["audit", manifest]
+    pred = write(tmp_path / "pred.json", '{"v": [[8, 23]]}')
+    return ["event-metrics", manifest, "--pred", str(pred)]
+
+
 @pytest.mark.parametrize("scores_text", [
     "not,a\nscores file\n",
     scores_csv([0.1] * 5),  # 5 frames against a 32-frame mask
     "frame,score\n0,nan\n",
 ])
-def test_cli_fuse_reads_lengths_from_masks_only(tmp_path, capsysbinary,
-                                                scores_text):
-    manifest = str(fuse_fixture(tmp_path))
-    assert main(["fuse", manifest, "--tau", "0.5"]) == 0
+@pytest.mark.parametrize("command", MASK_ONLY)
+def test_cli_reads_masks_only(tmp_path, capsysbinary, command, scores_text):
+    argv = mask_only_argv(tmp_path, command)
+    assert main(argv) == 0
     want = capsysbinary.readouterr().out
     write(tmp_path / "s.csv", scores_text)
-    assert main(["fuse", manifest, "--tau", "0.5"]) == 0
+    assert main(argv) == 0
     assert capsysbinary.readouterr().out == want
 
 
-def test_cli_fuse_never_loads_scores(tmp_path, capsysbinary, monkeypatch):
+@pytest.mark.parametrize("command", MASK_ONLY)
+def test_cli_never_loads_scores(tmp_path, capsysbinary, monkeypatch,
+                                command):
     def fail(*args, **kwargs):
-        raise AssertionError("fuse loaded a scores file")
+        raise AssertionError(f"{command} loaded a scores file")
 
     monkeypatch.setattr("event_eval.io.load_scores", fail)
-    assert main(["fuse", str(fuse_fixture(tmp_path)), "--tau", "0.5"]) == 0
+    assert main(mask_only_argv(tmp_path, command)) == 0
 
 
 @pytest.mark.parametrize("mask_text,code,message", [
@@ -410,20 +428,22 @@ def test_cli_fuse_never_loads_scores(tmp_path, capsysbinary, monkeypatch):
     ("frame,label\n0,0\n1,2\n", 1, "label at frame 1 is not 0 or 1 | "
                                     "video_id='v' | path="),
 ])
-def test_cli_fuse_still_checks_masks(tmp_path, capsysbinary, mask_text,
-                                     code, message):
-    manifest = str(fuse_fixture(tmp_path))
+@pytest.mark.parametrize("command", MASK_ONLY)
+def test_cli_still_checks_masks(tmp_path, capsysbinary, mask_text, code,
+                                message, command):
+    argv = mask_only_argv(tmp_path, command)
     write(tmp_path / "m.csv", mask_text)
-    assert main(["fuse", manifest, "--tau", "0.5"]) == code
+    assert main(argv) == code
     err = capsysbinary.readouterr().err.decode()
     assert err.startswith("error: ") and message in err
 
 
-def test_cli_fuse_missing_scores_file_is_an_io_error(tmp_path,
-                                                     capsysbinary):
-    manifest = str(fuse_fixture(tmp_path))
+@pytest.mark.parametrize("command", MASK_ONLY)
+def test_cli_missing_scores_file_is_an_io_error(tmp_path, capsysbinary,
+                                                command):
+    argv = mask_only_argv(tmp_path, command)
     (tmp_path / "s.csv").unlink()
-    assert main(["fuse", manifest, "--tau", "0.5"]) == 2
+    assert main(argv) == 2
     assert "s.csv" in capsysbinary.readouterr().err.decode()
 
 
