@@ -9,6 +9,7 @@ skips the checks. Frame indexing is 0-based and event intervals are closed
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -201,6 +202,15 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number that is finite as a float: an int too large for a
+    float is not."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_tiou_thresholds(thresholds: Sequence[float]) -> None:
     """At least one tIoU threshold, each a number in (0, 1], none repeated."""
     if not thresholds:
@@ -218,8 +228,8 @@ class EvalConfig:
     """All pipeline knobs, with the documented defaults.
 
     vote_stride must not exceed vote_window so every frame receives a vote
-    decision, and sigma_max must not exceed MAX_SIGMA. A FIXED strategy
-    requires fixed_tau.
+    decision, and sigma_max must not exceed MAX_SIGMA. fixed_tau is None or
+    a finite number, and a FIXED strategy requires it.
     """
 
     sigma_max: int = 5
@@ -265,13 +275,12 @@ class EvalConfig:
         if not (_is_real(self.hprs_beta) and 0 < self.hprs_beta < np.inf):
             raise ValidationError(f"hprs_beta must be positive and finite, "
                                   f"got {self.hprs_beta!r}")
-        if self.fixed_tau is not None and not _is_real(self.fixed_tau):
-            raise ValidationError(
-                f"fixed_tau must be a number, got {self.fixed_tau!r}")
-        if self.threshold_strategy is ThresholdStrategy.FIXED:
-            if self.fixed_tau is None or not np.isfinite(self.fixed_tau):
-                raise ValidationError("FIXED strategy requires a finite "
-                                      "fixed_tau")
+        if self.fixed_tau is not None and not _is_finite(self.fixed_tau):
+            raise ValidationError("fixed_tau must be a finite number or null, "
+                                  f"got {self.fixed_tau!r}")
+        if (self.threshold_strategy is ThresholdStrategy.FIXED
+                and self.fixed_tau is None):
+            raise ValidationError("FIXED strategy requires fixed_tau")
 
 
 def _check_unit(name: str, value: float) -> None:

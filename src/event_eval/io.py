@@ -201,12 +201,14 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(dataset_name=dataset_name, videos=tuple(entries))
 
 
-def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
-    """Read a headered two-column CSV, enforcing consecutive frame indices."""
+def _read_csv_column(path: str | Path,
+                     value_header: str) -> list[tuple[int, str]]:
+    """Read a headered two-column CSV, enforcing consecutive frame indices;
+    each value comes with its row's first line, the line its errors name."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
-    values: list[str] = []
+    values: list[tuple[int, str]] = []
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -214,7 +216,9 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
                                                              value_header]:
             raise ParseError(str(path), 1,
                              f"expected header 'frame,{value_header}'")
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num   # the last line read
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != 2:
@@ -229,7 +233,7 @@ def _read_csv_column(path: str | Path, value_header: str) -> list[str]:
                 raise ParseError(str(path), lineno,
                                  f"frame indices must be consecutive from 0; "
                                  f"expected {len(values)}, got {frame}")
-            values.append(row[1])
+            values.append((lineno, row[1]))
     if not values:
         raise ParseError(str(path), None, "file contains no frames")
     return values
@@ -296,13 +300,12 @@ def _fast_scores(path: Path) -> np.ndarray | None:
     """Scores of a canonical, all-finite 'frame,score' CSV, or None.
 
     Canonical: the exact header, then one 'frame,value' line per frame, each
-    ending in '\\n', with no CR; the frames count 0..n-1 in 1-18 ASCII
-    digits, checked against the frame column and, past leading zeros, one
-    int() at a time. Each value goes through float(), the line parser's own
-    converter, so the scores are the line parser's, bit for bit. A quote
-    makes float() or the frame check fail, so csv quoting never splits a
-    line differently. Lines are split in blocks of about _BLOCK bytes, which
-    bounds the temporary bytes and float objects on long clips.
+    ending in '\\n', with no CR; the frames are those of the frame column,
+    0..n-1 without leading zeros. Each value goes through float(), the line
+    parser's own converter, so the scores are the line parser's, bit for
+    bit. A quote makes float() or the frame check fail, so csv quoting never
+    splits a line differently. Lines are split in blocks of about _BLOCK
+    bytes, which bounds the temporary bytes and float objects on long clips.
     """
     data, n = _headed_lines(path, _SCORE_HEADER)
     if n < 1:
@@ -318,15 +321,11 @@ def _fast_scores(path: Path) -> np.ndarray | None:
         if seps != b",\n" * (len(seps) // 2):
             return None
         fields = lines.replace(b",", b"\n").split(b"\n")
-        frames, values = fields[:-1:2], fields[1::2]
+        values = fields[1::2]
         joined = b"\n".join(fields[0::2])   # 'f0\n...\n': the last is b""
-        if pos >= 0 and column.startswith(joined, pos):
-            pos += len(joined)
-        elif (all(f.isdigit() and len(f) <= 18 for f in frames)
-              and list(map(int, frames)) == list(range(k, k + len(frames)))):
-            pos = -1   # leading zeros: no column offset from here on
-        else:
+        if not column.startswith(joined, pos):
             return None
+        pos += len(joined)
         try:
             scores[k:k + len(values)] = np.fromiter(map(float, values),
                                                     np.float64, len(values))
@@ -339,13 +338,12 @@ def _fast_scores(path: Path) -> np.ndarray | None:
 def _scores_from_lines(path: Path, video_id: str) -> list[float]:
     """The line parser for 'frame,score' CSVs: every accepted variant, and
     every error with its line."""
-    raw = _read_csv_column(path, "score")
     scores: list[float] = []
-    for i, text in enumerate(raw):
+    for i, (lineno, text) in enumerate(_read_csv_column(path, "score")):
         try:
             value = float(text)
         except ValueError:
-            raise ParseError(str(path), i + 2,
+            raise ParseError(str(path), lineno,
                              f"score {text!r} is not a number")
         if not math.isfinite(value):
             raise NonFiniteScore(i, video_id=video_id, path=str(path))
@@ -355,9 +353,8 @@ def _scores_from_lines(path: Path, video_id: str) -> list[float]:
 
 def _labels_from_lines(path: Path, video_id: str) -> list[int]:
     """The line parser for 'frame,label' CSVs."""
-    raw = _read_csv_column(path, "label")
     labels: list[int] = []
-    for i, text in enumerate(raw):
+    for i, (_, text) in enumerate(_read_csv_column(path, "label")):
         if text.strip() not in ("0", "1"):
             raise NonBinaryLabel(i, video_id=video_id, path=str(path))
         labels.append(int(text))
@@ -544,13 +541,6 @@ def load_config(path: str | Path) -> EvalConfig:
 # evaluation orchestration
 
 
-def _reraise_with_video(exc: EventEvalError, video_id: str) -> None:
-    marker = f"video_id={video_id!r}"
-    if marker not in str(exc):
-        exc.args = (f"{exc} | {marker}",)
-    raise exc
-
-
 def _by_video_id(manifest: Manifest) -> list[ManifestEntry]:
     """The manifest's entries in video_id order, in which all are read."""
     return sorted(manifest.videos, key=lambda e: e.video_id)
@@ -611,10 +601,7 @@ def event_metrics_at_taus(videos: Sequence[tuple[ScoreSequence, FrameMask]],
     """
     gt_all, preds_all = [], []
     for scores, mask in videos:
-        try:
-            preds_all.append(predict_at_taus(scores, taus, cfg, mode))
-        except EventEvalError as exc:
-            _reraise_with_video(exc, scores.video_id)
+        preds_all.append(predict_at_taus(scores, taus, cfg, mode))
         gt_all.append(mask_to_events(mask))
     return [multi_threshold_eval(gt_all, [preds[k] for preds in preds_all],
                                  cfg.tiou_thresholds)

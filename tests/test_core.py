@@ -185,6 +185,9 @@ def test_config_defaults_are_valid():
     {"tiou_thresholds": 0.3},
     {"threshold_strategy": "fixed", "fixed_tau": "x"},
     {"sigma_max": 65},  # past MAX_SIGMA
+    {"fixed_tau": math.nan},  # non-finite, whatever the strategy
+    {"fixed_tau": math.inf},
+    {"threshold_strategy": "hprs", "fixed_tau": -math.inf},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):

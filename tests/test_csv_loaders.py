@@ -177,7 +177,6 @@ def test_adversarial_bodies_match_line_parser(tmp_path, kind, body):
 
 @pytest.mark.parametrize("body", [
     b"frame,score\n0,0.5\n1,0.25\n",
-    b"frame,score\n00,0.5\n01,0.25\n",
     b"frame,score\n0,-0\n1,1.\n2,.5\n3,+.5e-3\n4,1E5\n5,-7\n6,1e-400\n",
     b"frame,score\n0,0.100000000000000005551115123126\n",  # 32 bytes
     b"frame,score\n0,0." + b"1" * 60 + b"\n",  # 62 bytes
@@ -317,6 +316,24 @@ def test_canonical_scores_are_bit_identical_property(tmp_path, values):
     assert_same_as_line_parser(path, "score")
 
 
+@pytest.mark.parametrize("loader,body,line", [
+    (load_scores, b"frame,score\n0,0.5\n\n1,abc\n", 4),  # past a blank line
+    (load_scores, b'frame,score\n0,"0.5\n"\n2,0.3\n', 4),  # past a 2-line row
+    (load_scores, b'frame,score\n0,"0.5\n"\nx,0.3\n', 4),
+    (load_scores, b'frame,score\n0,"0.5\n"\n1,0.3,7\n', 4),
+    (load_scores, b'frame,score\n0,0.5\n1,"0\n.5"\n', 3),  # the row's first
+    (load_mask, b'frame,label\n0,"1\n"\n2,1\n', 4),
+])
+def test_line_parser_errors_name_the_rows_first_line(tmp_path, loader, body,
+                                                     line):
+    path = tmp_path / "v.csv"
+    path.write_bytes(body)
+    with pytest.raises(ParseError) as exc:
+        loader(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{path}:{line}: ")
+
+
 # ---------------------------------------------------------------------------
 # the vectorized path is the one taken
 
@@ -371,7 +388,7 @@ def test_canonical_scores_peak_memory_is_a_small_multiple_of_the_file(
     assert peak <= 3 * path.stat().st_size
 
 
-@pytest.mark.parametrize("frame", [b"0.0", b"0e0", b"-0", b"9" * 19])
+@pytest.mark.parametrize("frame", [b"0.0", b"0e0", b"-0", b"9" * 19, b"00"])
 def test_non_digit_or_long_frames_never_reach_loadtxt(tmp_path, monkeypatch,
                                                      frame):
     # numpy releases with the deprecated int-via-float fallback would warn

@@ -523,6 +523,19 @@ def test_cli_sigma_max_past_cap_exits_1(tmp_path, capsysbinary):
         "error: sigma_max must be at most 64, got 65"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_cli_non_finite_fixed_tau_exits_1(tmp_path, capsysbinary, fmt):
+    manifest = str(perfect_fixture(tmp_path))
+    config = write(tmp_path / "cfg.json", '{"fixed_tau": NaN}')
+    assert main(["--config", str(config), "--format", fmt, "evaluate",
+                 manifest]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    err = captured.err.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "fixed_tau" in err[0]
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
 def test_cli_refine_rejects_non_finite_tau(tmp_path, capsysbinary, tau):
     manifest = str(perfect_fixture(tmp_path))
