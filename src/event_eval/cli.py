@@ -26,7 +26,7 @@ from .io import (
     load_manifest,
     load_masks,
     load_videos,
-    predict_at_taus,
+    predict_videos,
     run_evaluation,
 )
 from .matching import multi_threshold_eval
@@ -135,8 +135,7 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "refine":
         videos = load_videos(manifest)
         tau = _derive_tau(videos, cfg, args.tau)
-        events = {s.video_id: predict_at_taus(s, (tau,), cfg, args.mode)[0]
-                  for s, _ in videos}
+        events = predict_videos(videos, tau, cfg, args.mode)
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "event-metrics":
         masks = load_masks(manifest)

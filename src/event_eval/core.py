@@ -228,8 +228,9 @@ class EvalConfig:
     """All pipeline knobs, with the documented defaults.
 
     vote_stride must not exceed vote_window so every frame receives a vote
-    decision, and sigma_max must not exceed MAX_SIGMA. fixed_tau is None or
-    a finite number, and a FIXED strategy requires it.
+    decision, and sigma_max must not exceed MAX_SIGMA. hprs_beta is positive
+    with a finite square. fixed_tau is None or a finite number, and a FIXED
+    strategy requires it.
     """
 
     sigma_max: int = 5
@@ -272,9 +273,12 @@ class EvalConfig:
         if any(b < a for a, b in zip(self.tiou_thresholds,
                                      self.tiou_thresholds[1:])):
             raise ValidationError("tiou_thresholds must be strictly ascending")
-        if not (_is_real(self.hprs_beta) and 0 < self.hprs_beta < np.inf):
-            raise ValidationError(f"hprs_beta must be positive and finite, "
-                                  f"got {self.hprs_beta!r}")
+        beta = self.hprs_beta
+        # F-beta weighs precision by beta * beta, which must stay finite
+        if not (_is_finite(beta) and beta > 0
+                and math.isfinite(float(beta) * float(beta))):
+            raise ValidationError("hprs_beta must be positive with a finite "
+                                  f"square, got {beta!r}")
         if self.fixed_tau is not None and not _is_finite(self.fixed_tau):
             raise ValidationError("fixed_tau must be a finite number or null, "
                                   f"got {self.fixed_tau!r}")

@@ -3,7 +3,8 @@
 An event is a maximal run of consecutive anomalous frames; a run touching
 the end of the video closes at the final frame. The refinement pipeline is
 smoothing -> binarize -> windowed majority vote -> run extraction -> short
-event filter, in that order.
+event filter, in that order. Each stage runs over clips laid end to end,
+given by their bounds; the one-clip functions call it with one clip.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .core import (
     events_within,
 )
 from .errors import InvalidWindow, ValidationError
-from .smoothing import hierarchical_smooth
+from .smoothing import smooth_clips
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,25 @@ class AuditReport:
             raise ValidationError("anomalous frames present but no events")
 
 
+def clip_runs(labels: np.ndarray,
+              bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and ends of the maximal runs of 1s of each clip
+    labels[bounds[c]:bounds[c + 1]], as indices into labels; no run spans
+    two clips."""
+    first, last = bounds[:-1], bounds[1:] - 1
+    rise = np.empty(labels.size, bool)
+    rise[1:] = labels[1:] > labels[:-1]
+    rise[first] = labels[first]
+    fall = np.empty(labels.size, bool)
+    fall[:-1] = labels[:-1] > labels[1:]
+    fall[last] = labels[last]
+    return np.flatnonzero(rise), np.flatnonzero(fall)
+
+
 def mask_to_events(mask: FrameMask) -> EventSet:
     """Decompose a mask into maximal runs of 1s."""
-    # in the zero-padded mask, rises and falls alternate
-    padded = np.concatenate([[0], mask.as_array(), [0]])
-    edges = np.flatnonzero(np.diff(padded))
-    return EventSet._of(mask.video_id, edges[0::2], edges[1::2] - 1)
+    return EventSet._of(mask.video_id, *clip_runs(
+        mask.as_array(), np.array([0, len(mask)])))
 
 
 def events_to_mask(events: EventSet, n: int) -> FrameMask:
@@ -71,6 +85,37 @@ def binarize(scores: ScoreSequence, tau: float) -> FrameMask:
     return FrameMask._of(scores.video_id, scores.as_array() >= tau)
 
 
+def clip_vote(labels: np.ndarray, bounds: np.ndarray, window: int,
+              stride: int) -> np.ndarray:
+    """majority_vote_refine of each clip labels[bounds[c]:bounds[c + 1]], in
+    one pass, with the window clamped to each clip's length n and the
+    stride to that window: min(window, n) and min(stride, min(window, n))."""
+    # below 2**30 frames, int32 positions halve the per-window arrays; no
+    # value below exceeds twice the frame count
+    bounds = bounds.astype(np.int32 if bounds[-1] < 2**30 else np.int64)
+    lens = np.diff(bounds)
+    longest = int(lens.max())   # clamped first: the config's ints are unbounded
+    win = np.minimum(min(window, longest), lens)
+    step = np.minimum(min(stride, longest), win)
+    count = -(-lens // step)   # windows per clip
+    # window g of clip c starts at bounds[c] + (g - first window of c) * step
+    starts = np.arange(count.sum(), dtype=bounds.dtype)
+    starts -= np.repeat(np.cumsum(count) - count, count)
+    starts *= np.repeat(step, count)
+    starts += np.repeat(bounds[:-1], count)
+    stops = starts + np.repeat(win, count)
+    np.minimum(stops, np.repeat(bounds[1:], count), out=stops)
+    ones = np.zeros(labels.size + 1, bounds.dtype)   # 1s before each frame
+    np.cumsum(labels, out=ones[1:])
+    votes = ones[stops]
+    votes -= ones[starts]
+    del ones
+    votes *= 2
+    stops -= starts
+    # each window fills the frames up to the next window's or clip's start
+    return np.repeat(votes >= stops, np.diff(starts, append=bounds[-1]))
+
+
 def majority_vote_refine(mask: FrameMask, window: int,
                          stride: int) -> FrameMask:
     """Stabilize a mask by windowed majority voting.
@@ -86,12 +131,8 @@ def majority_vote_refine(mask: FrameMask, window: int,
         raise InvalidWindow(
             f"need 1 <= stride <= window <= mask length, got stride={stride}"
             f" window={window} length={n}")
-    # labels are uint8: widen before summing
-    ones = np.concatenate(([0], np.cumsum(mask.as_array(), dtype=np.int64)))
-    starts = np.arange(0, n, stride)
-    ends = np.minimum(starts + window, n)
-    decision = 2 * (ones[ends] - ones[starts]) >= ends - starts
-    return FrameMask._of(mask.video_id, np.repeat(decision, stride)[:n])
+    return FrameMask._of(mask.video_id, clip_vote(
+        mask.as_array(), np.array([0, n]), window, stride))
 
 
 def filter_short_events(events: EventSet, d_min: int) -> EventSet:
@@ -103,29 +144,26 @@ def filter_short_events(events: EventSet, d_min: int) -> EventSet:
                         events.ends[keep])
 
 
-def refine_smoothed(smoothed: ScoreSequence, tau: float,
-                    cfg: EvalConfig) -> EventSet:
-    """The tau-dependent tail of the refinement for one smoothed video.
-
-    binarize at tau -> majority_vote_refine -> mask_to_events ->
-    filter_short_events. On a clip shorter than the vote window, the window
-    is clamped to the clip length and the stride to that window, so a short
-    clip is voted on rather than rejected.
-    """
-    mask = binarize(smoothed, tau)
-    window = min(cfg.vote_window, len(mask))
-    voted = majority_vote_refine(mask, window, min(cfg.vote_stride, window))
-    return filter_short_events(mask_to_events(voted), cfg.min_event_len)
+def refine_clips(smoothed: np.ndarray, bounds: np.ndarray, tau: float,
+                 cfg: EvalConfig) -> EventSet:
+    """The tau-dependent tail of the refinement of every clip at once:
+    binarize at tau -> clip_vote -> clip_runs -> filter_short_events. The
+    events are indices into smoothed."""
+    voted = clip_vote(smoothed >= tau, bounds, cfg.vote_window,
+                      cfg.vote_stride)
+    return filter_short_events(EventSet._of("", *clip_runs(voted, bounds)),
+                               cfg.min_event_len)
 
 
 def refine_pipeline(scores: ScoreSequence, tau: float,
                     cfg: EvalConfig) -> EventSet:
-    """Run the full refinement for one video.
-
-    hierarchical_smooth, then refine_smoothed at tau.
-    """
-    return refine_smoothed(hierarchical_smooth(scores, cfg.sigma_max), tau,
-                           cfg)
+    """Run the full refinement for one video: smooth_clips, then
+    refine_clips at tau. A clip shorter than the vote window is voted on
+    with the window clamped to its length, rather than rejected."""
+    bounds = np.array([0, len(scores)])
+    events = refine_clips(smooth_clips(scores.as_array(), bounds,
+                                       cfg.sigma_max), bounds, tau, cfg)
+    return EventSet._of(scores.video_id, events.starts, events.ends)
 
 
 def audit_dataset(masks: list[FrameMask],
@@ -140,13 +178,14 @@ def audit_dataset(masks: list[FrameMask],
     if micro_threshold < 1:
         raise ValidationError(
             f"micro_threshold must be >= 1, got {micro_threshold}")
-    total = sum(len(mask) for mask in masks)
-    durations = np.concatenate([es.ends - es.starts + 1
-                                for es in map(mask_to_events, masks)])
+    bounds = np.cumsum([0, *map(len, masks)])
+    starts, ends = clip_runs(np.concatenate([m.as_array() for m in masks]),
+                             bounds)
+    durations = ends - starts + 1
     anomalous = int(durations.sum())
     count = len(durations)
     return AuditReport(
-        normal_frames=total - anomalous,
+        normal_frames=int(bounds[-1]) - anomalous,
         anomalous_frames=anomalous,
         event_count=count,
         avg_duration_frames=anomalous / count if count else 0.0,

@@ -44,16 +44,10 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .events import (
-    AuditReport,
-    audit_dataset,
-    binarize,
-    mask_to_events,
-    refine_smoothed,
-)
+from .events import AuditReport, audit_dataset, clip_runs, refine_clips
 from .fusion import BranchErrors, score_window
 from .matching import multi_threshold_eval
-from .smoothing import hierarchical_smooth
+from .smoothing import smooth_clips
 from .thresholds import frame_metrics
 
 REFINED = "refined"
@@ -562,19 +556,39 @@ def load_masks(manifest: Manifest) -> list[FrameMask]:
     return [load_mask(e.mask_path, e.video_id) for e in _by_video_id(manifest)]
 
 
-def predict_at_taus(scores: ScoreSequence, taus: Sequence[float],
-                    cfg: EvalConfig, mode: str) -> list[EventSet]:
-    """Per-video predictions at each tau, in order.
+def _end_to_end(videos: Sequence[tuple[ScoreSequence, FrameMask]]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The videos' scores and labels laid end to end, and the clip bounds."""
+    return (np.concatenate([s.as_array() for s, _ in videos]),
+            np.concatenate([m.as_array() for _, m in videos]),
+            np.cumsum([0, *(len(s) for s, _ in videos)]))
 
-    Refined mode smooths once and runs the tau-dependent tail per tau;
-    baseline mode binarizes the raw scores.
-    """
+
+def predict_clips(scores: np.ndarray, bounds: np.ndarray,
+                  taus: Sequence[float], cfg: EvalConfig,
+                  mode: str) -> list[EventSet]:
+    """The events of every clip of scores at each tau, as indices into
+    scores. Refined mode smooths once for all taus; baseline mode binarizes
+    the raw scores."""
     if mode == BASELINE:
-        return [mask_to_events(binarize(scores, tau)) for tau in taus]
+        return [EventSet._of("", *clip_runs(scores >= tau, bounds))
+                for tau in taus]
     if mode == REFINED:
-        smoothed = hierarchical_smooth(scores, cfg.sigma_max)
-        return [refine_smoothed(smoothed, tau, cfg) for tau in taus]
+        smoothed = smooth_clips(scores, bounds, cfg.sigma_max)
+        return [refine_clips(smoothed, bounds, tau, cfg) for tau in taus]
     raise ValidationError(f"unknown mode {mode!r}")
+
+
+def predict_videos(videos: Sequence[tuple[ScoreSequence, FrameMask]],
+                   tau: float, cfg: EvalConfig,
+                   mode: str) -> dict[str, EventSet]:
+    """Each video's predicted events at tau, from one pass over all videos."""
+    scores, _, bounds = _end_to_end(videos)
+    (pred,) = predict_clips(scores, bounds, (tau,), cfg, mode)
+    cut = np.searchsorted(pred.starts, bounds)
+    return {s.video_id: EventSet._of(s.video_id, pred.starts[i:j] - a,
+                                     pred.ends[i:j] - a)
+            for (s, _), a, i, j in zip(videos, bounds, cut, cut[1:])}
 
 
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
@@ -591,44 +605,34 @@ def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
         cfg.hprs_beta)
 
 
-def event_metrics_at_taus(videos: Sequence[tuple[ScoreSequence, FrameMask]],
-                          taus: Sequence[float], cfg: EvalConfig,
-                          mode: str) -> list[EventMetrics]:
-    """Predict every video at each tau and evaluate against its mask's events.
-
-    Each video's ground-truth events and smoothed scores are computed once
-    and shared by all taus.
-    """
-    gt_all, preds_all = [], []
-    for scores, mask in videos:
-        preds_all.append(predict_at_taus(scores, taus, cfg, mode))
-        gt_all.append(mask_to_events(mask))
-    return [multi_threshold_eval(gt_all, [preds[k] for preds in preds_all],
-                                 cfg.tiou_thresholds)
-            for k in range(len(taus))]
-
-
 def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                      tau: float, cfg: EvalConfig, mode: str) -> EventMetrics:
     """Refine every video at tau and evaluate against its mask's events."""
-    (metrics,) = event_metrics_at_taus(videos, (tau,), cfg, mode)
-    return metrics
+    scores, labels, bounds = _end_to_end(videos)
+    (pred,) = predict_clips(scores, bounds, (tau,), cfg, mode)
+    gt = EventSet._of("", *clip_runs(labels, bounds))
+    return multi_threshold_eval([gt], [pred], cfg.tiou_thresholds)
 
 
 def run_evaluation(manifest: Manifest, cfg: EvalConfig,
                    mode: str = REFINED) -> Report:
     """Full protocol: frame metrics, both operating points, event metrics.
 
-    Thresholds are derived once from the concatenated scores, then applied
-    per video. Videos are processed in video_id order, so the report is
-    byte-identical across runs.
+    Thresholds are derived once from the concatenated scores. Every later
+    stage runs once over all videos laid end to end in video_id order, so
+    the report is byte-identical across runs.
     """
     videos = load_videos(manifest)
     frame = compute_frame_metrics(videos, cfg)
-    metrics_eer, metrics_hprs = event_metrics_at_taus(
-        videos, (frame.tau_eer, frame.tau_hprs), cfg, mode)
-    audit = audit_dataset([mask for _, mask in videos],
-                          micro_threshold=cfg.min_event_len)
+    audit = audit_dataset([m for _, m in videos], cfg.min_event_len)
+    scores, labels, bounds = _end_to_end(videos)
+    del videos   # the clips live on in the end-to-end arrays
+    # every clip's events in one EventSet: they never overlap across clips
+    gt = EventSet._of("", *clip_runs(labels, bounds))
+    metrics_eer, metrics_hprs = (
+        multi_threshold_eval([gt], [pred], cfg.tiou_thresholds)
+        for pred in predict_clips(scores, bounds,
+                                  (frame.tau_eer, frame.tau_hprs), cfg, mode))
     return Report(
         frame_metrics=frame,
         event_metrics_eer=metrics_eer,

@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import ScoreSequence
 from .errors import InvalidSigma, ValidationError
 
-_BLOCK = 4096  # rows per product in _smooth_array, a multiple of 4
+_CHUNK = 16384  # frames per group of tap sums in _smooth
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,17 @@ class GaussianKernel:
                 f"weights, got {w.size}")
         if not np.all(w > 0):
             raise ValidationError("kernel weights must be strictly positive")
-        if not np.allclose(w, w[::-1], rtol=0, atol=1e-12):
-            raise ValidationError("kernel weights must be symmetric")
+        if not np.array_equal(w, w[::-1]):
+            raise ValidationError("kernel weights must be exactly symmetric")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValidationError("kernel weights must sum to 1")
 
 
 @functools.lru_cache(maxsize=128)
 def _gaussian_weights(sigma: float, radius: int) -> np.ndarray:
-    offsets = np.arange(-radius, radius + 1, dtype=float)
-    raw = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
+    # math.exp, not np.exp: numpy picks its exp by CPU features
+    raw = np.array([math.exp(-(j * j) / (2.0 * sigma * sigma))
+                    for j in range(-radius, radius + 1)])
     w = raw / raw.sum()
     w[radius] += 1.0 - w.sum()
     w.flags.writeable = False
@@ -75,37 +75,82 @@ def default_radius(sigma: float) -> int:
     return max(1, math.ceil(3.0 * sigma))
 
 
-def _smooth_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convolve a float64 array with kernel weights under reflect padding.
+def _smooth(x: np.ndarray, bounds: np.ndarray, passes) -> np.ndarray:
+    """Convolve each clip x[bounds[c]:bounds[c + 1]] with each weight vector
+    in turn, between the clip's own reflect margins.
 
-    Computed in centered form, out[t] = x[t] + sum_j w_j * (x_pad[t+j] - x[t]),
-    so constant stretches, such as a plateau's frames r or more from its edges,
-    pass through bit-exactly (np.convolve puts a 0.9 plateau just below 0.9).
-    The result is clipped to the input range, which rounding can overshoot by
-    ~1 ulp and an overflowing difference by inf. The product runs over blocks
-    of _BLOCK rows from the clip's first frame: a gemv row's bits depend on its
-    place in groups of 4 rows, and a 1-row product takes another path, so they
-    give one single-threaded product's bits without its (n, 2r+1) matrix.
+    In centered form, summed in one fixed order: out[t] = x[t] + the sum,
+    for j = 1..r left to right, of w[r+j] * ((x[t+j] - x[t]) + (x[t-j] -
+    x[t])). Each step is one correctly rounded elementwise operation, so the
+    bits depend neither on the CPU and the BLAS build nor on _CHUNK or a
+    clip's neighbours, and a constant stretch, such as a plateau's frames r
+    or more from its edges, passes through bit-exactly. Each clip is then
+    clipped to its input range, which rounding can overshoot by ~1 ulp and
+    an overflowing difference by inf; a NaN (inf - inf) becomes its lowest.
     """
-    n, r = x.size, w.size // 2
-    # the periodic mirror index, which also covers r >= n and n == 1
-    edge = np.concatenate((np.arange(-r, 0), np.arange(n, n + r)))
-    edge = (n - 1) - np.abs(edge % max(2 * n - 2, 1) - (n - 1))
-    padded = np.concatenate((x[edge[:r]], x, x[edge[r:]]))
-    windows = as_strided(padded, (n, w.size), 2 * padded.strides)
-    bounds = [0, *range(_BLOCK, n - 1, _BLOCK), n]
-    with np.errstate(over="ignore"):
-        out = np.concatenate([x[a:b] + (windows[a:b] - x[a:b, None]) @ w
-                              for a, b in zip(bounds, bounds[1:])])
-    np.clip(out, x.min(), x.max(), out=out)
+    lens = np.diff(bounds)
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    for w in passes:
+        r = w.size // 2
+        lo = np.minimum.reduceat(x, bounds[:-1])
+        hi = np.maximum.reduceat(x, bounds[:-1])
+        # clip c's body starts at padded[at[c]]; its margins come from the
+        # periodic mirror index, which also covers r >= n and n = 1
+        at = bounds[:-1] + 2 * r * np.arange(lens.size) + r
+        padded = np.empty(x.size + 2 * r * lens.size)
+        for (a, b), p in zip(spans, at.tolist()):
+            padded[p:p + b - a] = x[a:b]
+        off = np.r_[-r:0, 0:r] + np.outer(lens, np.arange(2 * r) >= r)
+        last = lens[:, None] - 1
+        padded[at[:, None] + off] = x[bounds[:-1, None] + last - np.abs(
+            off % np.maximum(2 * last, 1) - last)]
+        del x   # two frame arrays at a time: padded, then out
+        out = _tap_sums(padded, w)
+        del padded
+        x = np.empty(bounds[-1])
+        for c, ((a, b), p) in enumerate(zip(spans, (at - r).tolist())):
+            np.fmin(np.fmax(out[p:p + b - a], lo[c], out=x[a:b]), hi[c],
+                    out=x[a:b])
+        del out
+    return x
+
+
+def _tap_sums(padded: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """padded[r:-r] plus its weighted taps, summed in _smooth's order over
+    _CHUNK frames at a time, which bounds the temporaries."""
+    r = w.size // 2
+    out = np.zeros(padded.size - 2 * r)
+    d, e = np.empty((2, min(_CHUNK, out.size)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, out.size, _CHUNK):
+            b = min(a + _CHUNK, out.size)
+            core, acc = padded[a + r:b + r], out[a:b]
+            dd, ee = d[:b - a], e[:b - a]
+            for j in range(1, r + 1):
+                np.subtract(padded[a + r + j:b + r + j], core, out=dd)
+                np.subtract(padded[a + r - j:b + r - j], core, out=ee)
+                dd += ee
+                dd *= w[r + j]
+                acc += dd
+            acc += core
     return out
+
+
+def smooth_clips(x: np.ndarray, bounds: np.ndarray,
+                 sigma_max: int) -> np.ndarray:
+    """hierarchical_smooth of each clip x[bounds[c]:bounds[c + 1]], in one
+    pass per sigma over all clips; a clip's bits are those it has alone."""
+    if sigma_max < 1:
+        raise InvalidSigma(f"sigma_max must be >= 1, got {sigma_max}")
+    return _smooth(x, bounds, (_gaussian_weights(s, default_radius(s))
+                               for s in range(1, sigma_max + 1)))
 
 
 def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
     """Convolve one sequence with a kernel under reflect padding."""
     w = np.asarray(kernel.weights, dtype=float)
-    return ScoreSequence._of(scores.video_id,
-                             _smooth_array(scores.as_array(), w))
+    return ScoreSequence._of(scores.video_id, _smooth(
+        scores.as_array(), np.array([0, len(scores)]), [w]))
 
 
 def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
@@ -117,9 +162,5 @@ def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
     the result equals the composed smooth_once calls bit for bit, without a
     ScoreSequence or a GaussianKernel per pass.
     """
-    if sigma_max < 1:
-        raise InvalidSigma(f"sigma_max must be >= 1, got {sigma_max}")
-    x = scores.as_array()
-    for sigma in range(1, sigma_max + 1):
-        x = _smooth_array(x, _gaussian_weights(sigma, default_radius(sigma)))
-    return ScoreSequence._of(scores.video_id, x)
+    return ScoreSequence._of(scores.video_id, smooth_clips(
+        scores.as_array(), np.array([0, len(scores)]), sigma_max))

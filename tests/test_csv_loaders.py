@@ -11,6 +11,8 @@ and message) stand.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -642,12 +644,32 @@ def test_cli_evaluate_fuzzed_manifest_exits_cleanly(tmp_path, capsysbinary,
     "tiou_thresholds": [0.1, 0.5], "threshold_strategy": "hprs",
     "hprs_beta": 0.5, "fixed_tau": None}).encode(), _JSON_FUZZ_BYTES))
 @example(body=_DEEP_JSON)
+@example(body=b'{"hprs_beta": 1e300}')  # beta * beta overflows
+@example(body=b'{"hprs_beta": 1' + b"0" * 400 + b"}")  # too large for a float
+@example(body=b'{"vote_window": 1' + b"0" * 30 + b', "vote_stride": 1'
+              + b"0" * 30 + b"}")  # clamped to the clip, not to int64
 def test_cli_evaluate_fuzzed_config_exits_cleanly(tmp_path, capsysbinary,
                                                   body):
     path = _write_manifest(tmp_path, _FUZZ_SCORES, _FUZZ_MASK)
     (tmp_path / "cfg.json").write_bytes(body)
     _assert_clean_exit(["--config", str(tmp_path / "cfg.json"), "evaluate",
                         str(path)], capsysbinary)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "frame-metrics"])
+def test_cli_largest_accepted_hprs_beta_exits_0(tmp_path, capsysbinary,
+                                               command):
+    # the largest float64 whose square is finite
+    beta = math.sqrt(sys.float_info.max)
+    above = float(np.nextafter(beta, math.inf))
+    assert math.isfinite(beta * beta) and math.isinf(above * above)
+    path = _write_manifest(tmp_path, _FUZZ_SCORES, _FUZZ_MASK)
+    (tmp_path / "cfg.json").write_text(json.dumps({"hprs_beta": beta}))
+    assert _assert_clean_exit(["--config", str(tmp_path / "cfg.json"),
+                               command, str(path)], capsysbinary) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"hprs_beta": above}))
+    assert _assert_clean_exit(["--config", str(tmp_path / "cfg.json"),
+                               command, str(path)], capsysbinary) == 1
 
 
 @_FUZZ_SETTINGS

@@ -21,6 +21,8 @@ from event_eval.events import (
     mask_to_events,
     refine_pipeline,
 )
+from event_eval.io import event_metrics_at, predict_videos
+from event_eval.matching import multi_threshold_eval
 from event_eval.smoothing import hierarchical_smooth
 
 from oracles import brute_majority_vote, runs_of_ones
@@ -206,6 +208,52 @@ def test_refine_pipeline_clamps_vote_to_short_clips():
                 want = [(s, e) for s, e in runs_of_ones(voted)
                         if e - s + 1 >= cfg.min_event_len]
                 assert spans(refine_pipeline(seq, tau, cfg)) == want
+
+
+@st.composite
+def ragged_videos(draw):
+    """1-6 clips of 1-50 frames; coarse scores, so that runs form and touch
+    clip ends."""
+    videos = []
+    for k, n in enumerate(draw(st.lists(st.integers(1, 50), min_size=1,
+                                        max_size=6))):
+        scores = draw(st.lists(st.sampled_from([0.1, 0.4, 0.6, 0.9]),
+                               min_size=n, max_size=n))
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        videos.append((ScoreSequence(f"v{k}", scores),
+                       FrameMask(f"v{k}", labels)))
+    return videos
+
+
+def _high_clips(*lengths):
+    """Clips whose every frame scores high and is labelled: each clip's one
+    event runs from its first frame to its last."""
+    return [(ScoreSequence(f"v{k}", [0.9] * n), FrameMask(f"v{k}", [1] * n))
+            for k, n in enumerate(lengths)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(videos=ragged_videos(), cfg=st.sampled_from([
+    EvalConfig(),
+    EvalConfig(sigma_max=2, vote_window=6, vote_stride=4, min_event_len=2),
+    EvalConfig(sigma_max=1, vote_window=3, vote_stride=1, min_event_len=1),
+]))
+@example(videos=_high_clips(1), cfg=EvalConfig(min_event_len=1))
+@example(videos=_high_clips(2, 1, 12, 2, 50), cfg=EvalConfig(min_event_len=1))
+def test_ragged_tail_equals_per_clip_functions(videos, cfg):
+    """One pass over all clips gives each clip's events and the pooled
+    metrics of the per-clip public functions, in both modes and at both
+    taus."""
+    gt = [mask_to_events(m) for _, m in videos]
+    for mode in ("refined", "baseline"):
+        for tau in (0.5, 0.35):
+            want = {s.video_id: refine_pipeline(s, tau, cfg)
+                    if mode == "refined" else mask_to_events(binarize(s, tau))
+                    for s, _ in videos}
+            assert predict_videos(videos, tau, cfg, mode) == want
+            assert event_metrics_at(videos, tau, cfg, mode) == \
+                multi_threshold_eval(gt, list(want.values()),
+                                     cfg.tiou_thresholds)
 
 
 def test_binarize_uses_geq_convention():

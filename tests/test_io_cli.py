@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
-import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from event_eval import io as io_mod
 from event_eval.cli import main
 from event_eval.core import EvalConfig, FrameMask, ScoreSequence
 from event_eval.errors import (
@@ -41,7 +42,7 @@ from event_eval.report import (
     emit_report,
     report_to_dict,
 )
-from event_eval.smoothing import hierarchical_smooth
+from event_eval.smoothing import smooth_clips
 from event_eval.synthetic import make_dataset, write_dataset
 
 
@@ -254,21 +255,40 @@ def test_refined_beats_baseline_on_fragmented_fixture(tmp_path):
 def test_run_evaluation_smooths_each_video_once(tmp_path, monkeypatch):
     calls = []
 
-    def counted(scores, sigma_max):
-        calls.append(scores.video_id)
-        return hierarchical_smooth(scores, sigma_max)
+    def counted(scores, bounds, sigma_max):
+        calls.append(bounds.tolist())
+        return smooth_clips(scores, bounds, sigma_max)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "event_eval" or name.startswith("event_eval.")) and \
-                getattr(module, "hierarchical_smooth", None) is \
-                hierarchical_smooth:
-            monkeypatch.setattr(module, "hierarchical_smooth", counted)
+    monkeypatch.setattr(io_mod, "smooth_clips", counted)
     manifest = load_manifest(perfect_fixture(tmp_path))
     run_evaluation(manifest, EvalConfig())
-    assert sorted(calls) == ["a", "b"]  # both operating points share it
+    # one pass over both videos, shared by both operating points
+    assert calls == [[0, 800, 1700]]
     calls.clear()
     run_evaluation(manifest, EvalConfig(), mode="baseline")
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def hundred_clips(tmp_path_factory) -> tuple[Path, int]:
+    scores, masks = make_dataset(n_videos=100, seed=13)
+    path = write_dataset(tmp_path_factory.mktemp("hundred"), scores, masks)
+    return path, sum(map(len, scores))
+
+
+@pytest.mark.parametrize("mode", ["refined", "baseline"])
+def test_run_evaluation_memory_per_frame(hundred_clips, mode):
+    path, n = hundred_clips
+    manifest = load_manifest(path)
+    want = run_evaluation(manifest, EvalConfig(), mode)  # warms the caches
+    tracemalloc.start()
+    try:
+        got = run_evaluation(manifest, EvalConfig(), mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 40 * n, f"{peak / n:.1f} bytes per frame"
 
 
 @pytest.mark.parametrize("mode", ["refined", "baseline"])

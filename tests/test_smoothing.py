@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from event_eval import smoothing
 from event_eval.core import ScoreSequence
@@ -15,10 +19,11 @@ from event_eval.smoothing import (
     build_kernel,
     default_radius,
     hierarchical_smooth,
+    smooth_clips,
     smooth_once,
 )
 
-from oracles import naive_smooth, variance
+from oracles import naive_smooth, reflect_index, variance
 
 
 def closed_form_weights(sigma: float, radius: int) -> list[float]:
@@ -71,6 +76,9 @@ def test_build_kernel_rejects_bad_sigma():
 def test_kernel_type_validates():
     with pytest.raises(ValidationError):  # asymmetric
         GaussianKernel(sigma=1.0, radius=1, weights=(0.2, 0.5, 0.3))
+    with pytest.raises(ValidationError):  # asymmetric in the last bit
+        GaussianKernel(sigma=1.0, radius=1,
+                       weights=(0.25, 0.5, float(np.nextafter(0.25, 1))))
     with pytest.raises(ValidationError):  # wrong size
         GaussianKernel(sigma=1.0, radius=2, weights=(0.25, 0.5, 0.25))
     with pytest.raises(ValidationError):  # not normalized
@@ -155,31 +163,76 @@ def test_hierarchical_equals_composed_passes_bit_for_bit():
                 assert hierarchical_smooth(seq, k).scores == composed.scores
 
 
-def one_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The centered smoothing formula as one product over the whole clip."""
-    r = w.size // 2
-    windows = sliding_window_view(np.pad(x, r, mode="reflect"), w.size)
-    return np.clip(x + (windows - x[:, None]) @ w, x.min(), x.max())
+def fixed_order_smooth(values, weights) -> list[float]:
+    """The documented tap order, one Python float operation at a time."""
+    n, r = len(values), len(weights) // 2
+    out = []
+    for t, x in enumerate(values):
+        acc = 0.0
+        for j in range(1, r + 1):
+            d = ((values[reflect_index(t + j, n)] - x)
+                 + (values[reflect_index(t - j, n)] - x))
+            acc += d * weights[r + j]
+        out.append(min(max(x + acc, min(values)), max(values)))
+    return out
 
 
-@pytest.mark.parametrize("block,n", [
-    (smoothing._BLOCK, 2 * smoothing._BLOCK + 3),
-    (64, 2 * 64 + 1),  # a last block of 1 row would take another path
-    (64, 2 * 64 + 2),
-    (64, 2 * 64 + 3),
-    (64, 3 * 64),
-    (64, 1),
-    (64, 2),
-    (64, 7),  # r >= n from sigma = 3 on
-])
-def test_blocked_product_equals_one_product_bit_for_bit(monkeypatch, block,
-                                                        n):
-    monkeypatch.setattr(smoothing, "_BLOCK", block)
-    x = np.random.default_rng(n).normal(0.0, 2.0, size=n)
-    for sigma in range(1, 6):
-        w = smoothing._gaussian_weights(sigma, default_radius(sigma))
-        got = smoothing._smooth_array(x, w)
-        assert got.tobytes() == one_product(x, w).tobytes()
+def test_smooth_once_follows_the_fixed_tap_order_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 5, 17, 60):
+        for sigma, radius in ((1.0, 3), (2.5, 8), (0.7, 1)):
+            values = rng.normal(0.0, 2.0, size=n)
+            kernel = build_kernel(sigma, radius)
+            got = smooth_once(ScoreSequence("v", values), kernel).scores
+            assert got == tuple(fixed_order_smooth(values.tolist(),
+                                                   kernel.weights))
+
+
+@pytest.mark.parametrize("chunk", [smoothing._CHUNK, 7])
+def test_clip_among_others_equals_clip_alone_bit_for_bit(monkeypatch, chunk):
+    monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    lengths = [1, 2, 40, 3, 7, 100, 1, 16]  # r >= n for the short ones
+    clips = [rng.normal(0.0, 2.0, size=n) for n in lengths]
+    got = smooth_clips(np.concatenate(clips), np.cumsum([0, *lengths]), 5)
+    alone = [smooth_clips(x, np.array([0, x.size]), 5) for x in clips]
+    assert got.tobytes() == np.concatenate(alone).tobytes()
+    # the chunk size does not move a bit either
+    monkeypatch.setattr(smoothing, "_CHUNK", 16384)
+    assert got.tobytes() == smooth_clips(np.concatenate(clips),
+                                         np.cumsum([0, *lengths]), 5).tobytes()
+
+
+_SMOOTH_DIGEST = """
+import hashlib, sys
+import numpy as np
+from event_eval.core import ScoreSequence
+from event_eval.smoothing import hierarchical_smooth
+x = np.random.default_rng(5).random(50_000)
+out = hierarchical_smooth(ScoreSequence("v", x), 5).as_array()
+sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+# numpy's AVX-512 dispatch groups, under their current and older names
+_NO_AVX512 = ("X86_V4 AVX512_ICL AVX512_SPR AVX512F AVX512CD AVX512_SKX "
+              "AVX512_CLX AVX512_CNL")
+
+
+@pytest.mark.parametrize("env", [{"OPENBLAS_CORETYPE": "Prescott"},
+                                 {"NPY_DISABLE_CPU_FEATURES": _NO_AVX512}])
+def test_smoothed_bits_do_not_depend_on_cpu_kernels(env):
+    src = str(Path(smoothing.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    digests = []
+    for extra in ({}, env):
+        done = subprocess.run([sys.executable, "-c", _SMOOTH_DIGEST],
+                              env={**base, "PYTHONPATH": src, **extra},
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_plateau_interior_passes_through_exactly():
@@ -193,6 +246,17 @@ def test_plateau_interior_passes_through_exactly():
     inner = slice(start + reach, end - reach + 1)
     assert np.all(out.as_array()[inner] == 0.9)
     assert np.all(binarize(out, 0.9).as_array()[inner] == 1)
+
+
+def test_overflowing_tap_pairs_give_no_nan_and_no_warning():
+    # at each 0.0 frame the j = 1 pair overflows to +inf and the j = 2 pair
+    # to -inf, so the sum is NaN until the clip to the clip's range
+    big = 1.7e308
+    values = np.array([-big, big, 0.0, big, -big] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = hierarchical_smooth(ScoreSequence("v", values), 2).as_array()
+    assert np.all((out >= -big) & (out <= big))
 
 
 def test_hierarchical_constant_fixed_point():
