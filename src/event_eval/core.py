@@ -159,8 +159,8 @@ class EventSet(_Arrays):
 
     Adjacent runs of anomalous frames are by construction a single event,
     so consecutive events are separated by at least one normal frame. The
-    bounds are stored as read-only int64 arrays; .events builds the
-    TemporalEvents on access.
+    bounds are stored as read-only int64 arrays, so each is below 2**63;
+    .events builds the TemporalEvents on access.
     """
 
     video_id: str
@@ -177,6 +177,9 @@ class EventSet(_Arrays):
                     f"events [{prev.start},{prev.end}] and "
                     f"[{cur.start},{cur.end}] of {video_id!r} are not "
                     "sorted, overlap, or touch")
+        if events and events[-1].end >= 2**63:  # the largest bound
+            raise ValidationError(f"event bound {events[-1].end} of "
+                                  f"{video_id!r} is past the int64 range")
         self._fill(video_id, [e.start for e in events],
                    [e.end for e in events])
 
@@ -221,6 +224,15 @@ def check_tiou_thresholds(thresholds: Sequence[float]) -> None:
                 f"tiou threshold {t!r} is not a number in (0, 1]")
         if t in thresholds[:k]:
             raise ValidationError(f"tiou threshold {t!r} appears twice")
+
+
+def check_hprs_beta(beta: float) -> None:
+    """A positive number with a finite square: F-beta weighs precision by
+    beta * beta."""
+    if not (_is_finite(beta) and beta > 0
+            and math.isfinite(float(beta) * float(beta))):
+        raise ValidationError("hprs_beta must be positive with a finite "
+                              f"square, got {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -273,12 +285,7 @@ class EvalConfig:
         if any(b < a for a, b in zip(self.tiou_thresholds,
                                      self.tiou_thresholds[1:])):
             raise ValidationError("tiou_thresholds must be strictly ascending")
-        beta = self.hprs_beta
-        # F-beta weighs precision by beta * beta, which must stay finite
-        if not (_is_finite(beta) and beta > 0
-                and math.isfinite(float(beta) * float(beta))):
-            raise ValidationError("hprs_beta must be positive with a finite "
-                                  f"square, got {beta!r}")
+        check_hprs_beta(self.hprs_beta)
         if self.fixed_tau is not None and not _is_finite(self.fixed_tau):
             raise ValidationError("fixed_tau must be a finite number or null, "
                                   f"got {self.fixed_tau!r}")

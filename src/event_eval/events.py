@@ -85,35 +85,50 @@ def binarize(scores: ScoreSequence, tau: float) -> FrameMask:
     return FrameMask._of(scores.video_id, scores.as_array() >= tau)
 
 
+_WINDOWS = 8192  # vote windows per block of clip_vote
+
+
 def clip_vote(labels: np.ndarray, bounds: np.ndarray, window: int,
               stride: int) -> np.ndarray:
     """majority_vote_refine of each clip labels[bounds[c]:bounds[c + 1]], in
     one pass, with the window clamped to each clip's length n and the
-    stride to that window: min(window, n) and min(stride, min(window, n))."""
-    # below 2**30 frames, int32 positions halve the per-window arrays; no
-    # value below exceeds twice the frame count
+    stride to that window: min(window, n) and min(stride, min(window, n)).
+
+    The windows are voted _WINDOWS at a time, so beyond the labels and the
+    result it holds one count per frame and one block of windows, whatever
+    the stride."""
+    # below 2**30 frames, int32 positions halve the arrays; no value below
+    # exceeds the frame count
     bounds = bounds.astype(np.int32 if bounds[-1] < 2**30 else np.int64)
     lens = np.diff(bounds)
-    longest = int(lens.max())   # clamped first: the config's ints are unbounded
-    win = np.minimum(min(window, longest), lens)
-    step = np.minimum(min(stride, longest), win)
-    count = -(-lens // step)   # windows per clip
-    # window g of clip c starts at bounds[c] + (g - first window of c) * step
-    starts = np.arange(count.sum(), dtype=bounds.dtype)
-    starts -= np.repeat(np.cumsum(count) - count, count)
-    starts *= np.repeat(step, count)
-    starts += np.repeat(bounds[:-1], count)
-    stops = starts + np.repeat(win, count)
-    np.minimum(stops, np.repeat(bounds[1:], count), out=stops)
+    # clamped first: the config's ints are unbounded; a clip shorter than
+    # the window clamps the window (and so the stride) to its length
+    window = min(window, int(lens.max()))
+    stride = min(stride, window)
+    steps = np.minimum(stride, lens)   # each clip's stride
+    count = -(-lens // steps)   # windows per clip
+    after = np.cumsum(count)   # one past each clip's last window
+    # per clip: its first frame, first window's number, stride and end
+    table = np.stack((bounds[:-1], after - count, steps, bounds[1:]),
+                     dtype=bounds.dtype)
     ones = np.zeros(labels.size + 1, bounds.dtype)   # 1s before each frame
     np.cumsum(labels, out=ones[1:])
-    votes = ones[stops]
-    votes -= ones[starts]
-    del ones
-    votes *= 2
-    stops -= starts
-    # each window fills the frames up to the next window's or clip's start
-    return np.repeat(votes >= stops, np.diff(starts, append=bounds[-1]))
+    out = np.empty(labels.size, bool)
+    for lo in range(0, int(after[-1]), _WINDOWS):
+        hi = min(lo + _WINDOWS, int(after[-1]))
+        # windows lo..hi-1 run from clip c to clip d, k[i] of them in c + i
+        c, d = np.searchsorted(after, (lo, hi - 1), side="right")
+        k = np.diff(np.concatenate(([lo], after[c:d], [hi])))
+        begin, first, step, end = np.repeat(table[:, c:d + 1], k, axis=1)
+        start = (np.arange(lo, hi, dtype=bounds.dtype) - first) * step + begin
+        left = end - start   # frames from the window's start to its clip's end
+        n = np.minimum(left, window)   # frames in the window
+        votes = ones.take(start + n) - ones.take(start)
+        # each window fills the frames up to the next window's or clip's start
+        fill = np.minimum(left, stride)
+        out[start[0]:start[-1] + fill[-1]] = np.repeat(votes >= n - votes,
+                                                       fill)
+    return out
 
 
 def majority_vote_refine(mask: FrameMask, window: int,

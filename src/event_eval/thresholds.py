@@ -5,9 +5,11 @@ observed scores plus -inf/+inf sentinels. Binarization is score >= tau
 everywhere; thresholds are meant to be derived once per model-dataset pair
 from the concatenated test-set scores. Every metric is read from the TP/FP
 counts at those candidates (the one-pass ROC construction, Fawcett 2006,
-Alg. 2). The counts come from one sort of all scores and one of the
-positives' scores. A count is read only where a run of equal scores
+Alg. 2), which _count_blocks reads from one sort of all scores and one of
+the positives' scores. A count is read only where a run of equal scores
 starts, so the order inside a run never matters: neither sort is stable.
+frame_metrics reads the counts block by block and reports every metric;
+hprs_threshold is its tau_hprs, and roc_curve holds the counts as one block.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FrameMetrics
-from .errors import DegenerateLabels, LengthMismatch, NonBinaryLabel, NonFiniteScore
+from .core import (FrameMask, FrameMetrics, ScoreSequence, check_hprs_beta,
+                   validate_pair)
+from .errors import DegenerateLabels
 
 
 class PrecisionRecallF1(NamedTuple):
@@ -42,31 +45,20 @@ class RocCurve(NamedTuple):
 
 def _as_arrays(scores: Sequence[float],
                labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    if s.ndim != 1 or y.ndim != 1:
-        raise ValueError("scores and labels must be 1-dimensional")
-    if s.size != y.size:
-        raise LengthMismatch(s.size, y.size)
-    bad = np.flatnonzero(~np.isfinite(s))
-    if bad.size:
-        raise NonFiniteScore(int(bad[0]))
-    yf = y.astype(float)
-    bad = np.flatnonzero((yf != 0.0) & (yf != 1.0))
-    if bad.size:
-        raise NonBinaryLabel(int(bad[0]))
-    return s, y.astype(int)
+    """Owned copies of every score and of the positives' scores, checked
+    by the value types: frame_metrics sorts both in place."""
+    s, y = ScoreSequence(None, scores), FrameMask(None, labels)
+    validate_pair(s, y)
+    return np.array(s.as_array()), s.as_array()[y.as_array() == 1]
 
 
 _BLOCK = 4096  # frames per block of frame_metrics' candidate sweep
 
 
-def _class_sizes(n: int, n_pos: int,
-                 need_negatives: bool = True) -> tuple[int, int]:
+def _class_sizes(n: int, n_pos: int) -> tuple[int, int]:
     n_neg = n - n_pos
-    if n_pos == 0 or (need_negatives and n_neg == 0):
-        need = "both classes" if need_negatives else "a positive frame"
-        raise DegenerateLabels(f"need {need}, got {n_pos} positive / "
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabels(f"need both classes, got {n_pos} positive / "
                                f"{n_neg} negative frames")
     return n_pos, n_neg
 
@@ -95,18 +87,6 @@ def _count_blocks(s: np.ndarray, pos: np.ndarray, block: int):
         tp = pos.size - np.searchsorted(pos, cand)  # positives >= cand
         yield cand, tp, above - tp
         top, top_above = cand[0], above[0]
-
-
-def _candidate_counts(scores: Sequence[float], labels: Sequence[int],
-                      need_negatives: bool = True):
-    """(candidates ascending, tp, fp, n_pos, n_neg) as one block: every
-    distinct score plus the +inf sentinel, from two unstable sorts."""
-    s, y = _as_arrays(scores, labels)
-    n_pos, n_neg = _class_sizes(s.size, int(np.count_nonzero(y)),
-                                need_negatives)
-    ((cand, tp, fp),) = _count_blocks(np.sort(s), np.sort(s[y == 1]),
-                                      s.size)
-    return cand, tp, fp, n_pos, n_neg
 
 
 def _add(total: float, terms: np.ndarray) -> float:
@@ -158,8 +138,6 @@ def _hprs_point(tp: np.ndarray, fp: np.ndarray, n_pos: int,
                 beta: float) -> tuple[int, float]:
     """Index of the last (highest-threshold) maximum of F_beta, and that
     maximum."""
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
     b2 = beta * beta
     prec = _precision(tp, fp)
     rec = tp / n_pos
@@ -181,7 +159,9 @@ def prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     """ROC operating points at every distinct score plus +-inf sentinels."""
-    cand, tp, fp, n_pos, n_neg = _candidate_counts(scores, labels)
+    s, pos = _as_arrays(scores, labels)
+    n_pos, n_neg = _class_sizes(s.size, pos.size)
+    ((cand, tp, fp),) = _count_blocks(np.sort(s), np.sort(pos), s.size)
     # -inf: every frame predicted positive
     return _roc(np.append(-np.inf, cand), np.append(n_pos, tp),
                 np.append(n_neg, fp), n_pos, n_neg)
@@ -193,16 +173,6 @@ def auc_roc(curve: RocCurve) -> float:
     Equals the Mann-Whitney pair-counting statistic with ties worth 0.5.
     """
     return _clip(_add(0.0, _roc_terms(curve)))
-
-
-def auc_pr(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Step-wise (right-continuous) area under the precision-recall curve.
-
-    Walking thresholds from high to low, each distinct score contributes
-    (recall_k - recall_{k-1}) * precision_k.
-    """
-    _, tp, fp, n_pos, _ = _candidate_counts(scores, labels, False)
-    return _clip(_add(0.0, _pr_terms(tp, fp, n_pos)))
 
 
 def eer_threshold(curve: RocCurve) -> tuple[float, float]:
@@ -221,23 +191,10 @@ def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
     threshold, ties broken by the HIGHER (stricter) threshold.
 
     beta < 1 weights precision over recall; beta = 1 reduces to the
-    F1-maximizing threshold.
+    F1-maximizing threshold. This is frame_metrics' tau_hprs.
     """
-    cand, tp, fp, n_pos, _ = _candidate_counts(scores, labels)
-    return float(cand[_hprs_point(tp, fp, n_pos, beta)[0]])
-
-
-def f1_at_threshold(scores: Sequence[float], labels: Sequence[int],
-                    tau: float) -> PrecisionRecallF1:
-    """Frame-level precision/recall/F1 of the >=-tau binarization.
-
-    Empty predictions or no positives yield 0 for the undefined ratio, and
-    F1 = 0 whenever precision + recall = 0.
-    """
-    s, y = _as_arrays(scores, labels)
-    pred = s >= tau
-    tp = int(np.count_nonzero(pred & (y == 1)))
-    return prf(tp, int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(y)))
+    check_hprs_beta(beta)
+    return frame_metrics(*_as_arrays(scores, labels), beta).tau_hprs
 
 
 def frame_metrics(scores: np.ndarray, positives: np.ndarray,
@@ -251,9 +208,11 @@ def frame_metrics(scores: np.ndarray, positives: np.ndarray,
     operating points across blocks, so beyond the two arrays the memory
     is a few blocks' worth.
 
-    Equals composing the public functions above, except that a -inf tau_EER
-    (all scores equal) is reported as the lowest observed score, which
-    binarizes the data identically and keeps reports finite.
+    hprs_threshold returns this tau_hprs. roc_curve is one block of the
+    same counts, so auc_roc and eer_threshold on it give this auc_roc, eer
+    and tau_eer bit for bit, except that a -inf tau_EER (all scores equal)
+    is reported here as the lowest observed score, which binarizes the data
+    identically and keeps reports finite.
     """
     scores.sort()
     positives.sort()

@@ -133,6 +133,16 @@ def test_event_set_requires_sorted_disjoint_nonadjacent():
         EventSet("v", (TemporalEvent(5, 9), TemporalEvent(0, 3)))
 
 
+@pytest.mark.parametrize("events", [
+    (TemporalEvent(0, 2**63),),
+    (TemporalEvent(0, 3), TemporalEvent(2**63, 2**64)),
+    (TemporalEvent(0, 10**30),),
+])
+def test_event_set_rejects_bounds_past_int64(events):
+    with pytest.raises(ValidationError, match="past the int64 range"):
+        EventSet("v", events)
+
+
 def test_event_set_is_read_only_arrays_with_event_views():
     events = EventSet("v", (TemporalEvent(0, 3), TemporalEvent(5, 9)))
     assert events.starts.dtype == events.ends.dtype == np.int64

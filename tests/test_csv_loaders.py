@@ -675,6 +675,7 @@ def test_cli_largest_accepted_hprs_beta_exits_0(tmp_path, capsysbinary,
 @_FUZZ_SETTINGS
 @given(body=_mutated(b'{"v": [[8, 19], [21, 25]]}', _JSON_FUZZ_BYTES))
 @example(body=_DEEP_JSON)
+@example(body=b'{"v": [[0, 1' + b"0" * 30 + b']]}')  # past int64
 def test_cli_event_metrics_fuzzed_predictions_exit_cleanly(tmp_path,
                                                            capsysbinary,
                                                            body):

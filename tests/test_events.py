@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from event_eval import events as events_mod
 from event_eval.core import (
     EvalConfig,
     EventSet,
@@ -15,6 +16,7 @@ from event_eval.errors import EventOutOfRange, InvalidWindow
 from event_eval.events import (
     audit_dataset,
     binarize,
+    clip_vote,
     events_to_mask,
     filter_short_events,
     majority_vote_refine,
@@ -188,6 +190,40 @@ def test_refine_pipeline_output_durations_respect_min_length():
         scores = ScoreSequence("v", tuple(rng.random(120)))
         for event in refine_pipeline(scores, 0.55, cfg):
             assert event.duration >= cfg.min_event_len
+
+
+def clip_vote_by_clip(clips, window, stride) -> list[int]:
+    """brute_majority_vote of each clip alone, the window clamped to the
+    clip's length and the stride to that window."""
+    out = []
+    for labels in clips:
+        w = min(window, len(labels))
+        out += brute_majority_vote(labels, w, min(stride, w))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(clips=st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=40),
+                      min_size=1, max_size=8),
+       window=st.integers(1, 50), stride=st.integers(1, 50),
+       block=st.integers(1, 12))
+def test_clip_vote_in_small_blocks_equals_each_clip_alone(clips, window,
+                                                          stride, block):
+    # blocks of a few windows start and end inside clips and span several
+    bounds = np.cumsum([0, *map(len, clips)])
+    labels = np.concatenate(clips).astype(bool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_mod, "_WINDOWS", block)
+        got = clip_vote(labels, bounds, window, stride)
+    assert got.tolist() == clip_vote_by_clip(clips, window, stride)
+
+
+def test_clip_vote_many_blocks_at_stride_one():
+    rng = np.random.default_rng(29)
+    clips = [rng.integers(0, 2, n).tolist() for n in (9_000, 1, 30_000, 5)]
+    bounds = np.cumsum([0, *map(len, clips)])
+    got = clip_vote(np.concatenate(clips).astype(bool), bounds, 9, 1)
+    assert got.tolist() == clip_vote_by_clip(clips, 9, 1)
 
 
 def test_refine_pipeline_clamps_vote_to_short_clips():

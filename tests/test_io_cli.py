@@ -276,14 +276,20 @@ def hundred_clips(tmp_path_factory) -> tuple[Path, int]:
     return path, sum(map(len, scores))
 
 
-@pytest.mark.parametrize("mode", ["refined", "baseline"])
-def test_run_evaluation_memory_per_frame(hundred_clips, mode):
+@pytest.mark.parametrize("mode,cfg", [
+    pytest.param("refined", EvalConfig(), id="refined"),
+    pytest.param("baseline", EvalConfig(), id="baseline"),
+    # one vote window per frame
+    pytest.param("refined", EvalConfig(vote_stride=1),
+                 id="refined-vote_stride=1"),
+])
+def test_run_evaluation_memory_per_frame(hundred_clips, mode, cfg):
     path, n = hundred_clips
     manifest = load_manifest(path)
-    want = run_evaluation(manifest, EvalConfig(), mode)  # warms the caches
+    want = run_evaluation(manifest, cfg, mode)  # warms the caches
     tracemalloc.start()
     try:
-        got = run_evaluation(manifest, EvalConfig(), mode)
+        got = run_evaluation(manifest, cfg, mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -653,6 +659,8 @@ def test_cli_evaluate_clip_shorter_than_vote_window(tmp_path, capsysbinary):
     ("[[0.7, 300]]", 2),       # float bound: never truncated
     ("[[true, 300]]", 2),      # bool is not an integer bound
     ("[[0, 1000000000]]", 1),  # past the end of the 800-frame video
+    ("[[0, 1" + "0" * 30 + "]]", 2),  # past int64
+    ("[[0, 9223372036854775807]]", 1),  # int64 max: past the end
 ])
 def test_cli_event_metrics_rejects_bad_predictions(tmp_path, capsysbinary,
                                                    spans, code):

@@ -1,21 +1,22 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from event_eval.core import EvalConfig, FrameMask, FrameMetrics, ScoreSequence
-from event_eval.errors import DegenerateLabels, LengthMismatch
+from event_eval.errors import DegenerateLabels, LengthMismatch, ValidationError
 from event_eval.io import compute_frame_metrics
 from event_eval.thresholds import (
-    auc_pr,
     auc_roc,
     eer_threshold,
-    f1_at_threshold,
     hprs_threshold,
+    prf,
     roc_curve,
 )
 
@@ -103,14 +104,14 @@ def test_auc_roc_equals_pair_counting_on_random_fixtures():
 
 def test_auc_pr_perfect_and_degenerate_positive():
     labels = (0, 0, 1, 1)
-    assert auc_pr((1, 2, 3, 4), labels) == pytest.approx(1.0)
-    assert auc_pr((0.5, 0.1, 0.9), (1, 1, 1)) == pytest.approx(1.0)
-    with pytest.raises(DegenerateLabels):
-        auc_pr((0.5, 0.1), (0, 0))
+    assert frame_metrics_of((1, 2, 3, 4), labels, 0.5, 1).auc_pr == 1.0
+    for labels in ((0, 0), (1, 1)):
+        with pytest.raises(DegenerateLabels):
+            frame_metrics_of((0.5, 0.1), labels, 0.5, 1)
 
 
 def test_auc_pr_fixture_matches_sweep_oracle():
-    got = auc_pr(FIX_SCORES, FIX_LABELS)
+    got = frame_metrics_of(FIX_SCORES, FIX_LABELS, 0.5, 2).auc_pr
     want = sweep_auc_pr(FIX_SCORES, FIX_LABELS)
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(5.0 / 6.0, abs=1e-12)  # 0.5*1 + 0.5*(2/3)
@@ -118,10 +119,10 @@ def test_auc_pr_fixture_matches_sweep_oracle():
 
 def test_auc_pr_matches_sweep_on_random_fixtures():
     rng = np.random.default_rng(17)
-    for _ in range(100):
+    for k in range(100):
         scores, labels = random_fixture(rng)
-        assert auc_pr(scores, labels) == pytest.approx(
-            sweep_auc_pr(scores, labels), abs=1e-9)
+        got = frame_metrics_of(scores, labels, 0.5, 1 + k % 5).auc_pr
+        assert got == pytest.approx(sweep_auc_pr(scores, labels), abs=1e-9)
 
 
 def test_eer_fixture():
@@ -180,9 +181,10 @@ def test_hprs_beta_one_is_f1_argmax():
     rng = np.random.default_rng(59)
     scores, labels = random_fixture(rng, n_max=200)
     tau = hprs_threshold(scores, labels, beta=1.0)
+    n_pos = int(labels.sum())
     best_f1, best_tau = -1.0, None
     for cand in [-math.inf] + sorted(set(scores.tolist())) + [math.inf]:
-        f1 = f1_at_threshold(scores, labels, cand).f1
+        f1 = prf(*sweep_counts(scores, labels, cand), n_pos).f1
         if f1 >= best_f1:
             best_f1, best_tau = f1, cand
     assert tau == best_tau
@@ -203,14 +205,24 @@ def test_hprs_default_seeded_fixture_matches_sweep():
         sweep_fbeta(scores, labels, 0.5)
 
 
-def test_f1_at_threshold_extremes_and_fixture():
-    below = f1_at_threshold(FIX_SCORES, FIX_LABELS, 0.0)
-    assert below.recall == 1.0
-    assert below.precision == pytest.approx(0.5)  # positive rate
-    above = f1_at_threshold(FIX_SCORES, FIX_LABELS, 1.0)
-    assert above == (0.0, 0.0, 0.0)
-    mid = f1_at_threshold(FIX_SCORES, FIX_LABELS, 0.375)
-    assert mid == pytest.approx((0.5, 0.5, 0.5))
+@pytest.mark.parametrize("beta", [0, -1, math.nan, math.inf, 1e300])
+def test_hprs_beta_without_a_finite_positive_square_is_rejected(beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="hprs_beta"):
+            hprs_threshold(FIX_SCORES, FIX_LABELS, beta)
+        with pytest.raises(ValidationError, match="hprs_beta"):
+            EvalConfig(hprs_beta=beta)
+
+
+def test_hprs_largest_beta_is_accepted():
+    # the largest float64 whose square is finite
+    beta = math.sqrt(sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert EvalConfig(hprs_beta=beta).hprs_beta == beta
+        assert hprs_threshold(FIX_SCORES, FIX_LABELS, beta) == \
+            sweep_fbeta(FIX_SCORES, FIX_LABELS, beta)
 
 
 def test_monotone_transform_invariance():
@@ -221,8 +233,9 @@ def test_monotone_transform_invariance():
     curve = roc_curve(scores, labels)
     curve_t = roc_curve(transformed, labels)
     assert auc_roc(curve_t) == pytest.approx(auc_roc(curve), abs=1e-12)
-    assert auc_pr(transformed, labels) == pytest.approx(
-        auc_pr(scores, labels), abs=1e-12)
+    assert frame_metrics_of(transformed, labels, 0.5, 1).auc_pr == \
+        pytest.approx(frame_metrics_of(scores, labels, 0.5, 1).auc_pr,
+                      abs=1e-12)
     tau, eer = eer_threshold(curve)
     tau_t, eer_t = eer_threshold(curve_t)
     assert eer_t == pytest.approx(eer, abs=1e-12)
@@ -243,29 +256,34 @@ def test_hprs_precision_no_lower_than_eer_on_monotone_fixture():
     tau_eer, _ = eer_threshold(curve)
     tau_hprs = hprs_threshold(scores, labels, beta=0.5)
     assert tau_hprs > tau_eer
-    p_eer = f1_at_threshold(scores, labels, tau_eer).precision
-    p_hprs = f1_at_threshold(scores, labels, tau_hprs).precision
+    n_pos = int(labels.sum())
+    p_eer = prf(*sweep_counts(scores, labels, tau_eer), n_pos).precision
+    p_hprs = prf(*sweep_counts(scores, labels, tau_hprs), n_pos).precision
     assert p_hprs >= p_eer
 
 
 # ---------------------------------------------------------------------------
-# compute_frame_metrics: one sort, bit-identical to the public functions
+# compute_frame_metrics: one sort, bit-identical to the public functions and
+# the oracles
 
 
 def composed_frame_metrics(scores, labels, beta) -> FrameMetrics:
-    """FrameMetrics from one call of each public function."""
+    """FrameMetrics from the public functions, with AUC-PR and the F1s from
+    the oracles."""
     curve = roc_curve(scores, labels)
     tau_eer, eer = eer_threshold(curve)
     tau_hprs = hprs_threshold(scores, labels, beta)
+    n_pos = int(np.count_nonzero(labels))
     return FrameMetrics(
         auc_roc=auc_roc(curve),
-        auc_pr=auc_pr(scores, labels),
+        auc_pr=min(1.0, sweep_auc_pr(scores, labels)),
         eer=eer,
         # a -inf tau binarizes like the lowest score, which reports keep
         tau_eer=tau_eer if tau_eer > -math.inf else float(np.min(scores)),
         tau_hprs=tau_hprs,
-        f1_at_tau_eer=f1_at_threshold(scores, labels, tau_eer).f1,
-        f1_at_tau_hprs=f1_at_threshold(scores, labels, tau_hprs).f1,
+        f1_at_tau_eer=prf(*sweep_counts(scores, labels, tau_eer), n_pos).f1,
+        f1_at_tau_hprs=prf(*sweep_counts(scores, labels, tau_hprs),
+                           n_pos).f1,
     )
 
 
@@ -319,7 +337,8 @@ def test_constant_scores_report_the_score_as_tau_eer():
     assert eer_threshold(roc_curve(scores, labels))[0] == -math.inf
     got = frame_metrics_of(scores, labels, 0.5, n_videos=3)
     assert got.tau_eer == 0.37
-    assert got.f1_at_tau_eer == f1_at_threshold(scores, labels, -math.inf).f1
+    assert got.f1_at_tau_eer == prf(*sweep_counts(scores, labels, -math.inf),
+                                    10).f1
 
 
 def tied_fixture(kind: str, n: int = 10_000):
@@ -355,19 +374,43 @@ def test_compute_frame_metrics_with_long_tied_runs(kind):
             assert got == composed_frame_metrics(s, y, beta)
             assert (got.auc_roc, got.auc_pr, got.eer) == (want_auc, want_pr,
                                                          want_eer)
-            assert got.tau_hprs == sweep_fbeta(scores, labels, beta)
+            want_hprs = sweep_fbeta(scores, labels, beta)
+            assert got.tau_hprs == hprs_threshold(s, y, beta) == want_hprs
+
+
+def far_apart_tie(scores):
+    """frame_metrics over 10,000 frames whose labels, from the top, are
+    2,000 positives, 4,000 negatives, 2,000 positives and 2,000 negatives.
+
+    F1 peaks twice with the same bits, 6,000 frames apart, in different
+    candidate blocks: at (tp, fp) = (2000, 0), precision 1 and recall 0.5,
+    and at (4000, 4000), precision 0.5 and recall 1. The higher threshold,
+    scores[1999], must win, also in hprs_threshold.
+    """
+    y = np.r_[np.ones(2000), np.zeros(4000), np.ones(2000),
+              np.zeros(2000)].astype(int)
+    got = frame_metrics_of(scores, y, 1.0, n_videos=3)
+    assert got.tau_hprs == hprs_threshold(scores, y, 1.0) == scores[1999]
+    assert got.f1_at_tau_hprs == prf(2000, 0, 4000).f1
+    return got, y
 
 
 def test_hprs_tie_far_apart_picks_the_higher_threshold():
-    # from the top: 2,000 positives, 4,000 negatives, 2,000 positives,
-    # 2,000 negatives, all scores distinct. F1 peaks twice with the same
-    # bits, 6,000 frames apart: at (tp, fp) = (2000, 0), precision 1 and
-    # recall 0.5, and at (4000, 4000), precision 0.5 and recall 1.
-    y = np.r_[np.ones(2000), np.zeros(4000), np.ones(2000),
-              np.zeros(2000)].astype(int)
-    scores = np.linspace(1.0, 0.0, y.size)
-    got = frame_metrics_of(scores, y, 1.0, n_videos=3)
-    assert got.tau_hprs == scores[1999]
+    # all scores distinct; the oracles, one pass over the frames per
+    # candidate, would take seconds here
+    scores = np.linspace(1.0, 0.0, 10_000)
+    got, y = far_apart_tie(scores)
+    curve = roc_curve(scores, y)
+    assert (got.tau_eer, got.eer) == eer_threshold(curve)
+    assert got.auc_roc == auc_roc(curve)
+
+
+def test_hprs_tie_far_apart_in_tied_runs_matches_the_oracles():
+    # the negatives in two runs, so that the lowest candidate of the top
+    # block, which the next block shares, is not the peak
+    scores = np.repeat([0.9, 0.75, 0.7, 0.5, 0.3], 2000)
+    got, y = far_apart_tie(scores)
+    assert got.tau_hprs == sweep_fbeta(scores, y, 1.0)
     assert got == composed_frame_metrics(scores, y, 1.0)
 
 
