@@ -19,6 +19,7 @@ from .io import (
     BASELINE,
     REFINED,
     compute_frame_metrics,
+    config_to_dict,
     events_to_json_obj,
     load_branch_errors,
     load_config,
@@ -38,25 +39,16 @@ from .report import (
     json_bytes,
 )
 
-_DEFAULTS = EvalConfig()
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="event-eval",
         description="Refine per-frame anomaly scores into temporal events "
                     "and evaluate them at frame and event level.")
-    parser.add_argument("--config",
-                        help="JSON config file; keys mirror EvalConfig "
-                             f"(defaults: sigma_max={_DEFAULTS.sigma_max}, "
-                             f"vote_window={_DEFAULTS.vote_window}, "
-                             f"vote_stride={_DEFAULTS.vote_stride}, "
-                             f"min_event_len={_DEFAULTS.min_event_len}, "
-                             "tiou_thresholds="
-                             f"{list(_DEFAULTS.tiou_thresholds)}, "
-                             "threshold_strategy="
-                             f"{_DEFAULTS.threshold_strategy.value}, "
-                             f"hprs_beta={_DEFAULTS.hprs_beta}).")
+    defaults = ", ".join(f"{key}={value}" for key, value
+                         in config_to_dict(EvalConfig()).items())
+    parser.add_argument("--config", help="JSON config file; keys mirror "
+                                         f"EvalConfig (defaults: {defaults}).")
     parser.add_argument("--format", choices=["json", "csv", "markdown"],
                         default="json", help="Report output format.")
     parser.add_argument("--out", help="Write output bytes to this file "
@@ -180,15 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except InputError as exc:
+    except (EventEvalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EventEvalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (InputError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .core import (
     validate_pair,
 )
 from .errors import (
-    BadLength,
     DuplicateVideoId,
     EventEvalError,
     MissingFile,
@@ -87,12 +86,15 @@ class Report:
 
 @contextmanager
 def _open_utf8(path: Path, newline: str | None = None):
-    """Open a text file; an undecodable byte is a ParseError at its line.
+    """Open a text file; a path that is not a file is MissingFile, and an
+    undecodable byte is a ParseError at its line.
 
     A leading UTF-8 byte-order mark is skipped. The stream decodes in
     chunks, so the error's offset is not a file offset: the file is decoded
     again in full to find the first bad byte.
     """
+    if not path.is_file():
+        raise MissingFile(str(path))
     try:
         with path.open("r", encoding="utf-8-sig", newline=newline) as fh:
             yield fh
@@ -122,8 +124,6 @@ def load_manifest(path: str | Path) -> Manifest:
     referenced file must exist at load time.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     base = path.parent
     dataset_name: str | None = None
     entries: list[ManifestEntry] = []
@@ -200,8 +200,6 @@ def _read_csv_column(path: str | Path,
     """Read a headered two-column CSV, enforcing consecutive frame indices;
     each value comes with its row's first line, the line its errors name."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     values: list[tuple[int, str]] = []
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -388,8 +386,6 @@ def _branch_errors_from_lines(path: Path) -> tuple[np.ndarray, ...]:
     scored as a one-row score_window. The starts and lengths take no dtype,
     so a start past int64 stays a Python int for mark_windows' range check.
     """
-    if not path.is_file():
-        raise MissingFile(str(path))
     starts, lengths, scores = [], [], []
     with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -406,10 +402,6 @@ def _branch_errors_from_lines(path: Path) -> tuple[np.ndarray, ...]:
                 values = [float(v) for v in fields[2:]]
             except ValueError as exc:
                 raise ParseError(str(path), lineno, str(exc))
-            if len(values) != 4 * i:
-                raise BadLength(
-                    f"window of length {i} needs {4 * i} values (short then "
-                    f"long), got {len(values)} | path={path}:{lineno}")
             try:
                 BranchErrors(short=tuple(values[:i]), long=tuple(values[i:]),
                              window_len=i, target_start=start)
@@ -468,8 +460,6 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
 
 
 def _load_json_object(path: Path) -> dict:
-    if not path.is_file():
-        raise MissingFile(str(path))
     try:
         with _open_utf8(path) as fh:
             data = json.load(fh)

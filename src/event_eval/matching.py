@@ -5,7 +5,8 @@ Matching is greedy over descending tIoU with deterministic tie-breaks
 consumes at most one ground-truth event and vice versa. The candidates at
 a threshold are a prefix of that descending order, so one greedy pass at
 the lowest threshold serves every threshold: the matches at theta are the
-accepted pairs with tIoU >= theta. Counts are micro-averaged across videos:
+accepted pairs with tIoU >= theta. Each video's events are matched only
+against that video's own, and the counts are micro-averaged across videos:
 TP/FP/FN are pooled per threshold first, then ratios taken.
 """
 
@@ -77,7 +78,7 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
     """Micro-averaged event metrics across videos at each tIoU threshold.
 
     gt_all and pred_all are aligned by video_id. One greedy pass at the
-    lowest threshold matches every video; TP/FP/FN are pooled over videos
+    lowest threshold matches each video; TP/FP/FN are pooled over videos
     per threshold, and average_f1 is the plain mean of the per-threshold F1
     values, in the caller's threshold order.
     """
@@ -91,23 +92,14 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
         missing = sorted(gt_by_id.keys() ^ pred_by_id.keys())
         raise VideoIdMismatch(
             f"gt and predictions cover different videos: {missing}")
-    # Lay the videos end to end, each shifted past the last event of the one
-    # before, so one pass matches them all and no pair spans two videos.
-    bounds = [[np.zeros(0, np.int64)] for _ in range(4)]
-    offset = 0
-    for video_id, gt in gt_by_id.items():
-        pred = pred_by_id[video_id]
-        for side, arr in zip(bounds, (gt.starts, gt.ends, pred.starts,
-                                      pred.ends)):
-            side.append(arr + offset)
-        offset += 2 + max([0, *gt.ends[-1:], *pred.ends[-1:]])
-    all_gt, all_pred = (EventSet._of("", np.concatenate(s), np.concatenate(e))
-                        for s, e in (bounds[:2], bounds[2:]))
-    matched = _greedy(all_gt, all_pred, min(thresholds))[2]
+    matched = np.concatenate([np.zeros(0), *(
+        _greedy(gt, pred_by_id[vid], min(thresholds))[2]
+        for vid, gt in gt_by_id.items())])
+    n_gt, n_pred = sum(map(len, gt_all)), sum(map(len, pred_all))
     per_tiou: dict[float, EventPrf] = {}
     for threshold in thresholds:
         tp = int(np.count_nonzero(matched >= threshold))
-        fp, fn = len(all_pred) - tp, len(all_gt) - tp
+        fp, fn = n_pred - tp, n_gt - tp
         per_tiou[float(threshold)] = EventPrf(*prf(tp, fp, tp + fn),
                                               tp=tp, fp=fp, fn=fn)
     average_f1 = sum(e.f1 for e in per_tiou.values()) / len(per_tiou)

@@ -27,6 +27,7 @@ from event_eval.fusion import (
 from event_eval.io import (
     config_from_dict,
     config_to_dict,
+    events_to_json_obj,
     load_branch_errors,
     load_config,
     load_events_json,
@@ -40,6 +41,7 @@ from event_eval.report import (
     emit_event_metrics,
     emit_frame_metrics,
     emit_report,
+    json_bytes,
     report_to_dict,
 )
 from event_eval.smoothing import smooth_clips
@@ -109,6 +111,21 @@ def test_load_manifest_missing_file(tmp_path):
     with pytest.raises(MissingFile) as exc:
         load_manifest(path)
     assert "nope.csv" in str(exc.value)
+
+
+LOADERS = [load_manifest, load_scores, load_mask, load_branch_errors,
+           load_events_json, load_config]
+
+
+@pytest.mark.parametrize("make", ["missing", "directory"])
+@pytest.mark.parametrize("loader", LOADERS)
+def test_loaders_reject_a_path_that_is_not_a_file(tmp_path, loader, make):
+    path = tmp_path / "input"
+    if make == "directory":
+        path.mkdir()
+    with pytest.raises(MissingFile) as exc:
+        loader(path)
+    assert str(exc.value) == f"referenced file does not exist: {path}"
 
 
 @pytest.mark.parametrize("body,fragment", [
@@ -192,8 +209,18 @@ def test_load_branch_errors_scores_each_line_as_score_window(tmp_path):
 
 def test_load_branch_errors_bad_length(tmp_path):
     path = write(tmp_path / "b.txt", "0 2 0.1 0.2 0.3\n")
-    with pytest.raises(BadLength):
+    with pytest.raises(BadLength) as exc:
         load_branch_errors(path)
+    assert str(exc.value) == ("long branch has 1 values, expected "
+                              f"3*window_len=6 | path={path}:1")
+
+
+def test_load_branch_errors_negative_window_len(tmp_path):
+    path = write(tmp_path / "b.txt", "# comment\n0 -1\n")
+    with pytest.raises(ValidationError) as exc:
+        load_branch_errors(path)
+    assert not isinstance(exc.value, BadLength)
+    assert str(exc.value) == f"window_len must be >= 1, got -1 | path={path}:2"
 
 
 def test_load_events_json(tmp_path):
@@ -506,6 +533,27 @@ def test_cli_fuse_start_past_int64_is_a_range_error(tmp_path, capsysbinary,
                    f"20 | video_id='v' | path={branch}"]
 
 
+@pytest.mark.parametrize("line,message", [
+    ("0 -1", "window_len must be >= 1, got -1"),
+    ("0 2 0.1 0.2 0.3", "long branch has 1 values, expected 3*window_len=6"),
+])
+def test_cli_fuse_bad_branch_line_exits_1(tmp_path, capsysbinary, line,
+                                          message):
+    manifest = str(fuse_fixture(tmp_path))
+    branch = write(tmp_path / "b.txt", line + "\n")
+    assert main(["fuse", manifest, "--tau", "0.5"]) == 1
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert err == [f"error: {message} | path={branch}:1"]
+
+
+def test_cli_fuse_needs_a_branch_errors_file(tmp_path, capsysbinary):
+    manifest = str(perfect_fixture(tmp_path))
+    assert main(["fuse", manifest, "--tau", "0.5"]) == 1
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert err == ["error: video 'a' has no branch_errors file in the "
+                   "manifest"]
+
+
 def test_cli_fuse_requires_tau(tmp_path, capsysbinary):
     manifest = str(perfect_fixture(tmp_path))
     assert main(["fuse", manifest]) == 1
@@ -537,6 +585,45 @@ def test_cli_exit_codes(tmp_path, capsysbinary):
     assert main(["evaluate", str(path)]) == 1
     err = capsysbinary.readouterr().err.decode()
     assert "video_id='v'" in err
+
+
+@pytest.mark.parametrize("flag", ["--pred", "--config"])
+def test_cli_event_metrics_missing_input_exits_2(tmp_path, capsysbinary,
+                                                 flag):
+    manifest = str(perfect_fixture(tmp_path))
+    missing = str(tmp_path / "missing.json")
+    pred = str(write(tmp_path / "pred.json", '{"a": [], "b": []}'))
+    argv = {"--pred": ["event-metrics", manifest, "--pred", missing],
+            "--config": ["--config", missing, "event-metrics", manifest,
+                         "--pred", pred]}[flag]
+    assert main(argv) == 2
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert err == [f"error: referenced file does not exist: {missing}"]
+
+
+def cli_out(capsysbinary, *argv: str) -> bytes:
+    assert main(list(argv)) == 0
+    return capsysbinary.readouterr().out
+
+
+def test_cli_refine_writes_the_events_at_the_strategy_tau(tmp_path,
+                                                          capsysbinary):
+    scores, masks = make_dataset(n_videos=3, seed=5)
+    manifest = str(write_dataset(tmp_path, scores, masks))
+    frame = json.loads(cli_out(capsysbinary, "frame-metrics", manifest))
+    videos = io_mod.load_videos(load_manifest(manifest))
+    outs = set()
+    for strategy, tau in [("eer", frame["tau_eer"]),
+                          ("hprs", frame["tau_hprs"]), ("fixed", 0.45)]:
+        config = write(tmp_path / "cfg.json", json.dumps(
+            {"threshold_strategy": strategy, "fixed_tau": 0.45}))
+        at_tau = cli_out(capsysbinary, "refine", manifest, f"--tau={tau!r}")
+        assert at_tau == json_bytes(events_to_json_obj(
+            io_mod.predict_videos(videos, tau, EvalConfig(), "refined")))
+        assert cli_out(capsysbinary, "--config", str(config), "refine",
+                       manifest) == at_tau
+        outs.add(at_tau)
+    assert len(outs) == 3   # three taus, three sets of events
 
 
 def test_cli_sigma_max_past_cap_exits_1(tmp_path, capsysbinary):
@@ -610,6 +697,9 @@ def test_cli_help_documents_defaults(capsysbinary):
     assert "vote_stride=3" in text
     assert "min_event_len=8" in text
     assert "hprs_beta=0.5" in text
+    text = " ".join(text.split())   # argparse wraps the help text
+    for key, value in config_to_dict(EvalConfig()).items():
+        assert f"{key}={value}" in text
 
 
 def test_cli_config_file_respected(tmp_path, capsysbinary):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -264,6 +266,8 @@ def clips(draw):
 
 
 TIE_THRESHOLDS = [0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 2 / 3, 0.75, 1.0]
+# events far apart, near the top of the int64 range
+FAR = [(0, 10), (2 ** 62, 2 ** 62 + 10)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -279,9 +283,10 @@ TIE_THRESHOLDS = [0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 2 / 3, 0.75, 1.0]
                  ([(0, 2)], [(2, 2)])], thresholds=[1.0, 1 / 3])
 @example(videos=[([(0, 0)], [(0, 5)]), ([(0, 5)], [(0, 0)])],
          thresholds=[0.5])  # pred of v0 outlasts its gt, into v1's frames
+@example(videos=[(FAR, FAR), (FAR[1:], FAR[1:])], thresholds=[0.5])
 def test_one_pass_equals_per_threshold_greedy(videos, thresholds):
-    # every clip starts at frame 0, so laid end to end without offsets
-    # the videos' events would overlap
+    # every clip starts at frame 0, so the videos' events share frames: a
+    # pair of events from two different videos must never be matched
     gt_all = [eventset(g, f"v{k}") for k, (g, _) in enumerate(videos)]
     pred_all = [eventset(p, f"v{k}") for k, (_, p) in enumerate(videos)]
     metrics = multi_threshold_eval(gt_all, pred_all, thresholds)
@@ -299,3 +304,12 @@ def test_one_pass_equals_per_threshold_greedy(videos, thresholds):
                 i for i in range(len(g)) if i not in {w[0] for w in want})
             assert res.unmatched_pred == tuple(
                 j for j in range(len(p)) if j not in {w[1] for w in want})
+
+
+def test_multi_threshold_eval_events_near_int64_max():
+    gt = [eventset(FAR, "a"), eventset(FAR[1:], "b")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metrics = multi_threshold_eval(gt, gt, [0.5, 1.0])
+    for entry in metrics.per_tiou.values():
+        assert (entry.tp, entry.fp, entry.fn) == (3, 0, 0)
