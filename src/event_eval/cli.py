@@ -60,10 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("manifest", help="Path to the dataset manifest.")
         return p
 
-    p = add("audit", "Frame/event statistics of the ground-truth masks.")
-    p.add_argument("--micro-threshold", type=int, default=None,
-                   help="Events shorter than this count as micro events "
-                        "(default: min_event_len).")
+    add("audit", "Frame/event statistics of the ground-truth masks; events "
+                 "shorter than min_event_len count as micro events.")
 
     add("frame-metrics", "AUC-ROC, AUC-PR, EER and operating points over "
                          "the concatenated scores.")
@@ -116,9 +114,7 @@ def _run(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
 
     if args.command == "audit":
-        threshold = (args.micro_threshold if args.micro_threshold is not None
-                     else cfg.min_event_len)
-        audit = audit_dataset(load_masks(manifest), threshold)
+        audit = audit_dataset(load_masks(manifest), cfg.min_event_len)
         _emit(emit_audit(audit, args.format), args.out)
     elif args.command == "frame-metrics":
         videos = load_videos(manifest)
@@ -175,7 +171,3 @@ def main(argv: list[str] | None = None) -> int:
     except (EventEvalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (InputError, OSError)) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -181,26 +181,16 @@ def refine_pipeline(scores: ScoreSequence, tau: float,
     return EventSet._of(scores.video_id, events.starts, events.ends)
 
 
-def audit_dataset(masks: list[FrameMask],
-                  micro_threshold: int) -> AuditReport:
-    """Aggregate frame and event statistics across ground-truth masks.
-
-    micro_event_count tallies events shorter than micro_threshold frames,
-    the candidates for annotation-noise cleaning.
+def audit_events(gt: EventSet, n_frames: int,
+                 micro_threshold: int) -> AuditReport:
+    """Frame and event statistics of the ground-truth events gt over
+    n_frames frames; micro events are shorter than micro_threshold frames.
     """
-    if not masks:
-        raise ValidationError("audit requires at least one mask")
-    if micro_threshold < 1:
-        raise ValidationError(
-            f"micro_threshold must be >= 1, got {micro_threshold}")
-    bounds = np.cumsum([0, *map(len, masks)])
-    starts, ends = clip_runs(np.concatenate([m.as_array() for m in masks]),
-                             bounds)
-    durations = ends - starts + 1
+    durations = gt.ends - gt.starts + 1
     anomalous = int(durations.sum())
     count = len(durations)
     return AuditReport(
-        normal_frames=int(bounds[-1]) - anomalous,
+        normal_frames=n_frames - anomalous,
         anomalous_frames=anomalous,
         event_count=count,
         avg_duration_frames=anomalous / count if count else 0.0,
@@ -209,3 +199,17 @@ def audit_dataset(masks: list[FrameMask],
         micro_event_count=int(np.count_nonzero(
             durations < micro_threshold)),
     )
+
+
+def audit_dataset(masks: list[FrameMask],
+                  micro_threshold: int) -> AuditReport:
+    """audit_events of the maximal runs of 1s of every ground-truth mask."""
+    if not masks:
+        raise ValidationError("audit requires at least one mask")
+    if micro_threshold < 1:
+        raise ValidationError(
+            f"micro_threshold must be >= 1, got {micro_threshold}")
+    bounds = np.cumsum([0, *map(len, masks)])
+    runs = clip_runs(np.concatenate([m.as_array() for m in masks]), bounds)
+    return audit_events(EventSet._of("", *runs), int(bounds[-1]),
+                        micro_threshold)

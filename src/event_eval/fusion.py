@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import EventSet
 from .errors import BadLength, LengthMismatch, ValidationError, WindowOutOfRange
+from .events import clip_runs
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,6 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
     ends = starts + lengths[hit].astype(np.int64)
     depth = np.cumsum(np.bincount(starts, minlength=video_len + 1)
                       - np.bincount(ends, minlength=video_len + 1))
-    edges = np.flatnonzero(np.diff(depth > 0, prepend=False))
-    return EventSet._of(video_id, edges[0::2], edges[1::2] - 1)
+    return EventSet._of(video_id, *clip_runs(depth > 0,
+                                             np.array([0, depth.size])))
 

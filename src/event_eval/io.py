@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .events import AuditReport, audit_dataset, clip_runs, refine_clips
+from .events import AuditReport, audit_events, clip_runs, refine_clips
 from .fusion import BranchErrors, score_window
 from .matching import multi_threshold_eval
 from .smoothing import smooth_clips
@@ -583,16 +583,11 @@ def predict_videos(videos: Sequence[tuple[ScoreSequence, FrameMask]],
 
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
-    """Frame-level metrics over the concatenated scores of all videos.
-
-    frame_metrics sorts both arrays in place, so they are fresh copies; a
-    mask's 0/1 bytes, viewed as bool, select its clip's positive frames.
-    """
-    return frame_metrics(
-        np.concatenate([s.as_array() for s, _ in videos]),
-        np.concatenate([s.as_array()[m.as_array().view(bool)]
-                        for s, m in videos]),
-        cfg.hprs_beta)
+    """Frame-level metrics over the concatenated scores of all videos,
+    which frame_metrics sorts in place; the labels' 0/1 bytes, viewed as
+    bool, select the positive frames."""
+    scores, labels, _ = _end_to_end(videos)
+    return frame_metrics(scores, scores[labels.view(bool)], cfg.hprs_beta)
 
 
 def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
@@ -608,15 +603,15 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
                    mode: str = REFINED) -> Report:
     """Full protocol: frame metrics, both operating points, event metrics.
 
-    Thresholds are derived once from the concatenated scores. Every later
-    stage runs once over all videos laid end to end in video_id order, so
-    the report is byte-identical across runs.
+    Every stage runs once over all videos laid end to end in video_id
+    order: thresholds are derived from the concatenated scores, and the
+    ground-truth events serve both the audit and the matching. The report
+    is byte-identical across runs.
     """
-    videos = load_videos(manifest)
-    frame = compute_frame_metrics(videos, cfg)
-    audit = audit_dataset([m for _, m in videos], cfg.min_event_len)
-    scores, labels, bounds = _end_to_end(videos)
-    del videos   # the clips live on in the end-to-end arrays
+    scores, labels, bounds = _end_to_end(load_videos(manifest))
+    # a copy, as frame_metrics sorts it: the events need frame order
+    frame = frame_metrics(scores.copy(), scores[labels.view(bool)],
+                          cfg.hprs_beta)
     # every clip's events in one EventSet: they never overlap across clips
     gt = EventSet._of("", *clip_runs(labels, bounds))
     metrics_eer, metrics_hprs = (
@@ -627,7 +622,7 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
         frame_metrics=frame,
         event_metrics_eer=metrics_eer,
         event_metrics_hprs=metrics_hprs,
-        audit=audit,
+        audit=audit_events(gt, int(bounds[-1]), cfg.min_event_len),
         config_echo=cfg,
         tool_version=__version__,
         mode=mode,

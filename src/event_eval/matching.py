@@ -41,9 +41,13 @@ def _greedy(gt: EventSet, pred: EventSet,
     i = np.repeat(np.arange(len(gt)), count)
     j = np.arange(len(i)) - np.repeat(np.cumsum(count) - count - lo, count)
     gs, ge, ps, pe = gt.starts[i], gt.ends[i], pred.starts[j], pred.ends[j]
-    inter = np.minimum(ge, pe) - np.maximum(gs, ps) + 1
-    # int64 -> float64 is exact here, so this is Python's int / int
-    t = inter / (ge - gs + pe - ps + 2 - inter)
+    # the pairs overlap, so the intersection and the union each span lo..hi
+    # with 0 <= lo <= hi < 2**63: hi - lo cannot wrap in int64, and the + 1
+    # is taken in uint64, which holds 2**63. Each length is rounded to
+    # float64 before the division, so past 2**53 frames it is not exact.
+    inter = (np.minimum(ge, pe) - np.maximum(gs, ps)).astype(np.uint64) + 1
+    union = (np.maximum(ge, pe) - np.minimum(gs, ps)).astype(np.uint64) + 1
+    t = inter / union
     keep = t >= floor
     i, j, t = i[keep], j[keep], t[keep]
     order = np.lexsort((j, i, -t))
@@ -99,8 +103,6 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
     per_tiou: dict[float, EventPrf] = {}
     for threshold in thresholds:
         tp = int(np.count_nonzero(matched >= threshold))
-        fp, fn = n_pred - tp, n_gt - tp
-        per_tiou[float(threshold)] = EventPrf(*prf(tp, fp, tp + fn),
-                                              tp=tp, fp=fp, fn=fn)
+        per_tiou[float(threshold)] = prf(tp, n_pred - tp, n_gt)
     average_f1 = sum(e.f1 for e in per_tiou.values()) / len(per_tiou)
     return EventMetrics(per_tiou=per_tiou, average_f1=average_f1)

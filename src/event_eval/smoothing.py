@@ -9,7 +9,6 @@ not artificially damped.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,14 +42,12 @@ class GaussianKernel:
             raise ValidationError("kernel weights must sum to 1")
 
 
-@functools.lru_cache(maxsize=128)
 def _gaussian_weights(sigma: float, radius: int) -> np.ndarray:
     # math.exp, not np.exp: numpy picks its exp by CPU features
     raw = np.array([math.exp(-(j * j) / (2.0 * sigma * sigma))
                     for j in range(-radius, radius + 1)])
     w = raw / raw.sum()
     w[radius] += 1.0 - w.sum()
-    w.flags.writeable = False
     return w
 
 
@@ -65,7 +62,7 @@ def build_kernel(sigma: float, radius: int) -> GaussianKernel:
         raise InvalidSigma(f"sigma must be positive, got {sigma}")
     if radius < 1:
         raise ValidationError(f"radius must be >= 1, got {radius}")
-    w = _gaussian_weights.__wrapped__(sigma, radius)  # unmemoized: any sigma
+    w = _gaussian_weights(sigma, radius)
     return GaussianKernel(sigma=float(sigma), radius=int(radius),
                           weights=tuple(w.tolist()))
 

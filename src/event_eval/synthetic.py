@@ -19,51 +19,50 @@ import numpy as np
 from .core import FrameMask, ScoreSequence
 
 
-def make_video(rng: np.random.Generator, video_id: str,
-               min_len: int = 900, max_len: int = 1600,
-               event_min: int = 60, event_max: int = 300,
-               dip_prob: float = 0.15, spike_prob: float = 0.003,
-               ) -> tuple[ScoreSequence, FrameMask]:
-    """One video: normal noise, planted events, dips, and rare spikes."""
-    n = int(rng.integers(min_len, max_len + 1))
+def make_video(rng: np.random.Generator,
+               video_id: str) -> tuple[ScoreSequence, FrameMask]:
+    """One video of 900-1,600 frames: normal noise, planted events of
+    60-300 frames with dips in 15% of their frames, and spikes in 0.3% of
+    the normal frames."""
+    n = int(rng.integers(900, 1601))
     labels = np.zeros(n, dtype=int)
     t = int(rng.integers(40, 200))
-    while t + event_min < n - 40:
-        dur = int(rng.integers(event_min, event_max + 1))
+    while t + 60 < n - 40:
+        dur = int(rng.integers(60, 301))
         end = min(t + dur - 1, n - 41)
-        if end - t + 1 >= event_min:
+        if end - t + 1 >= 60:
             labels[t:end + 1] = 1
         t = end + 1 + int(rng.integers(80, 400))
     scores = rng.normal(0.25, 0.04, size=n)
-    spikes = (labels == 0) & (rng.random(n) < spike_prob)
+    spikes = (labels == 0) & (rng.random(n) < 0.003)
     scores[spikes] = rng.normal(0.80, 0.05, size=int(spikes.sum()))
     inside = labels == 1
-    high = inside & (rng.random(n) >= dip_prob)
+    high = inside & (rng.random(n) >= 0.15)
     scores[high] = rng.normal(0.88, 0.03, size=int(high.sum()))
     return (ScoreSequence(video_id=video_id, scores=scores),
             FrameMask(video_id=video_id, labels=labels))
 
 
-def make_dataset(n_videos: int = 20, seed: int = 7, **kwargs,
+def make_dataset(n_videos: int = 20, seed: int = 7
                  ) -> tuple[list[ScoreSequence], list[FrameMask]]:
     """n_videos independent videos from one seeded generator."""
     rng = np.random.default_rng(seed)
     scores, masks = [], []
     for k in range(n_videos):
-        s, m = make_video(rng, f"v{k:03d}", **kwargs)
+        s, m = make_video(rng, f"v{k:03d}")
         scores.append(s)
         masks.append(m)
     return scores, masks
 
 
 def write_dataset(out_dir: str | Path, scores: list[ScoreSequence],
-                  masks: list[FrameMask],
-                  dataset_name: str = "synthetic") -> Path:
-    """Write scores/masks CSVs plus a manifest; returns the manifest path."""
+                  masks: list[FrameMask]) -> Path:
+    """Write scores/masks CSVs plus a manifest of the dataset 'synthetic';
+    returns the manifest path."""
     out = Path(out_dir)
     (out / "scores").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
-    lines = [f"dataset: {dataset_name}", ""]
+    lines = ["dataset: synthetic", ""]
     for seq, mask in zip(scores, masks):
         vid = seq.video_id
         score_path = out / "scores" / f"{vid}.csv"

@@ -18,15 +18,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (FrameMask, FrameMetrics, ScoreSequence, check_hprs_beta,
-                   validate_pair)
+from .core import (EventPrf, FrameMask, FrameMetrics, ScoreSequence,
+                   check_hprs_beta, validate_pair)
 from .errors import DegenerateLabels
-
-
-class PrecisionRecallF1(NamedTuple):
-    precision: float
-    recall: float
-    f1: float
 
 
 class RocCurve(NamedTuple):
@@ -148,13 +142,14 @@ def _hprs_point(tp: np.ndarray, fp: np.ndarray, n_pos: int,
     return i, fb[i]
 
 
-def prf(tp: int, fp: int, n_pos: int) -> PrecisionRecallF1:
-    """Precision, recall and F1 from confusion counts; 0.0 where undefined."""
+def prf(tp: int, fp: int, n_pos: int) -> EventPrf:
+    """Precision, recall and F1 from confusion counts, 0.0 where undefined,
+    with the counts behind them: fn is n_pos - tp."""
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / n_pos if n_pos > 0 else 0.0
     pr = precision + recall
     f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
-    return PrecisionRecallF1(precision, recall, f1)
+    return EventPrf(precision, recall, f1, tp=tp, fp=fp, fn=n_pos - tp)
 
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:

@@ -261,8 +261,7 @@ def test_scores_may_leave_unit_interval():
     assert min(seq.scores) == -5.0
 
 
-_VALUE_OBJECT_SETTINGS = settings(max_examples=200, deadline=None,
-                                  derandomize=True, database=None)
+_VALUE_OBJECT_SETTINGS = settings(max_examples=200)
 
 
 def _assert_value_object(obj, view: tuple, values) -> None:

@@ -258,7 +258,7 @@ def csv_bodies(draw, kind: str) -> bytes:
 _RAW = st.text(alphabet="0123456789,.\n\r\t\x0b\"e+-_ xnaif١", max_size=40)
 
 _PROPERTY = settings(
-    max_examples=300, deadline=None, derandomize=True, database=None,
+    max_examples=300,
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
@@ -550,7 +550,7 @@ def test_cli_header_only_csv_is_one_line_error(tmp_path, capsysbinary):
 
 _FUZZ_BYTES = st.sampled_from(list(b"0123456789,.\n\r\"eE+-_ x\x00\xff"))
 _FUZZ_SETTINGS = settings(
-    max_examples=200, deadline=None, derandomize=True, database=None,
+    max_examples=200,
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 _FUZZ_FRAMES = 30
 _FUZZ_SCORES = b"frame,score\n" + "".join(

@@ -120,7 +120,7 @@ def vote_cases(draw):
     return labels, window, stride
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(vote_cases())
 @example(([1], 1, 1))                       # n = 1
 @example(([1, 0, 0, 1, 1, 0, 0], 3, 3))     # stride == window
@@ -202,7 +202,7 @@ def clip_vote_by_clip(clips, window, stride) -> list[int]:
     return out
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(clips=st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=40),
                       min_size=1, max_size=8),
        window=st.integers(1, 50), stride=st.integers(1, 50),
@@ -268,7 +268,7 @@ def _high_clips(*lengths):
             for k, n in enumerate(lengths)]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(videos=ragged_videos(), cfg=st.sampled_from([
     EvalConfig(),
     EvalConfig(sigma_max=2, vote_window=6, vote_stride=4, min_event_len=2),

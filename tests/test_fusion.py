@@ -223,7 +223,7 @@ def test_windows_to_events_overlapping_and_coinciding_windows():
     assert len(mark([(3, 0, 0.9)], 0.5, 10)) == 0
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(n=st.integers(1, 40), data=st.data())
 def test_mark_windows_equals_frame_marking(n, data):
     windows = data.draw(st.lists(st.tuples(

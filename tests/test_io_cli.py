@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from event_eval import io as io_mod
+from event_eval import events as events_mod, io as io_mod
 from event_eval.cli import main
 from event_eval.core import EvalConfig, FrameMask, ScoreSequence
 from event_eval.errors import (
@@ -19,6 +21,7 @@ from event_eval.errors import (
     ParseError,
     ValidationError,
 )
+from event_eval.events import clip_runs
 from event_eval.fusion import (
     align_center,
     fuse_frames,
@@ -296,6 +299,24 @@ def test_run_evaluation_smooths_each_video_once(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["refined", "baseline"])
+def test_run_evaluation_extracts_each_run_set_once(tmp_path, monkeypatch,
+                                                   mode):
+    calls = []
+
+    def counted(labels, bounds):
+        calls.append(bounds.tolist())
+        return clip_runs(labels, bounds)
+
+    for module in (events_mod, io_mod):
+        monkeypatch.setattr(module, "clip_runs", counted)
+    run_evaluation(load_manifest(perfect_fixture(tmp_path)), EvalConfig(),
+                   mode)
+    # the ground truth, for the audit and the matching, then the events at
+    # each of the two operating points
+    assert calls == [[0, 800, 1700]] * 3
+
+
 @pytest.fixture(scope="module")
 def hundred_clips(tmp_path_factory) -> tuple[Path, int]:
     scores, masks = make_dataset(n_videos=100, seed=13)
@@ -561,6 +582,55 @@ def test_cli_fuse_requires_tau(tmp_path, capsysbinary):
     assert "tau" in err
 
 
+def test_readme_quick_start(tmp_path, capsysbinary):
+    made = subprocess.run([sys.executable, "-m", "event_eval.synthetic",
+                           str(tmp_path), "--videos", "6", "--seed", "7"],
+                          capture_output=True, check=True)
+    manifest = made.stdout.decode().strip()
+    assert manifest == str(tmp_path / "manifest.txt")
+    reports = {}
+    for mode in ("refined", "baseline"):
+        text = cli_out(capsysbinary, "--format", "markdown", "evaluate",
+                       manifest, "--mode", mode).decode()
+        assert f"mode: {mode}" in text
+        reports[mode] = json.loads(cli_out(capsysbinary, "evaluate",
+                                           manifest, "--mode", mode))
+    refined, baseline = reports["refined"], reports["baseline"]
+    # the README's figures: every planted event found, the baseline below
+    # 0.01, and the same frame-level AUC-ROC of 0.92
+    assert refined["event_metrics"]["tau_eer"]["average_f1"] == 1.0
+    assert baseline["event_metrics"]["tau_eer"]["average_f1"] < 0.01
+    assert refined["frame_metrics"] == baseline["frame_metrics"]
+    assert round(refined["frame_metrics"]["auc_roc"], 2) == 0.92
+
+
+@pytest.mark.parametrize("body,line,message", [
+    pytest.param("dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n"
+                 "dataset: e\n", 5, "duplicate 'dataset' key", id="dataset"),
+    pytest.param("dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n"
+                 "mask: m.csv\n", 5, "duplicate 'mask' in record 'v'",
+                 id="record-key"),
+])
+def test_cli_manifest_duplicate_key_exits_2(tmp_path, capsysbinary, body,
+                                            line, message):
+    write(tmp_path / "s.csv", scores_csv([0.1]))
+    write(tmp_path / "m.csv", mask_csv([1]))
+    path = write(tmp_path / "manifest.txt", body)
+    assert main(["audit", str(path)]) == 2
+    assert capsysbinary.readouterr().err.decode().splitlines() == [
+        f"error: {path}:{line}: {message}"]
+
+
+@pytest.mark.parametrize("text", ["[]", "0.5", "null", '"sigma_max"'])
+def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsysbinary,
+                                                  text):
+    manifest = str(perfect_fixture(tmp_path))
+    config = write(tmp_path / "cfg.json", text)
+    assert main(["--config", str(config), "evaluate", manifest]) == 2
+    assert capsysbinary.readouterr().err.decode().splitlines() == [
+        f"error: {config}: expected a JSON object"]
+
+
 def test_cli_evaluate_formats_and_out(tmp_path, capsysbinary):
     manifest = str(perfect_fixture(tmp_path))
     out = tmp_path / "report.json"
@@ -651,12 +721,13 @@ def test_cli_non_finite_fixed_tau_exits_1(tmp_path, capsysbinary, fmt):
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
 def test_cli_refine_rejects_non_finite_tau(tmp_path, capsysbinary, tau):
-    manifest = str(perfect_fixture(tmp_path))
-    assert main(["refine", manifest, f"--tau={tau}"]) == 1
-    captured = capsysbinary.readouterr()
-    assert captured.out == b""
-    assert captured.err.decode().splitlines() == [
-        f"error: tau must be finite, got {float(tau)}"]
+    manifest = str(fuse_fixture(tmp_path))
+    for command in ("refine", "fuse"):
+        assert main([command, manifest, f"--tau={tau}"]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode().splitlines() == [
+            f"error: tau must be finite, got {float(tau)}"]
 
 
 @pytest.mark.parametrize("flag", ["--config", "--pred"])
@@ -674,10 +745,12 @@ def test_cli_deeply_nested_json_is_a_parse_error(tmp_path, capsysbinary,
 
 def test_cli_jobs_flag_is_a_usage_error(tmp_path, capsysbinary):
     manifest = str(perfect_fixture(tmp_path))
-    with pytest.raises(SystemExit) as exc:
-        main(["--jobs", "2", "evaluate", manifest])
-    assert exc.value.code == 2
-    assert b"usage:" in capsysbinary.readouterr().err
+    for argv in (["--jobs", "2", "evaluate"],
+                 ["audit", "--micro-threshold", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, manifest])
+        assert exc.value.code == 2
+        assert b"usage:" in capsysbinary.readouterr().err
 
 
 def test_cli_seed_flag_is_a_usage_error(tmp_path, capsysbinary):

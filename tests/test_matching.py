@@ -270,7 +270,7 @@ TIE_THRESHOLDS = [0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 2 / 3, 0.75, 1.0]
 FAR = [(0, 10), (2 ** 62, 2 ** 62 + 10)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(videos=st.lists(clips(), max_size=4),
        thresholds=st.lists(st.sampled_from(TIE_THRESHOLDS)
                            | st.floats(0.01, 1.0), min_size=1, max_size=4,
@@ -313,3 +313,8 @@ def test_multi_threshold_eval_events_near_int64_max():
         metrics = multi_threshold_eval(gt, gt, [0.5, 1.0])
     for entry in metrics.per_tiou.values():
         assert (entry.tp, entry.fp, entry.fn) == (3, 0, 0)
+    # lengths 2**63 and 2**62, whose sum wraps in int64: tIoU exactly 0.5
+    gt, pred = eventset([(0, 2 ** 63 - 1)]), eventset([(0, 2 ** 62 - 1)])
+    entry = multi_threshold_eval([gt], [pred], [0.5]).per_tiou[0.5]
+    assert (entry.tp, entry.fp, entry.fn) == (1, 0, 0)
+    assert match_events(gt, pred, 0.4).pairs == ((0, 0, 0.5),)

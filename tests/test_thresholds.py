@@ -435,7 +435,7 @@ def test_compute_frame_metrics_memory_per_frame():
     assert peak <= 40 * n, f"{peak / n:.1f} bytes per frame"
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(rows=st.lists(st.tuples(st.integers(-40, 40), st.booleans()),
                      max_size=120),
        pos=st.integers(-40, 40), neg=st.integers(-40, 40),
