@@ -7,10 +7,9 @@ Exit codes: 0 success, 1 validation error (bad data or configuration),
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .core import EvalConfig, ThresholdStrategy, events_within
+from .core import EvalConfig, events_within
 from .errors import (EventEvalError, InputError, ValidationError,
                      WindowOutOfRange)
 from .events import audit_dataset, mask_to_events
@@ -88,19 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _derive_tau(videos, cfg: EvalConfig, explicit: float | None) -> float:
-    if explicit is not None:
-        if not math.isfinite(explicit):
-            raise ValidationError(f"tau must be finite, got {explicit}")
-        return explicit
-    if cfg.threshold_strategy is ThresholdStrategy.FIXED:
-        return float(cfg.fixed_tau)
-    frame = compute_frame_metrics(videos, cfg)
-    if cfg.threshold_strategy is ThresholdStrategy.EER:
-        return frame.tau_eer
-    return frame.tau_hprs
-
-
 def _emit(data: bytes, out: str | None) -> None:
     if out:
         with open(out, "wb") as fh:
@@ -121,9 +107,8 @@ def _run(args: argparse.Namespace) -> int:
         metrics = compute_frame_metrics(videos, cfg)
         _emit(emit_frame_metrics(metrics, args.format), args.out)
     elif args.command == "refine":
-        videos = load_videos(manifest)
-        tau = _derive_tau(videos, cfg, args.tau)
-        events = predict_videos(videos, tau, cfg, args.mode)
+        events = predict_videos(load_videos(manifest), args.tau, cfg,
+                                args.mode)
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "event-metrics":
         masks = load_masks(manifest)

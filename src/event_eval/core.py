@@ -142,6 +142,9 @@ class TemporalEvent:
 
     def __post_init__(self) -> None:
         if type(self.start) is not int or type(self.end) is not int:
+            if not (_is_int(self.start) and _is_int(self.end)):
+                raise ValidationError(f"event bounds [{self.start!r}, "
+                                      f"{self.end!r}] are not integers")
             object.__setattr__(self, "start", int(self.start))
             object.__setattr__(self, "end", int(self.end))
         if self.start < 0 or self.end < self.start:
@@ -198,6 +201,11 @@ class ThresholdStrategy(str, Enum):
     EER = "eer"
     HPRS = "hprs"
     FIXED = "fixed"
+
+
+def _is_int(value) -> bool:
+    """An int (numpy integers included), but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -268,13 +276,10 @@ class EvalConfig:
         for name in ("sigma_max", "vote_window", "vote_stride",
                      "min_event_len"):
             value = getattr(self, name)
-            if isinstance(value, np.integer):
-                value = int(value)
-                object.__setattr__(self, name, value)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValidationError(f"{name} must be a positive integer, "
                                       f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.sigma_max > MAX_SIGMA:
             raise ValidationError(f"sigma_max must be at most {MAX_SIGMA}, "
                                   f"got {self.sigma_max}")

@@ -18,6 +18,7 @@ from .core import (
     EventSet,
     FrameMask,
     ScoreSequence,
+    _is_int,
     events_within,
 )
 from .errors import InvalidWindow, ValidationError
@@ -70,8 +71,9 @@ def mask_to_events(mask: FrameMask) -> EventSet:
 
 def events_to_mask(events: EventSet, n: int) -> FrameMask:
     """Render events back to a length-n binary mask."""
-    if n < 1:
-        raise ValidationError(f"mask length must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValidationError(
+            f"mask length must be an integer >= 1, got {n!r}")
     events_within(events, n)
     # events are disjoint and non-adjacent, so no two bounds share an index
     delta = np.zeros(n + 1, dtype=int)
@@ -142,10 +144,11 @@ def majority_vote_refine(mask: FrameMask, window: int,
     short-event filter guards precision afterwards.
     """
     n = len(mask)
-    if not 1 <= stride <= window <= n:
+    if not (_is_int(window) and _is_int(stride)
+            and 1 <= stride <= window <= n):
         raise InvalidWindow(
-            f"need 1 <= stride <= window <= mask length, got stride={stride}"
-            f" window={window} length={n}")
+            f"need integers 1 <= stride <= window <= mask length, got "
+            f"stride={stride} window={window} length={n}")
     return FrameMask._of(mask.video_id, clip_vote(
         mask.as_array(), np.array([0, n]), window, stride))
 

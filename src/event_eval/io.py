@@ -32,6 +32,7 @@ from .core import (
     FrameMetrics,
     ScoreSequence,
     TemporalEvent,
+    ThresholdStrategy,
     validate_pair,
 )
 from .errors import (
@@ -195,12 +196,12 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(dataset_name=dataset_name, videos=tuple(entries))
 
 
-def _read_csv_column(path: str | Path,
-                     value_header: str) -> list[tuple[int, str]]:
-    """Read a headered two-column CSV, enforcing consecutive frame indices;
-    each value comes with its row's first line, the line its errors name."""
+def _read_csv_column(path: str | Path, value_header: str, parse) -> list:
+    """The line parser: read a headered two-column CSV, enforcing
+    consecutive frame indices, then parse(text, i, line) each frame i's
+    value, line being its row's first line, the line its errors name."""
     path = Path(path)
-    values: list[tuple[int, str]] = []
+    rows: list[tuple[int, str]] = []
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -221,14 +222,14 @@ def _read_csv_column(path: str | Path,
             except ValueError:
                 raise ParseError(str(path), lineno,
                                  f"frame index {row[0]!r} is not an integer")
-            if frame != len(values):
+            if frame != len(rows):
                 raise ParseError(str(path), lineno,
                                  f"frame indices must be consecutive from 0; "
-                                 f"expected {len(values)}, got {frame}")
-            values.append((lineno, row[1]))
-    if not values:
+                                 f"expected {len(rows)}, got {frame}")
+            rows.append((lineno, row[1]))
+    if not rows:
         raise ParseError(str(path), None, "file contains no frames")
-    return values
+    return [parse(text, i, line) for i, (line, text) in enumerate(rows)]
 
 
 def _read_bytes(path: Path) -> bytes | None:
@@ -240,47 +241,12 @@ def _read_bytes(path: Path) -> bytes | None:
         return None
 
 
-def _headed_lines(path: Path, header: bytes) -> tuple[bytes, int]:
-    """The bytes of a file that starts with the exact header and ends in
-    '\\n', and its count of lines after the header; else (b"", 0)."""
-    data = _read_bytes(path)
-    if data is None or not (data.startswith(header) and data.endswith(b"\n")):
-        return b"", 0
-    return data, data.count(b"\n") - 1
-
-
-def _frame_column(n: int) -> bytes:
-    """b"0\\n1\\n...\\n" for at least n frames, built once per power of
-    two."""
-    return _column_of(1 << (n - 1).bit_length())
-
-
 @lru_cache(maxsize=None)
-def _column_of(size: int) -> bytes:
-    # 4,096 frames at a time, so that it never holds one str per frame
+def _frame_column(size: int) -> bytes:
+    """b"0\\n1\\n...\\n" for size frames, a power of two so that few are
+    built, 4,096 frames at a time so that it never holds a str per frame."""
     return "".join("\n".join(map(str, range(k, min(k + 4096, size)))) + "\n"
                    for k in range(0, size, 4096)).encode()
-
-
-_LABEL_HEADER = b"frame,label\n"
-_SCORE_HEADER = b"frame,score\n"
-
-
-def _fast_labels(path: Path) -> np.ndarray | None:
-    """Labels of a canonical 'frame,label' CSV, or None: the exact header,
-    then the lines 'i,0' or 'i,1' for i = 0..n-1, each ending in '\\n'."""
-    data, n = _headed_lines(path, _LABEL_HEADER)
-    if (n < 1 or data.count(b",") != n + 1
-            or data.count(b",0\n") + data.count(b",1\n") != n):
-        return None
-    # every comma after the header starts a ',0\n' or ',1\n', so what is
-    # left of the lines are their frames
-    frames = data.replace(b",0\n", b"\n").replace(b",1\n", b"\n")
-    if not _frame_column(n).startswith(
-            memoryview(frames)[len(_LABEL_HEADER):]):
-        return None
-    view = np.frombuffer(data, np.uint8, offset=len(_LABEL_HEADER))
-    return view[np.flatnonzero(view == ord("\n")) - 1] - ord("0")
 
 
 # every byte but the separators ',', '\n' and '\r' (a line break to csv)
@@ -288,23 +254,24 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
 _BLOCK = 1 << 16   # bytes of lines split and converted at a time
 
 
-def _fast_scores(path: Path) -> np.ndarray | None:
-    """Scores of a canonical, all-finite 'frame,score' CSV, or None.
+def _fast_column(path: Path, value_header: str, convert) -> np.ndarray | None:
+    """The values of a canonical 'frame,<value_header>' CSV, or None.
 
     Canonical: the exact header, then one 'frame,value' line per frame, each
     ending in '\\n', with no CR; the frames are those of the frame column,
-    0..n-1 without leading zeros. Each value goes through float(), the line
-    parser's own converter, so the scores are the line parser's, bit for
-    bit. A quote makes float() or the frame check fail, so csv quoting never
-    splits a line differently. Lines are split in blocks of about _BLOCK
-    bytes, which bounds the temporary bytes and float objects on long clips.
+    0..n-1 without leading zeros. convert turns a block's value fields into
+    an array, or None when one is not canonical. A quote makes convert or
+    the frame check fail, so csv quoting never splits a line differently.
+    Lines are split in blocks of about _BLOCK bytes, which bounds the
+    temporary bytes and objects on long clips.
     """
-    data, n = _headed_lines(path, _SCORE_HEADER)
-    if n < 1:
+    header = f"frame,{value_header}\n".encode()
+    data = _read_bytes(path)
+    if (data is None or len(data) == len(header)
+            or not (data.startswith(header) and data.endswith(b"\n"))):
         return None
-    column = _frame_column(n)
-    scores = np.empty(n)
-    k, at, pos = 0, len(_SCORE_HEADER), 0   # frames done; at in data, column
+    column = _frame_column(1 << (data.count(b"\n") - 2).bit_length())
+    blocks, at, pos = [], len(header), 0   # at in data, pos in column
     while at < len(data):
         end = data.find(b"\n", at + _BLOCK) + 1 or len(data)
         lines = data[at:end]
@@ -313,60 +280,62 @@ def _fast_scores(path: Path) -> np.ndarray | None:
         if seps != b",\n" * (len(seps) // 2):
             return None
         fields = lines.replace(b",", b"\n").split(b"\n")
-        values = fields[1::2]
         joined = b"\n".join(fields[0::2])   # 'f0\n...\n': the last is b""
         if not column.startswith(joined, pos):
             return None
         pos += len(joined)
-        try:
-            scores[k:k + len(values)] = np.fromiter(map(float, values),
-                                                    np.float64, len(values))
-        except ValueError:
+        blocks.append(convert(fields[1::2]))
+        if blocks[-1] is None:
             return None
-        k, at = k + len(values), end
-    return scores if np.isfinite(scores).all() else None
+        at = end
+    return np.concatenate(blocks)
 
 
-def _scores_from_lines(path: Path, video_id: str) -> list[float]:
-    """The line parser for 'frame,score' CSVs: every accepted variant, and
-    every error with its line."""
-    scores: list[float] = []
-    for i, (lineno, text) in enumerate(_read_csv_column(path, "score")):
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(str(path), lineno,
-                             f"score {text!r} is not a number")
-        if not math.isfinite(value):
-            raise NonFiniteScore(i, video_id=video_id, path=str(path))
-        scores.append(value)
-    return scores
+def _finite_floats(fields: list[bytes]) -> np.ndarray | None:
+    """float() of every field, the line parser's own converter, so the
+    scores are the line parser's, bit for bit; None unless all are finite.
+    """
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
-def _labels_from_lines(path: Path, video_id: str) -> list[int]:
-    """The line parser for 'frame,label' CSVs."""
-    labels: list[int] = []
-    for i, (_, text) in enumerate(_read_csv_column(path, "label")):
-        if text.strip() not in ("0", "1"):
-            raise NonBinaryLabel(i, video_id=video_id, path=str(path))
-        labels.append(int(text))
-    return labels
+def _binary_bytes(fields: list[bytes]) -> np.ndarray | None:
+    """The labels of fields that are each one byte, '0' or '1', or None."""
+    joined = b"".join(fields)
+    if len(joined) != len(fields) or b"" in fields:
+        return None
+    labels = np.frombuffer(joined, np.uint8) - ord("0")
+    return labels if (labels <= 1).all() else None
 
 
 def load_scores(path: str | Path,
                 video_id: str | None = None) -> ScoreSequence:
     """Load a 'frame,score' CSV into a ScoreSequence.
 
-    Canonical files (see _fast_scores) are read in one pass over their
-    bytes; every other file, and every error, goes through the line parser.
-    Both check every value, so the ScoreSequence is built without a second
+    Canonical files (see _fast_column) are read in blocks of their bytes;
+    every other file, and every error, goes through the line parser. Both
+    check every value, so the ScoreSequence is built without a second
     check.
     """
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem
-    scores = _fast_scores(path)
+
+    def parse(text: str, i: int, line: int) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(str(path), line,
+                             f"score {text!r} is not a number")
+        if not math.isfinite(value):
+            raise NonFiniteScore(i, video_id=video_id, path=str(path))
+        return value
+
+    scores = _fast_column(path, "score", _finite_floats)
     if scores is None:
-        scores = _scores_from_lines(path, video_id)
+        scores = _read_csv_column(path, "score", parse)
     return ScoreSequence._of(video_id, scores)
 
 
@@ -374,9 +343,15 @@ def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
     """Load a 'frame,label' CSV into a FrameMask; as in load_scores."""
     path = Path(path)
     video_id = video_id if video_id is not None else path.stem
-    labels = _fast_labels(path)
+
+    def parse(text: str, i: int, line: int) -> int:
+        if text.strip() not in ("0", "1"):
+            raise NonBinaryLabel(i, video_id=video_id, path=str(path))
+        return int(text)
+
+    labels = _fast_column(path, "label", _binary_bytes)
     if labels is None:
-        labels = _labels_from_lines(path, video_id)
+        labels = _read_csv_column(path, "label", parse)
     return FrameMask._of(video_id, labels)
 
 
@@ -460,9 +435,18 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
 
 
 def _load_json_object(path: Path) -> dict:
+    """A JSON object; a key repeated in any object is a ParseError."""
+    def unique(pairs: list[tuple]) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ParseError(str(path), None, f"duplicate key {key!r}")
+            data[key] = value
+        return data
+
     try:
         with _open_utf8(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.msg)
     except RecursionError:
@@ -478,20 +462,12 @@ def load_events_json(path: str | Path) -> dict[str, EventSet]:
     out: dict[str, EventSet] = {}
     for video_id, spans in _load_json_object(path).items():
         try:
-            events = tuple(TemporalEvent(*_int_bounds(span))
-                           for span in spans)
+            events = tuple(TemporalEvent(*span) for span in spans)
             out[video_id] = EventSet(video_id=video_id, events=events)
         except (EventEvalError, TypeError, ValueError) as exc:
             raise ParseError(str(path), None,
                              f"bad events for {video_id!r}: {exc}")
     return out
-
-
-def _int_bounds(span) -> tuple[int, int]:
-    start, end = span
-    if type(start) is not int or type(end) is not int:
-        raise ValueError(f"event bounds {span!r} are not integers")
-    return start, end
 
 
 def events_to_json_obj(events_by_id: dict[str, EventSet]) -> dict:
@@ -570,24 +546,40 @@ def predict_clips(scores: np.ndarray, bounds: np.ndarray,
 
 
 def predict_videos(videos: Sequence[tuple[ScoreSequence, FrameMask]],
-                   tau: float, cfg: EvalConfig,
+                   tau: float | None, cfg: EvalConfig,
                    mode: str) -> dict[str, EventSet]:
-    """Each video's predicted events at tau, from one pass over all videos."""
-    scores, _, bounds = _end_to_end(videos)
-    (pred,) = predict_clips(scores, bounds, (tau,), cfg, mode)
+    """Each video's predicted events at tau, from one pass over all videos.
+    A tau of None comes from cfg.threshold_strategy: fixed_tau, or the
+    frame metrics' EER or HPRS threshold over the same pass."""
+    scores, labels, bounds = _end_to_end(videos)
+    strategy = cfg.threshold_strategy
+    if tau is None and strategy is ThresholdStrategy.FIXED:
+        tau = cfg.fixed_tau
+    elif tau is None:
+        frame = _frame_metrics(scores.copy(), labels, cfg)
+        tau = (frame.tau_eer if strategy is ThresholdStrategy.EER
+               else frame.tau_hprs)
+    elif not math.isfinite(tau):
+        raise ValidationError(f"tau must be finite, got {tau}")
+    (pred,) = predict_clips(scores, bounds, (float(tau),), cfg, mode)
     cut = np.searchsorted(pred.starts, bounds)
     return {s.video_id: EventSet._of(s.video_id, pred.starts[i:j] - a,
                                      pred.ends[i:j] - a)
             for (s, _), a, i, j in zip(videos, bounds, cut, cut[1:])}
 
 
+def _frame_metrics(scores: np.ndarray, labels: np.ndarray,
+                   cfg: EvalConfig) -> FrameMetrics:
+    """frame_metrics of scores, which it sorts in place, so a caller that
+    needs frame order passes a copy; the label bytes, viewed as bool,
+    select the positives."""
+    return frame_metrics(scores, scores[labels.view(bool)], cfg.hprs_beta)
+
+
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
-    """Frame-level metrics over the concatenated scores of all videos,
-    which frame_metrics sorts in place; the labels' 0/1 bytes, viewed as
-    bool, select the positive frames."""
-    scores, labels, _ = _end_to_end(videos)
-    return frame_metrics(scores, scores[labels.view(bool)], cfg.hprs_beta)
+    """Frame-level metrics over the concatenated scores of all videos."""
+    return _frame_metrics(*_end_to_end(videos)[:2], cfg)
 
 
 def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
@@ -609,9 +601,7 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
     is byte-identical across runs.
     """
     scores, labels, bounds = _end_to_end(load_videos(manifest))
-    # a copy, as frame_metrics sorts it: the events need frame order
-    frame = frame_metrics(scores.copy(), scores[labels.view(bool)],
-                          cfg.hprs_beta)
+    frame = _frame_metrics(scores.copy(), labels, cfg)
     # every clip's events in one EventSet: they never overlap across clips
     gt = EventSet._of("", *clip_runs(labels, bounds))
     metrics_eer, metrics_hprs = (

@@ -47,12 +47,8 @@ def make_dataset(n_videos: int = 20, seed: int = 7
                  ) -> tuple[list[ScoreSequence], list[FrameMask]]:
     """n_videos independent videos from one seeded generator."""
     rng = np.random.default_rng(seed)
-    scores, masks = [], []
-    for k in range(n_videos):
-        s, m = make_video(rng, f"v{k:03d}")
-        scores.append(s)
-        masks.append(m)
-    return scores, masks
+    videos = [make_video(rng, f"v{k:03d}") for k in range(n_videos)]
+    return [s for s, _ in videos], [m for _, m in videos]
 
 
 def write_dataset(out_dir: str | Path, scores: list[ScoreSequence],
@@ -65,16 +61,11 @@ def write_dataset(out_dir: str | Path, scores: list[ScoreSequence],
     lines = ["dataset: synthetic", ""]
     for seq, mask in zip(scores, masks):
         vid = seq.video_id
-        score_path = out / "scores" / f"{vid}.csv"
-        with score_path.open("w", encoding="utf-8") as fh:
-            fh.write("frame,score\n")
-            for i, v in enumerate(seq.scores):
-                fh.write(f"{i},{v!r}\n")
-        mask_path = out / "masks" / f"{vid}.csv"
-        with mask_path.open("w", encoding="utf-8") as fh:
-            fh.write("frame,label\n")
-            for i, v in enumerate(mask.labels):
-                fh.write(f"{i},{v}\n")
+        for kind, path, values in (
+                ("score", f"scores/{vid}.csv", map(repr, seq.scores)),
+                ("label", f"masks/{vid}.csv", mask.labels)):
+            rows = "".join(f"{i},{v}\n" for i, v in enumerate(values))
+            (out / path).write_text(f"frame,{kind}\n{rows}", encoding="utf-8")
         lines += [f"video: {vid}",
                   f"scores: scores/{vid}.csv",
                   f"mask: masks/{vid}.csv",

@@ -123,6 +123,18 @@ def test_temporal_event_bounds():
         TemporalEvent(5, 4)
 
 
+@pytest.mark.parametrize("start,end", [
+    (0.7, 3.9), (True, 2), (0, 3.0), (np.float64(1), 2), (1, np.bool_(1)),
+    ("0", 3)], ids=["floats", "bool", "float-end", "numpy-float",
+                    "numpy-bool", "str"])
+def test_temporal_event_bounds_must_be_integers(start, end):
+    # never truncated: a float or bool bound is not a frame index
+    with pytest.raises(ValidationError, match="are not integers"):
+        TemporalEvent(start, end)
+    e = TemporalEvent(np.int64(2), np.uint8(5))
+    assert (e, type(e.start), type(e.end)) == (TemporalEvent(2, 5), int, int)
+
+
 def test_event_set_requires_sorted_disjoint_nonadjacent():
     EventSet("v", (TemporalEvent(0, 3), TemporalEvent(5, 9)))
     with pytest.raises(ValidationError):  # adjacent runs are one event

@@ -16,6 +16,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import (HealthCheck, example, given, settings,
 
 import event_eval.io as io_mod
 from event_eval.cli import main
-from event_eval.core import FrameMask, ScoreSequence
+from event_eval.core import ScoreSequence
 from event_eval.errors import ParseError
 from event_eval.io import (
     load_branch_errors,
@@ -51,20 +52,31 @@ def _score_bits(seq: ScoreSequence) -> tuple:
     return tuple(np.asarray(seq.scores).view(np.uint64).tolist())
 
 
+def _load(path: Path, kind: str):
+    """load_scores' bits or load_mask's labels, or the error."""
+    if kind == "score":
+        return _outcome(lambda: _score_bits(load_scores(path, "v")))
+    return _outcome(lambda: load_mask(path, "v").labels)
+
+
 def assert_same_as_line_parser(path: Path, kind: str) -> None:
-    """Same values or error, and no warning from either path."""
+    """Same values or error as with the vectorized path switched off, and
+    no warning from either path."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if kind == "score":
-            got = _outcome(lambda: _score_bits(load_scores(path, "v")))
-            want = _outcome(lambda: _score_bits(ScoreSequence(
-                "v", io_mod._scores_from_lines(path, "v"))))
-        else:
-            got = _outcome(lambda: load_mask(path, "v").labels)
-            want = _outcome(lambda: FrameMask(
-                "v", io_mod._labels_from_lines(path, "v")).labels)
+        got = _load(path, kind)
+        with mock.patch.object(io_mod, "_fast_column", return_value=None):
+            want = _load(path, kind)
     assert got == want
     assert [str(w.message) for w in caught] == []
+
+
+def reads_by_line(path: Path, kind: str) -> bool:
+    """Whether loading path goes through the line parser."""
+    with mock.patch.object(io_mod, "_read_csv_column",
+                           side_effect=io_mod._read_csv_column) as spy:
+        _load(path, kind)
+    return spy.called
 
 
 ADVERSARIAL = [
@@ -167,6 +179,26 @@ ADVERSARIAL = [
     ("label", "frame,label\n0,١\n".encode()),
     ("label", "frame,label\n٠,1\n".encode()),
     ("label", b"frame,label\n0,\xfe\n"),
+    ("label", b"\xef\xbb\xbfframe,label\n0,1\n"),  # BOM
+    ("label", b"frame,label\n0,1\r\n1,0\n"),  # one CRLF
+    ("label", b"frame,label\r0,1\r1,0\r"),  # lone CR
+    ("label", b'"frame","label"\n0,1\n'),  # quoted header
+    ("label", b'frame,label\n0,"1\n"\n'),  # quoted newline
+    ("label", b"frame,label\n\n0,1\n"),  # leading blank
+    ("label", b"frame,label\n0,1\n1,0\n\n"),  # trailing blank
+    ("label", b"frame, label \n0,1\n"),  # padded header
+    ("label", b"frame,score\n0,1\n"),  # wrong header
+    ("label", b"frame,label\n0,1,\n"),
+    ("label", b"frame,label\n0\n1,0,1\n"),  # a comma per line on average
+    ("label", b"frame,label\n0,\n1,11\n"),  # an empty and a 2-byte value
+    ("label", b"frame,label\n0,11\n1,\n"),
+    ("label", b"frame,label\n1,1\n"),
+    ("label", b"frame,label\n0,1\n0,1\n"),  # repeat
+    ("label", b"frame,label\n-0,1\n"),
+    ("label", b"frame,label\n0,1\x00\n"),
+    ("label", b"frame,label\n0,\t1\n"),
+    ("label", b"frame,label\n0,/\n"),  # the byte below '0'
+    ("label", b"frame,label\n0,nan\n"),
 ]
 
 
@@ -187,8 +219,34 @@ def test_adversarial_bodies_match_line_parser(tmp_path, kind, body):
 def test_canonical_score_variants_take_the_vectorized_path(tmp_path, body):
     path = tmp_path / "v.csv"
     path.write_bytes(body)
-    assert io_mod._fast_scores(path) is not None
+    assert not reads_by_line(path, "score")
     assert_same_as_line_parser(path, "score")
+
+
+_LONG_MASK = b"".join(b"%d,%d\n" % (i, i // 7 % 2) for i in range(30_000))
+
+
+@pytest.mark.parametrize("body", [
+    b"frame,label\n0,0\n1,1\n",
+    b"frame,label\n0,1\n",
+    b"frame,label\n" + b"".join(b"%d,0\n" % i for i in range(1025)),
+    b"frame,label\n" + _LONG_MASK,   # split into several blocks
+], ids=["two", "one", "1025-zeros", "long"])
+def test_canonical_mask_variants_take_the_vectorized_path(tmp_path, body):
+    path = tmp_path / "v.csv"
+    path.write_bytes(body)
+    assert not reads_by_line(path, "label")
+    assert_same_as_line_parser(path, "label")
+
+
+@pytest.mark.parametrize("bad", [b"2", b"", b"11", b"1 ", b"\x00"])
+def test_mask_error_past_the_first_block_matches_line_parser(tmp_path, bad):
+    path = tmp_path / "v.csv"
+    body = b"frame,label\n" + _LONG_MASK
+    assert body.count(b"\n29000,0\n") == 1
+    path.write_bytes(body.replace(b"\n29000,0\n", b"\n29000," + bad + b"\n"))
+    assert reads_by_line(path, "label")
+    assert_same_as_line_parser(path, "label")
 
 
 _FINITE = st.one_of(
@@ -314,7 +372,7 @@ def test_canonical_scores_are_bit_identical_property(tmp_path, values):
     path = tmp_path / "v.csv"
     path.write_bytes(HEADERS["score"] + "".join(
         f"{i},{v}\n" for i, v in enumerate(values)).encode())
-    assert io_mod._fast_scores(path) is not None
+    assert not reads_by_line(path, "score")
     assert_same_as_line_parser(path, "score")
 
 
@@ -344,9 +402,9 @@ def _count_line_parser(monkeypatch) -> list[Path]:
     calls: list[Path] = []
     original = io_mod._read_csv_column
 
-    def counted(path, value_header):
+    def counted(path, value_header, parse):
         calls.append(Path(path))
-        return original(path, value_header)
+        return original(path, value_header, parse)
 
     monkeypatch.setattr(io_mod, "_read_csv_column", counted)
     return calls
@@ -399,7 +457,7 @@ def test_non_digit_or_long_frames_never_reach_loadtxt(tmp_path, monkeypatch,
     path.write_bytes(b"frame,score\n" + frame + b",0.5\n")
     monkeypatch.setattr(io_mod.np, "loadtxt", lambda *a, **k: pytest.fail(
         "loadtxt was called"))
-    assert io_mod._fast_scores(path) is None
+    assert reads_by_line(path, "score")
 
 
 # ---------------------------------------------------------------------------

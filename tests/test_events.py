@@ -12,7 +12,8 @@ from event_eval.core import (
     ScoreSequence,
     TemporalEvent,
 )
-from event_eval.errors import EventOutOfRange, InvalidWindow
+from event_eval.errors import (EventOutOfRange, InvalidWindow,
+                               ValidationError)
 from event_eval.events import (
     audit_dataset,
     binarize,
@@ -58,6 +59,15 @@ def test_events_to_mask_and_round_trip():
         events_to_mask(EventSet("v", (TemporalEvent(2, 5),)), 5)
 
 
+@pytest.mark.parametrize("n", [3.7, 4.0, True, np.float64(4)],
+                         ids=["fraction", "float", "bool", "numpy-float"])
+def test_events_to_mask_needs_an_integer_length(n):
+    es = EventSet("v", (TemporalEvent(1, 2),))
+    with pytest.raises(ValidationError, match="integer"):
+        events_to_mask(es, n)
+    assert events_to_mask(es, np.int64(4)).labels == (0, 1, 1, 0)
+
+
 def test_round_trip_random_masks():
     rng = np.random.default_rng(37)
     for _ in range(500):
@@ -96,6 +106,17 @@ def test_majority_vote_rejects_bad_window():
         majority_vote_refine(m, window=5, stride=1)  # window > length
     with pytest.raises(InvalidWindow):
         majority_vote_refine(m, window=2, stride=0)
+
+
+@pytest.mark.parametrize("window,stride", [
+    (2.5, 1.5), (3.0, 1), (3, True), (np.float64(3), 1)],
+    ids=["fractions", "float-window", "bool-stride", "numpy-float"])
+def test_majority_vote_needs_integer_window_and_stride(window, stride):
+    m = mask(0, 1, 1, 1)
+    with pytest.raises(InvalidWindow, match="integers"):
+        majority_vote_refine(m, window, stride)
+    assert majority_vote_refine(m, np.int64(3), np.uint8(1)) == \
+        majority_vote_refine(m, 3, 1)
 
 
 def test_majority_vote_matches_brute_force():

@@ -696,6 +696,46 @@ def test_cli_refine_writes_the_events_at_the_strategy_tau(tmp_path,
     assert len(outs) == 3   # three taus, three sets of events
 
 
+@pytest.mark.parametrize("strategy", ["eer", "hprs", "fixed", None])
+def test_cli_refine_lays_the_videos_end_to_end_once(tmp_path, capsysbinary,
+                                                    monkeypatch, strategy):
+    calls = []
+    end_to_end = io_mod._end_to_end
+
+    def counted(videos):
+        calls.append(len(videos))
+        return end_to_end(videos)
+
+    monkeypatch.setattr(io_mod, "_end_to_end", counted)
+    manifest = str(perfect_fixture(tmp_path))
+    config = write(tmp_path / "cfg.json", json.dumps(
+        {"threshold_strategy": strategy or "eer", "fixed_tau": 0.5}))
+    # None: an explicit --tau, which no strategy overrides
+    tau = [] if strategy else ["--tau=0.5"]
+    cli_out(capsysbinary, "--config", str(config), "refine", manifest, *tau)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("flag,text,key", [
+    ("--pred", '{"a": [[250, 549]], "b": [[100, 399]], "a": [[0, 9]]}', "a"),
+    ("--config", '{"sigma_max": 3, "vote_window": 9, "sigma_max": 5}',
+     "sigma_max"),
+])
+def test_cli_duplicate_json_key_is_a_parse_error(tmp_path, capsysbinary,
+                                                 flag, text, key):
+    manifest = str(perfect_fixture(tmp_path))
+    path = write(tmp_path / "dup.json", text)
+    pred = write(tmp_path / "pred.json", '{"a": [], "b": []}')
+    argv = {"--pred": ["event-metrics", manifest, "--pred", str(path)],
+            "--config": ["--config", str(path), "event-metrics", manifest,
+                         "--pred", str(pred)]}[flag]
+    assert main(argv) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode().splitlines() == [
+        f"error: {path}: duplicate key {key!r}"]
+
+
 def test_cli_sigma_max_past_cap_exits_1(tmp_path, capsysbinary):
     manifest = str(perfect_fixture(tmp_path))
     config = write(tmp_path / "cfg.json", '{"sigma_max": 65}')
