@@ -264,6 +264,8 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         try:
+            if isinstance(self.tiou_thresholds, (str, bytes)):
+                raise TypeError("a string is not a list of numbers")
             thresholds = tuple(self.tiou_thresholds)
         except TypeError:
             raise ValidationError("tiou_thresholds must be a list of numbers, "

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import math
 import pickle
 import types
@@ -33,19 +34,30 @@ from event_eval.errors import (
 )
 
 
+ROOT_NAMES = {
+    "EvalConfig", "ScoreSequence", "FrameMask", "EventSet", "TemporalEvent",
+    "audit_dataset", "events_to_mask", "majority_vote_refine",
+    "mask_to_events", "refine_pipeline", "load_manifest", "load_mask",
+    "run_evaluation", "match_events", "emit_report", "build_kernel",
+    "smooth_once", "auc_roc", "eer_threshold", "hprs_threshold", "roc_curve"}
+
+
 def test_package_root_exports_the_documented_names_only():
     import event_eval
 
-    public = {name for name, value in vars(event_eval).items()
+    # the root imports its names on first use, so read them through
+    # __all__, dir() and getattr rather than vars()
+    assert sorted(event_eval.__all__) == sorted(ROOT_NAMES)
+    listed = {name for name in dir(event_eval)
               if not name.startswith("_")
-              and not isinstance(value, types.ModuleType)}
-    assert public == {
-        "EvalConfig", "ScoreSequence", "FrameMask", "EventSet",
-        "TemporalEvent", "audit_dataset", "events_to_mask",
-        "majority_vote_refine", "mask_to_events", "refine_pipeline",
-        "load_manifest", "load_mask", "run_evaluation", "match_events",
-        "emit_report", "build_kernel", "smooth_once", "auc_roc",
-        "eer_threshold", "hprs_threshold", "roc_curve"}
+              and not isinstance(getattr(event_eval, name), types.ModuleType)}
+    assert listed == ROOT_NAMES
+    for name in ROOT_NAMES:
+        value = getattr(event_eval, name)
+        assert getattr(importlib.import_module(value.__module__),
+                       name) is value
+    with pytest.raises(AttributeError):
+        event_eval.not_a_public_name
 
 
 def test_validate_pair_ok():
@@ -192,6 +204,7 @@ def test_config_defaults_are_valid():
 
 @pytest.mark.parametrize("kwargs", [
     {"vote_stride": 5, "vote_window": 3},
+    {"vote_stride": 4, "vote_window": 3},  # one past the window
     {"sigma_max": 0},
     {"min_event_len": 0},
     {"tiou_thresholds": (0.5, 0.2)},
@@ -214,6 +227,15 @@ def test_config_defaults_are_valid():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):
         EvalConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0.5"])
+def test_config_rejects_a_string_of_tiou_thresholds(value):
+    # a string is iterable, but its characters are not thresholds
+    with pytest.raises(ValidationError) as exc:
+        EvalConfig(tiou_thresholds=value)
+    assert str(exc.value) == ("tiou_thresholds must be a list of numbers, "
+                              f"got {value!r}")
 
 
 def test_config_sigma_max_cap_is_inclusive():

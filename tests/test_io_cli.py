@@ -271,6 +271,28 @@ def test_run_evaluation_perfect_fixture(tmp_path):
     assert report.config_echo == EvalConfig()
 
 
+def test_run_evaluation_audits_micro_events_at_min_event_len(tmp_path):
+    # one ground-truth event a frame short of min_event_len, one exactly
+    # min_event_len long: only the first is a micro event
+    cfg = EvalConfig()
+    lines = ["dataset: boundary", ""]
+    for vid, length in (("a", cfg.min_event_len - 1),
+                        ("b", cfg.min_event_len)):
+        labels = [0] * 20 + [1] * length + [0] * 20
+        write(tmp_path / f"{vid}_scores.csv",
+              scores_csv([0.1 + 0.8 * y for y in labels]))
+        write(tmp_path / f"{vid}_mask.csv", mask_csv(labels))
+        lines += [f"video: {vid}", f"scores: {vid}_scores.csv",
+                  f"mask: {vid}_mask.csv", ""]
+    manifest = load_manifest(write(tmp_path / "manifest.txt",
+                                   "\n".join(lines)))
+    audit = run_evaluation(manifest, cfg).audit
+    assert audit.event_count == 2
+    assert (audit.min_duration, audit.max_duration) == (
+        cfg.min_event_len - 1, cfg.min_event_len)
+    assert audit.micro_event_count == 1
+
+
 def test_refined_beats_baseline_on_fragmented_fixture(tmp_path):
     scores, masks = make_dataset(n_videos=5, seed=11)
     manifest = load_manifest(write_dataset(tmp_path, scores, masks))
@@ -734,6 +756,16 @@ def test_cli_duplicate_json_key_is_a_parse_error(tmp_path, capsysbinary,
     assert captured.out == b""
     assert captured.err.decode().splitlines() == [
         f"error: {path}: duplicate key {key!r}"]
+
+
+def test_cli_string_of_tiou_thresholds_exits_1(tmp_path, capsysbinary):
+    manifest = str(perfect_fixture(tmp_path))
+    config = write(tmp_path / "cfg.json", '{"tiou_thresholds": "0.5"}')
+    assert main(["--config", str(config), "evaluate", manifest]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode().splitlines() == [
+        "error: tiou_thresholds must be a list of numbers, got '0.5'"]
 
 
 def test_cli_sigma_max_past_cap_exits_1(tmp_path, capsysbinary):
