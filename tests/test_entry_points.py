@@ -1,8 +1,15 @@
-"""The CLI entry point caps OpenBLAS at one thread; the library does not.
+"""The CLI process differs from library use in two ways, each guarded here.
 
-`event_eval.__main__` sets OPENBLAS_NUM_THREADS=1 before numpy loads. That
-is free only while no module of the package makes a BLAS call, which the
-guard test below checks on the source.
+- `event_eval.__main__` sets OPENBLAS_NUM_THREADS=1 before numpy loads.
+  That is free only while no module of the package makes a BLAS call,
+  which an `ast` guard checks on the source.
+- `event_eval.__main__.main` ends the process with `os._exit` after
+  flushing stdout and stderr, skipping interpreter finalization. Another
+  `ast` guard keeps `os._exit` in that one file. Subprocess tests show
+  that `python -m event_eval` prints the same bytes, messages and exit
+  codes as in-process `event_eval.cli.main`, which returns and never ends
+  its caller, and that an exception or a failed flush still shuts down
+  normally.
 """
 
 from __future__ import annotations
@@ -59,18 +66,47 @@ def test_package_makes_no_blas_call():
         f"while the package makes no BLAS call; found {found}")
 
 
-def run_python(*args: str, env: dict[str, str] | None = None
+def exit_calls(source: str) -> list[str]:
+    """`line: what` for each `_exit` attribute or import of `_exit`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_exit":
+            found.append(f"{node.lineno}: ._exit")
+        elif (isinstance(node, ast.ImportFrom)
+              and any(alias.name == "_exit" for alias in node.names)):
+            found.append(f"{node.lineno}: import _exit")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "os._exit(0)", "import os as o; o._exit(1)", "f = os._exit",
+    "from os import _exit", "from posix import _exit as quit",
+])
+def test_exit_guard_sees_each_kind_of_use(source):
+    assert exit_calls(source)
+
+
+def test_only_the_cli_entry_point_calls_os_exit():
+    found = {path.name: uses for path in sorted(SRC.glob("*.py"))
+             if (uses := exit_calls(path.read_text(encoding="utf-8")))}
+    assert list(found) == ["__main__.py"], (
+        "only event_eval.__main__ may end the process without "
+        f"finalization; found {found}")
+
+
+def run_python(*args: str, env: dict[str, str] | None = None,
+               check: bool = True, stdout=subprocess.PIPE
                ) -> subprocess.CompletedProcess:
     """Run a child Python that imports this checkout's event_eval, with
-    OPENBLAS_NUM_THREADS unset unless env sets it."""
+    OPENBLAS_NUM_THREADS and PYTHONUNBUFFERED unset unless env sets them."""
     child_env = {k: v for k, v in os.environ.items()
-                 if k != "OPENBLAS_NUM_THREADS"}
+                 if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
     child_env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([os.environ["PYTHONPATH"]]
                              if os.environ.get("PYTHONPATH") else []))
     child_env.update(env or {})
     return subprocess.run([sys.executable, *args], env=child_env,
-                          capture_output=True, check=True)
+                          stdout=stdout, stderr=subprocess.PIPE, check=check)
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
@@ -88,13 +124,134 @@ def test_library_import_loads_no_numpy_and_sets_no_environment():
     assert out.stdout.split() == [b"False", b"False"]
 
 
-def test_cli_report_bytes_do_not_depend_on_blas_threads(tmp_path,
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory) -> dict[str, str]:
+    """The seed-7 synthetic set at 3 videos, and at 40 videos, where
+    `refine --mode baseline` prints more than a pipe buffer holds."""
+    root = tmp_path_factory.mktemp("entry")
+    return {n: str(write_dataset(root / f"v{n}",
+                                 *make_dataset(n_videos=n, seed=7)))
+            for n in (3, 40)}
+
+
+def test_cli_report_bytes_do_not_depend_on_blas_threads(manifests,
                                                         capsysbinary):
-    manifest = str(write_dataset(tmp_path, *make_dataset(n_videos=3,
-                                                         seed=7)))
-    assert main(["evaluate", manifest]) == 0
+    assert main(["evaluate", manifests[3]]) == 0
     in_process = capsysbinary.readouterr().out
     for preset in ({}, {"OPENBLAS_NUM_THREADS": "4"}):
-        out = run_python("-m", "event_eval", "evaluate", manifest,
+        out = run_python("-m", "event_eval", "evaluate", manifests[3],
                          env=preset)
         assert out.stdout == in_process
+
+
+def in_process(argv: list[str], capsysbinary) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `event_eval.cli.main(argv)`."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    out = capsysbinary.readouterr()
+    return code, out.out, out.err
+
+
+def parity_cases(tmp_path: Path, manifest: str) -> dict[str, list[str]]:
+    config = tmp_path / "sigma0.json"
+    config.write_text('{"sigma_max": 0}', encoding="utf-8")
+    return {
+        "evaluate": ["evaluate", manifest],
+        "bad-config": ["--config", str(config), "evaluate", manifest],
+        "missing-manifest": ["evaluate", str(tmp_path / "missing.json")],
+        "missing-positional": ["evaluate"],
+        "help": ["--help"],
+    }
+
+
+@pytest.mark.parametrize("case, code", [
+    ("evaluate", 0), ("bad-config", 1), ("missing-manifest", 2),
+    ("missing-positional", 2), ("help", 0),
+])
+def test_cli_process_matches_in_process_main(tmp_path, manifests,
+                                             capsysbinary, monkeypatch,
+                                             case, code):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse's wrap width, both sides
+    argv = parity_cases(tmp_path, manifests[3])[case]
+    want = in_process(argv, capsysbinary)
+    assert want[0] == code
+    if case == "missing-positional":
+        assert want[2].startswith(b"usage: event-eval")
+    out = run_python("-m", "event_eval", *argv, check=False)
+    assert (out.returncode, out.stdout, out.stderr) == want
+
+
+def test_cli_process_out_file_matches_in_process(tmp_path, manifests,
+                                                 capsysbinary):
+    here, there = tmp_path / "here.json", tmp_path / "there.json"
+    assert in_process(["--out", str(here), "evaluate", manifests[3]],
+                      capsysbinary) == (0, b"", b"")
+    out = run_python("-m", "event_eval", "--out", str(there), "evaluate",
+                     manifests[3])
+    assert (out.stdout, out.stderr) == (b"", b"")
+    assert there.read_bytes() == here.read_bytes()
+
+
+def test_cli_process_output_larger_than_a_pipe_arrives_whole(manifests,
+                                                             capsysbinary):
+    argv = ["refine", "--mode", "baseline", manifests[40]]
+    code, want, _ = in_process(argv, capsysbinary)
+    assert code == 0 and len(want) == 193_998
+    out = run_python("-m", "event_eval", *argv)
+    assert (out.stdout, out.stderr) == (want, b"")
+
+
+HOOK = ("import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('atexit ran', file=sys.stderr))\n"
+        "sys.argv = ['event_eval', *sys.argv[1:]]\n"
+        "runpy.run_module('event_eval', run_name='__main__', "
+        "alter_sys=True)\n")
+
+
+def test_cli_process_ends_without_finalization(manifests, capsysbinary):
+    assert main(["audit", manifests[3]]) == 0  # in-process: returns
+    want = capsysbinary.readouterr().out
+    out = run_python("-c", HOOK, "audit", manifests[3])
+    assert (out.stdout, out.stderr) == (want, b"")
+
+
+def test_cli_process_exception_still_finalizes():
+    out = run_python("-c", HOOK, "audit", check=False)  # usage error
+    assert out.returncode == 2
+    assert out.stderr.startswith(b"usage: event-eval")
+    assert out.stderr.endswith(b"atexit ran\n")
+
+
+def into_closed_pipe(*args: str, unbuffered: bool
+                     ) -> subprocess.CompletedProcess:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_python(*args, check=False, stdout=write_end, env=(
+            {"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("n_videos, command", [
+    (40, ["refine", "--mode", "baseline"]), (3, ["audit"]),
+])
+def test_cli_process_into_a_closed_pipe(manifests, unbuffered, n_videos,
+                                        command):
+    out = into_closed_pipe("-m", "event_eval", *command, manifests[n_videos],
+                           unbuffered=unbuffered)
+    if command == ["audit"] and not unbuffered:
+        # The small report waits in stdout's buffer, so main returns 0 and
+        # the flush fails. Normal shutdown then reports it as it does for
+        # any script that leaves unflushed output behind.
+        plain = into_closed_pipe("-c", "import sys; sys.stdout.write('x')",
+                                 unbuffered=False)
+        assert (out.returncode, out.stderr) == (plain.returncode,
+                                                plain.stderr)
+        assert b"BrokenPipeError" in out.stderr
+    else:
+        assert (out.returncode, out.stderr) == (
+            2, b"error: [Errno 32] Broken pipe\n")
