@@ -8,11 +8,15 @@ be set before numpy loads, so before `.cli` is imported.
 flushes stdout and stderr and calls `os._exit`, saving the ~25 ms of GC
 and module teardown that no output depends on. So anything the CLI writes
 must be flushed or closed before `cli.main` returns, and no `atexit` hook
-runs. An exception from `cli.main` and a failed flush shut down normally.
+runs. `cli.main` flushes its report, so a failed write ends there with
+exit 2 and one `error:` line; a flush here can fail only on the bytes that
+write left behind, and `os._exit` drops them unprinted. An exception from
+`cli.main` shuts down normally.
 """
 
 import os
 import sys
+from contextlib import suppress
 from typing import NoReturn
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -22,12 +26,10 @@ from . import cli  # noqa: E402
 
 def main() -> NoReturn:
     code = cli.main()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with suppress(OSError):
                 stream.flush()
-    except Exception:
-        raise SystemExit(code) from None
     os._exit(code)
 
 

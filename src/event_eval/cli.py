@@ -88,11 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(data: bytes, out: str | None) -> None:
+    """Write data to out, or to stdout and flush it, so that every failed
+    write raises here, inside main."""
     if out:
         with open(out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def _run(args: argparse.Namespace) -> int:

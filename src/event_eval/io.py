@@ -241,12 +241,25 @@ def _read_bytes(path: Path) -> bytes | None:
         return None
 
 
+def _prefixed(lines: bytes, prefixes: range) -> bytes:
+    """lines once per prefix, with the prefix put after each '\\n'."""
+    return b"".join(lines.replace(b"\n", b"\n%d" % p) for p in prefixes)
+
+
+# frames 0..999 zero-padded, each after its '\n', b"\n000\n001...\n999";
+# with their up to two leading zeros stripped, b"0\n1\n...\n999"
+_THOUSAND = _prefixed(_prefixed(_prefixed(b"\n", range(10)), range(10)),
+                      range(10))
+_FIRST_THOUSAND = _THOUSAND.replace(b"\n0", b"\n").replace(b"\n0", b"\n")[1:]
+
+
 @lru_cache(maxsize=None)
 def _frame_column(size: int) -> bytes:
-    """b"0\\n1\\n...\\n" for size frames, a power of two so that few are
-    built, 4,096 frames at a time so that it never holds a str per frame."""
-    return "".join("\n".join(map(str, range(k, min(k + 4096, size)))) + "\n"
-                   for k in range(0, size, 4096)).encode()
+    """b"0\\n1\\n...\\n" for at least size frames, a power of two so that
+    few are built. Each thousand after the first is _THOUSAND with its
+    prefix put before every line, so no str is made per frame."""
+    later = _prefixed(_THOUSAND, range(1, -(-size // 1000)))
+    return b"".join([_FIRST_THOUSAND, later, b"\n"])
 
 
 # every byte but the separators ',', '\n' and '\r' (a line break to csv)
@@ -259,11 +272,12 @@ def _fast_column(path: Path, value_header: str, convert) -> np.ndarray | None:
 
     Canonical: the exact header, then one 'frame,value' line per frame, each
     ending in '\\n', with no CR; the frames are those of the frame column,
-    0..n-1 without leading zeros. convert turns a block's value fields into
-    an array, or None when one is not canonical. A quote makes convert or
-    the frame check fail, so csv quoting never splits a line differently.
-    Lines are split in blocks of about _BLOCK bytes, which bounds the
-    temporary bytes and objects on long clips.
+    0..n-1 without leading zeros. convert turns a block of lines into their
+    frame column, b'f0\\n...\\n', and an array of their values, or None
+    when a value is not canonical. A quote makes convert or the frame check
+    fail, so csv quoting never splits a line differently. Lines are
+    converted in blocks of about _BLOCK bytes, which bounds the temporary
+    bytes and objects on long clips.
     """
     header = f"frame,{value_header}\n".encode()
     data = _read_bytes(path)
@@ -279,36 +293,43 @@ def _fast_column(path: Path, value_header: str, convert) -> np.ndarray | None:
         seps = lines.translate(None, _NOT_SEPARATORS)
         if seps != b",\n" * (len(seps) // 2):
             return None
-        fields = lines.replace(b",", b"\n").split(b"\n")
-        joined = b"\n".join(fields[0::2])   # 'f0\n...\n': the last is b""
-        if not column.startswith(joined, pos):
+        converted = convert(lines)
+        if converted is None or not column.startswith(converted[0], pos):
             return None
-        pos += len(joined)
-        blocks.append(convert(fields[1::2]))
-        if blocks[-1] is None:
-            return None
+        pos += len(converted[0])
+        blocks.append(converted[1])
         at = end
     return np.concatenate(blocks)
 
 
-def _finite_floats(fields: list[bytes]) -> np.ndarray | None:
-    """float() of every field, the line parser's own converter, so the
-    scores are the line parser's, bit for bit; None unless all are finite.
-    """
+def _finite_floats(lines: bytes) -> tuple[bytes, np.ndarray] | None:
+    """The lines' frames, and float() of every value, the line parser's own
+    converter, so the scores are the line parser's, bit for bit; None
+    unless all are finite."""
+    fields = lines.replace(b",", b"\n").split(b"\n")
+    values = fields[1::2]
     try:
-        values = np.fromiter(map(float, fields), np.float64, len(fields))
+        scores = np.fromiter(map(float, values), np.float64, len(values))
     except ValueError:
         return None
-    return values if np.isfinite(values).all() else None
-
-
-def _binary_bytes(fields: list[bytes]) -> np.ndarray | None:
-    """The labels of fields that are each one byte, '0' or '1', or None."""
-    joined = b"".join(fields)
-    if len(joined) != len(fields) or b"" in fields:
+    if not np.isfinite(scores).all():
         return None
-    labels = np.frombuffer(joined, np.uint8) - ord("0")
-    return labels if (labels <= 1).all() else None
+    return b"\n".join(fields[0::2]), scores   # the last field is b""
+
+
+def _binary_bytes(lines: bytes) -> tuple[bytes, np.ndarray] | None:
+    """The lines' frames and labels, read by position, or None unless the
+    byte before each '\\n' is '0' or '1'. The frames drop each label and the
+    byte before it, which must be the line's one comma: any other byte
+    there leaves that comma in a frame, which the frame check rejects."""
+    text = np.frombuffer(lines, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    labels = text[ends - 1] - ord("0")   # a byte below '0' wraps past 1
+    if (labels > 1).any():
+        return None
+    frame = np.ones(len(text), bool)
+    frame[ends - 1] = frame[ends - 2] = False
+    return text[frame].tobytes(), labels
 
 
 def load_scores(path: str | Path,

@@ -239,12 +239,83 @@ def test_canonical_mask_variants_take_the_vectorized_path(tmp_path, body):
     assert_same_as_line_parser(path, "label")
 
 
-@pytest.mark.parametrize("bad", [b"2", b"", b"11", b"1 ", b"\x00"])
-def test_mask_error_past_the_first_block_matches_line_parser(tmp_path, bad):
+@pytest.mark.parametrize("size", [1, 999, 1000, 1001, 1024, 65_536, 100_001])
+def test_frame_column_is_the_frames_in_order(size):
+    column = io_mod._frame_column(size)
+    assert column.startswith(b"".join(b"%d\n" % k for k in range(size)))
+    assert column == b"".join(b"%d\n" % k
+                              for k in range(column.count(b"\n")))
+
+
+_LONG_SCORES = np.random.default_rng(1).random(70_001)
+
+
+@pytest.mark.parametrize("kind,body", [
+    ("score", b"".join(b"%d,%r\n" % (i, v)
+                       for i, v in enumerate(_LONG_SCORES.tolist()))),
+    ("label", b"".join(b"%d,%d\n" % (i, v)
+                       for i, v in enumerate(_LONG_SCORES < 0.3))),
+])
+def test_long_canonical_files_take_the_vectorized_path(tmp_path, kind, body):
+    # past 2**16 frames, several blocks and many thousands of frames
+    path = tmp_path / "v.csv"
+    path.write_bytes(HEADERS[kind] + body)
+    assert len(body) > 3 * io_mod._BLOCK
+    assert not reads_by_line(path, kind)
+    assert_same_as_line_parser(path, kind)
+
+
+def _block_starts(body: bytes, block: int) -> list[int]:
+    """Where each of _fast_column's blocks of a mask body starts, at a
+    _BLOCK of block."""
+    starts, at = [], len(HEADERS["label"])
+    while at < len(body):
+        starts.append(at)
+        at = body.find(b"\n", at + block) + 1 or len(body)
+    return starts
+
+
+_BAD_MASK_LINES = {   # a bad line for frame f, whose label is v
+    "label-2": lambda f, v: b"%d,2\n" % f,
+    "label-01": lambda f, v: b"%d,01\n" % f,
+    "no-comma": lambda f, v: b"%d%d\n" % (f, v),
+    "crlf": lambda f, v: b"%d,1\r\n" % f,
+    "frame-minus-0": lambda f, v: b"-0,%d\n" % v,
+}
+
+
+@pytest.mark.parametrize("edge,bad", [
+    *(pytest.param(None, bad, id=bad.decode())
+      for bad in [b"2", b"", b"11", b"1 ", b"\x00"]),
+    *(pytest.param(edge, name, id=f"{edge}-{name}")
+      for edge in ("first", "last") for name in _BAD_MASK_LINES),
+])
+def test_mask_error_past_the_first_block_matches_line_parser(
+        tmp_path, monkeypatch, edge, bad):
     path = tmp_path / "v.csv"
     body = b"frame,label\n" + _LONG_MASK
-    assert body.count(b"\n29000,0\n") == 1
-    path.write_bytes(body.replace(b"\n29000,0\n", b"\n29000," + bad + b"\n"))
+    if edge is None:   # bad is the label of frame 29000
+        assert body.count(b"\n29000,0\n") == 1
+        body = body.replace(b"\n29000,0\n", b"\n29000," + bad + b"\n")
+    else:
+        # The largest block size up to _BLOCK at which a line starts where
+        # the second block reaches its size. That line ends the block at any
+        # length, so a bad line shorter than the one it replaces stays last.
+        def reach(k: int) -> int:
+            return _block_starts(body, k)[1] + k
+
+        block = next(k for k in range(io_mod._BLOCK, 0, -1)
+                     if body[reach(k) - 1] == ord("\n"))
+        monkeypatch.setattr(io_mod, "_BLOCK", block)
+        at = _block_starts(body, block)[1] if edge == "first" else reach(block)
+        end = body.index(b"\n", at) + 1
+        frame, label = map(int, body[at:end].split(b","))
+        line = _BAD_MASK_LINES[bad](frame, label)
+        body = body[:at] + line + body[end:]
+        starts = _block_starts(body, block)
+        assert (starts[1] == at if edge == "first"
+                else starts[2] == at + len(line))
+    path.write_bytes(body)
     assert reads_by_line(path, "label")
     assert_same_as_line_parser(path, "label")
 
