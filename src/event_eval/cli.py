@@ -9,23 +9,24 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .core import EvalConfig, events_within
 from .errors import (EventEvalError, InputError, ValidationError,
                      WindowOutOfRange)
-from .events import audit_dataset, mask_to_events
+from .events import audit_events, clip_runs
 from .fusion import mark_windows
 from .io import (
     BASELINE,
     REFINED,
-    compute_frame_metrics,
+    _frame_metrics,
     config_to_dict,
     events_to_json_obj,
     load_branch_errors,
     load_config,
+    load_dataset,
     load_events_json,
     load_manifest,
-    load_masks,
-    load_videos,
     predict_videos,
     run_evaluation,
 )
@@ -103,24 +104,25 @@ def _run(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
 
     if args.command == "audit":
-        audit = audit_dataset(load_masks(manifest), cfg.min_event_len)
+        data = load_dataset(manifest, scores=False)
+        audit = audit_events(clip_runs(data.labels, data.bounds),
+                             int(data.bounds[-1]), cfg.min_event_len)
         _emit(emit_audit(audit, args.format), args.out)
     elif args.command == "frame-metrics":
-        videos = load_videos(manifest)
-        metrics = compute_frame_metrics(videos, cfg)
+        metrics = _frame_metrics(load_dataset(manifest), cfg)
         _emit(emit_frame_metrics(metrics, args.format), args.out)
     elif args.command == "refine":
-        events = predict_videos(load_videos(manifest), args.tau, cfg,
+        events = predict_videos(load_dataset(manifest), args.tau, cfg,
                                 args.mode)
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "event-metrics":
-        masks = load_masks(manifest)
+        data = load_dataset(manifest, scores=False)
         pred = load_events_json(args.pred)
-        for mask in masks:
-            if mask.video_id in pred:
-                events_within(pred[mask.video_id], len(mask))
-        gt = [mask_to_events(m) for m in masks]
-        metrics = multi_threshold_eval(gt, list(pred.values()),
+        for vid, n in zip(data.video_ids, np.diff(data.bounds).tolist()):
+            if vid in pred:
+                events_within(pred[vid], n)
+        gt = data.split(clip_runs(data.labels, data.bounds))
+        metrics = multi_threshold_eval(list(gt.values()), list(pred.values()),
                                        cfg.tiou_thresholds)
         _emit(emit_event_metrics(metrics, args.format), args.out)
     elif args.command == "fuse":
@@ -129,16 +131,16 @@ def _run(args: argparse.Namespace) -> int:
             raise ValidationError(
                 "fuse needs --tau or a config with fixed_tau")
         branch = {e.video_id: e.branch_errors_path for e in manifest.videos}
+        data = load_dataset(manifest, scores=False)
         events = {}
-        for mask in load_masks(manifest):
-            vid, path = mask.video_id, branch[mask.video_id]
+        for vid, n in zip(data.video_ids, np.diff(data.bounds).tolist()):
+            path = branch[vid]
             if path is None:
                 raise ValidationError(f"video {vid!r} has no branch_errors "
                                       "file in the manifest")
             windows = load_branch_errors(path)
             try:
-                events[vid] = mark_windows(*windows, float(tau), len(mask),
-                                           vid)
+                events[vid] = mark_windows(*windows, float(tau), n, vid)
             except WindowOutOfRange as exc:
                 exc.args = (f"{exc} | video_id={vid!r} | path={path}",)
                 raise

@@ -195,6 +195,39 @@ class EventSet(_Arrays):
         return iter(self.events)
 
 
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Videos laid end to end: video c is frames bounds[c]:bounds[c + 1] of
+    the uint8 labels and of the float64 scores, None when not loaded. The
+    int64 bounds start at 0; every array is read-only."""
+
+    video_ids: tuple[str, ...]
+    bounds: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, videos: Sequence[tuple[ScoreSequence | None, FrameMask]]
+           ) -> Dataset:
+        """The (scores or None, mask) pairs laid end to end, unchecked."""
+        arrays = [np.cumsum([0, *(len(m) for _, m in videos)]),
+                  np.concatenate([m.as_array() for _, m in videos])]
+        if videos[0][0] is not None:
+            arrays.append(np.concatenate([s.as_array() for s, _ in videos]))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(tuple(m.video_id for _, m in videos), *arrays)
+
+    def split(self, events: EventSet) -> dict[str, EventSet]:
+        """events, as indices into the frames laid end to end, as each
+        video's own EventSet; no event may span two videos."""
+        cut = np.searchsorted(events.starts, self.bounds)
+        return {vid: EventSet._of(vid, events.starts[i:j] - a,
+                                  events.ends[i:j] - a)
+                for vid, a, i, j in zip(self.video_ids, self.bounds, cut,
+                                        cut[1:])}
+
+
 class ThresholdStrategy(str, Enum):
     """How the binarization threshold tau is chosen."""
 

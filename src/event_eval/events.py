@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    Dataset,
     EvalConfig,
     EventSet,
     FrameMask,
@@ -48,11 +49,11 @@ class AuditReport:
             raise ValidationError("anomalous frames present but no events")
 
 
-def clip_runs(labels: np.ndarray,
-              bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The starts and ends of the maximal runs of 1s of each clip
-    labels[bounds[c]:bounds[c + 1]], as indices into labels; no run spans
-    two clips."""
+def clip_runs(labels: np.ndarray, bounds: np.ndarray,
+              video_id: str = "") -> EventSet:
+    """The maximal runs of 1s of each clip labels[bounds[c]:bounds[c + 1]],
+    as one EventSet of indices into labels for video_id. No run spans two
+    clips, so the last run of a clip may touch the first of the next."""
     first, last = bounds[:-1], bounds[1:] - 1
     rise = np.empty(labels.size, bool)
     rise[1:] = labels[1:] > labels[:-1]
@@ -60,13 +61,13 @@ def clip_runs(labels: np.ndarray,
     fall = np.empty(labels.size, bool)
     fall[:-1] = labels[:-1] > labels[1:]
     fall[last] = labels[last]
-    return np.flatnonzero(rise), np.flatnonzero(fall)
+    return EventSet._of(video_id, np.flatnonzero(rise), np.flatnonzero(fall))
 
 
 def mask_to_events(mask: FrameMask) -> EventSet:
     """Decompose a mask into maximal runs of 1s."""
-    return EventSet._of(mask.video_id, *clip_runs(
-        mask.as_array(), np.array([0, len(mask)])))
+    return clip_runs(mask.as_array(), np.array([0, len(mask)]),
+                     mask.video_id)
 
 
 def events_to_mask(events: EventSet, n: int) -> FrameMask:
@@ -169,8 +170,7 @@ def refine_clips(smoothed: np.ndarray, bounds: np.ndarray, tau: float,
     events are indices into smoothed."""
     voted = clip_vote(smoothed >= tau, bounds, cfg.vote_window,
                       cfg.vote_stride)
-    return filter_short_events(EventSet._of("", *clip_runs(voted, bounds)),
-                               cfg.min_event_len)
+    return filter_short_events(clip_runs(voted, bounds), cfg.min_event_len)
 
 
 def refine_pipeline(scores: ScoreSequence, tau: float,
@@ -212,7 +212,6 @@ def audit_dataset(masks: list[FrameMask],
     if micro_threshold < 1:
         raise ValidationError(
             f"micro_threshold must be >= 1, got {micro_threshold}")
-    bounds = np.cumsum([0, *map(len, masks)])
-    runs = clip_runs(np.concatenate([m.as_array() for m in masks]), bounds)
-    return audit_events(EventSet._of("", *runs), int(bounds[-1]),
-                        micro_threshold)
+    data = Dataset.of([(None, m) for m in masks])
+    return audit_events(clip_runs(data.labels, data.bounds),
+                        int(data.bounds[-1]), micro_threshold)

@@ -127,6 +127,5 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
     ends = starts + lengths[hit].astype(np.int64)
     depth = np.cumsum(np.bincount(starts, minlength=video_len + 1)
                       - np.bincount(ends, minlength=video_len + 1))
-    return EventSet._of(video_id, *clip_runs(depth > 0,
-                                             np.array([0, depth.size])))
+    return clip_runs(depth > 0, np.array([0, depth.size]), video_id)
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    Dataset,
     EvalConfig,
     EventMetrics,
     EventSet,
@@ -522,94 +523,72 @@ def load_config(path: str | Path) -> EvalConfig:
 # evaluation orchestration
 
 
-def _by_video_id(manifest: Manifest) -> list[ManifestEntry]:
-    """The manifest's entries in video_id order, in which all are read."""
-    return sorted(manifest.videos, key=lambda e: e.video_id)
-
-
-def load_videos(manifest: Manifest) -> list[tuple[ScoreSequence, FrameMask]]:
-    """Load and cross-validate every (scores, mask) pair, sorted by video_id."""
+def load_dataset(manifest: Manifest, scores: bool = True) -> Dataset:
+    """Every video of the manifest, in video_id order, laid end to end: each
+    scores file (when scores is True) and then its mask is read and the pair
+    cross-validated before the next video's files are opened."""
     videos = []
-    for entry in _by_video_id(manifest):
-        scores = load_scores(entry.scores_path, entry.video_id)
+    for entry in sorted(manifest.videos, key=lambda e: e.video_id):
+        seq = (load_scores(entry.scores_path, entry.video_id) if scores
+               else None)
         mask = load_mask(entry.mask_path, entry.video_id)
-        validate_pair(scores, mask)
-        videos.append((scores, mask))
-    return videos
+        if seq is not None:
+            validate_pair(seq, mask)
+        videos.append((seq, mask))
+    return Dataset.of(videos)
 
 
-def load_masks(manifest: Manifest) -> list[FrameMask]:
-    """Load every mask, sorted by video_id; no scores file is opened."""
-    return [load_mask(e.mask_path, e.video_id) for e in _by_video_id(manifest)]
-
-
-def _end_to_end(videos: Sequence[tuple[ScoreSequence, FrameMask]]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The videos' scores and labels laid end to end, and the clip bounds."""
-    return (np.concatenate([s.as_array() for s, _ in videos]),
-            np.concatenate([m.as_array() for _, m in videos]),
-            np.cumsum([0, *(len(s) for s, _ in videos)]))
-
-
-def predict_clips(scores: np.ndarray, bounds: np.ndarray,
-                  taus: Sequence[float], cfg: EvalConfig,
+def predict_clips(data: Dataset, taus: Sequence[float], cfg: EvalConfig,
                   mode: str) -> list[EventSet]:
-    """The events of every clip of scores at each tau, as indices into
-    scores. Refined mode smooths once for all taus; baseline mode binarizes
+    """The events of every video of data at each tau, as indices into its
+    frames. Refined mode smooths once for all taus; baseline mode binarizes
     the raw scores."""
     if mode == BASELINE:
-        return [EventSet._of("", *clip_runs(scores >= tau, bounds))
-                for tau in taus]
+        return [clip_runs(data.scores >= tau, data.bounds) for tau in taus]
     if mode == REFINED:
-        smoothed = smooth_clips(scores, bounds, cfg.sigma_max)
-        return [refine_clips(smoothed, bounds, tau, cfg) for tau in taus]
+        smoothed = smooth_clips(data.scores, data.bounds, cfg.sigma_max)
+        return [refine_clips(smoothed, data.bounds, tau, cfg) for tau in taus]
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def predict_videos(videos: Sequence[tuple[ScoreSequence, FrameMask]],
-                   tau: float | None, cfg: EvalConfig,
+def predict_videos(data: Dataset, tau: float | None, cfg: EvalConfig,
                    mode: str) -> dict[str, EventSet]:
     """Each video's predicted events at tau, from one pass over all videos.
     A tau of None comes from cfg.threshold_strategy: fixed_tau, or the
     frame metrics' EER or HPRS threshold over the same pass."""
-    scores, labels, bounds = _end_to_end(videos)
     strategy = cfg.threshold_strategy
     if tau is None and strategy is ThresholdStrategy.FIXED:
         tau = cfg.fixed_tau
     elif tau is None:
-        frame = _frame_metrics(scores.copy(), labels, cfg)
+        frame = _frame_metrics(data, cfg)
         tau = (frame.tau_eer if strategy is ThresholdStrategy.EER
                else frame.tau_hprs)
     elif not math.isfinite(tau):
         raise ValidationError(f"tau must be finite, got {tau}")
-    (pred,) = predict_clips(scores, bounds, (float(tau),), cfg, mode)
-    cut = np.searchsorted(pred.starts, bounds)
-    return {s.video_id: EventSet._of(s.video_id, pred.starts[i:j] - a,
-                                     pred.ends[i:j] - a)
-            for (s, _), a, i, j in zip(videos, bounds, cut, cut[1:])}
+    (pred,) = predict_clips(data, (float(tau),), cfg, mode)
+    return data.split(pred)
 
 
-def _frame_metrics(scores: np.ndarray, labels: np.ndarray,
-                   cfg: EvalConfig) -> FrameMetrics:
-    """frame_metrics of scores, which it sorts in place, so a caller that
-    needs frame order passes a copy; the label bytes, viewed as bool,
-    select the positives."""
-    return frame_metrics(scores, scores[labels.view(bool)], cfg.hprs_beta)
+def _frame_metrics(data: Dataset, cfg: EvalConfig) -> FrameMetrics:
+    """frame_metrics of data's scores, from a copy, which it sorts in
+    place; the label bytes, viewed as bool, select the positives."""
+    return frame_metrics(np.array(data.scores),
+                         data.scores[data.labels.view(bool)], cfg.hprs_beta)
 
 
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
     """Frame-level metrics over the concatenated scores of all videos."""
-    return _frame_metrics(*_end_to_end(videos)[:2], cfg)
+    return _frame_metrics(Dataset.of(videos), cfg)
 
 
 def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                      tau: float, cfg: EvalConfig, mode: str) -> EventMetrics:
     """Refine every video at tau and evaluate against its mask's events."""
-    scores, labels, bounds = _end_to_end(videos)
-    (pred,) = predict_clips(scores, bounds, (tau,), cfg, mode)
-    gt = EventSet._of("", *clip_runs(labels, bounds))
-    return multi_threshold_eval([gt], [pred], cfg.tiou_thresholds)
+    data = Dataset.of(videos)
+    (pred,) = predict_clips(data, (tau,), cfg, mode)
+    return multi_threshold_eval([clip_runs(data.labels, data.bounds)], [pred],
+                                cfg.tiou_thresholds)
 
 
 def run_evaluation(manifest: Manifest, cfg: EvalConfig,
@@ -621,19 +600,18 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
     ground-truth events serve both the audit and the matching. The report
     is byte-identical across runs.
     """
-    scores, labels, bounds = _end_to_end(load_videos(manifest))
-    frame = _frame_metrics(scores.copy(), labels, cfg)
-    # every clip's events in one EventSet: they never overlap across clips
-    gt = EventSet._of("", *clip_runs(labels, bounds))
+    data = load_dataset(manifest)
+    frame = _frame_metrics(data, cfg)
+    gt = clip_runs(data.labels, data.bounds)
     metrics_eer, metrics_hprs = (
         multi_threshold_eval([gt], [pred], cfg.tiou_thresholds)
-        for pred in predict_clips(scores, bounds,
-                                  (frame.tau_eer, frame.tau_hprs), cfg, mode))
+        for pred in predict_clips(data, (frame.tau_eer, frame.tau_hprs), cfg,
+                                  mode))
     return Report(
         frame_metrics=frame,
         event_metrics_eer=metrics_eer,
         event_metrics_hprs=metrics_hprs,
-        audit=audit_events(gt, int(bounds[-1]), cfg.min_event_len),
+        audit=audit_events(gt, int(data.bounds[-1]), cfg.min_event_len),
         config_echo=cfg,
         tool_version=__version__,
         mode=mode,

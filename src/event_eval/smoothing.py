@@ -72,7 +72,8 @@ def default_radius(sigma: float) -> int:
     return max(1, math.ceil(3.0 * sigma))
 
 
-def _smooth(x: np.ndarray, bounds: np.ndarray, passes) -> np.ndarray:
+def _smooth(x: np.ndarray, bounds: np.ndarray,
+            passes: list[np.ndarray]) -> np.ndarray:
     """Convolve each clip x[bounds[c]:bounds[c + 1]] with each weight vector
     in turn, between the clip's own reflect margins.
 
@@ -87,6 +88,9 @@ def _smooth(x: np.ndarray, bounds: np.ndarray, passes) -> np.ndarray:
     """
     lens = np.diff(bounds)
     spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    # both buffers fit the widest pass: its frames plus every clip's margins
+    size = x.size + max(w.size - 1 for w in passes) * lens.size
+    padded_buf, out_buf = np.empty(size), np.empty(size)
     for w in passes:
         r = w.size // 2
         lo = np.minimum.reduceat(x, bounds[:-1])
@@ -94,35 +98,37 @@ def _smooth(x: np.ndarray, bounds: np.ndarray, passes) -> np.ndarray:
         # clip c's body starts at padded[at[c]]; its margins come from the
         # periodic mirror index, which also covers r >= n and n = 1
         at = bounds[:-1] + 2 * r * np.arange(lens.size) + r
-        padded = np.empty(x.size + 2 * r * lens.size)
+        padded = padded_buf[:x.size + 2 * r * lens.size]
         for (a, b), p in zip(spans, at.tolist()):
             padded[p:p + b - a] = x[a:b]
         off = np.r_[-r:0, 0:r] + np.outer(lens, np.arange(2 * r) >= r)
         last = lens[:, None] - 1
         padded[at[:, None] + off] = x[bounds[:-1, None] + last - np.abs(
             off % np.maximum(2 * last, 1) - last)]
-        del x   # two frame arrays at a time: padded, then out
-        out = _tap_sums(padded, w)
-        del padded
-        x = np.empty(bounds[-1])
+        out = _tap_sums(padded, w, out_buf[:padded.size - 2 * r])
+        # clip c moves 2rc frames left, onto frames only clips up to c were
+        # read from. It is copied, then clipped in place: np.fmax on a
+        # buffered overlapping source may pick the other of two equal zeros.
         for c, ((a, b), p) in enumerate(zip(spans, (at - r).tolist())):
-            np.fmin(np.fmax(out[p:p + b - a], lo[c], out=x[a:b]), hi[c],
-                    out=x[a:b])
-        del out
+            clip = out[a:b]
+            clip[...] = out[p:p + b - a]
+            np.fmin(np.fmax(clip, lo[c], out=clip), hi[c], out=clip)
+        x = out[:bounds[-1]]
     return x
 
 
-def _tap_sums(padded: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """padded[r:-r] plus its weighted taps, summed in _smooth's order over
-    _CHUNK frames at a time, which bounds the temporaries."""
+def _tap_sums(padded: np.ndarray, w: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """padded[r:-r] plus its weighted taps into out, summed in _smooth's
+    order over _CHUNK frames at a time, which bounds the temporaries."""
     r = w.size // 2
-    out = np.zeros(padded.size - 2 * r)
     d, e = np.empty((2, min(_CHUNK, out.size)))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, out.size, _CHUNK):
             b = min(a + _CHUNK, out.size)
             core, acc = padded[a + r:b + r], out[a:b]
             dd, ee = d[:b - a], e[:b - a]
+            acc.fill(0.0)
             for j in range(1, r + 1):
                 np.subtract(padded[a + r + j:b + r + j], core, out=dd)
                 np.subtract(padded[a + r - j:b + r - j], core, out=ee)
@@ -139,8 +145,8 @@ def smooth_clips(x: np.ndarray, bounds: np.ndarray,
     pass per sigma over all clips; a clip's bits are those it has alone."""
     if sigma_max < 1:
         raise InvalidSigma(f"sigma_max must be >= 1, got {sigma_max}")
-    return _smooth(x, bounds, (_gaussian_weights(s, default_radius(s))
-                               for s in range(1, sigma_max + 1)))
+    return _smooth(x, bounds, [_gaussian_weights(s, default_radius(s))
+                               for s in range(1, sigma_max + 1)])
 
 
 def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:

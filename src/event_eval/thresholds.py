@@ -96,10 +96,6 @@ def _clip(area: float) -> float:
     return min(1.0, max(0.0, area))  # guard ulp-level overshoot
 
 
-def _precision(tp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    return tp / np.maximum(tp + fp, 1)  # nothing predicted: 0 / 1 = 0
-
-
 def _roc(cand, tp, fp, n_pos: int, n_neg: int) -> RocCurve:
     fpr = fp / n_neg
     return RocCurve(cand, fpr, (n_pos - tp) / n_pos, tp / n_pos, fpr)
@@ -111,13 +107,12 @@ def _roc_terms(curve: RocCurve) -> np.ndarray:
     return ((fpr[:-1] - fpr[1:]) * (tpr[:-1] + tpr[1:]) / 2.0)[::-1]
 
 
-def _pr_terms(tp: np.ndarray, fp: np.ndarray, n_pos: int) -> np.ndarray:
+def _pr_terms(recall: np.ndarray, precision: np.ndarray) -> np.ndarray:
     """Steps (recall_k - recall_k+1) * precision_k, highest threshold first.
 
     The +inf sentinel's recall, 0.0, is the step base of the top score.
     """
-    recall = tp / n_pos
-    return ((recall[:-1] - recall[1:]) * _precision(tp[:-1], fp[:-1]))[::-1]
+    return ((recall[:-1] - recall[1:]) * precision[:-1])[::-1]
 
 
 def _eer_point(curve: RocCurve) -> tuple[int, float, float]:
@@ -128,16 +123,14 @@ def _eer_point(curve: RocCurve) -> tuple[int, float, float]:
     return i, gap[i], (curve.far[i] + curve.frr[i]) / 2.0
 
 
-def _hprs_point(tp: np.ndarray, fp: np.ndarray, n_pos: int,
+def _hprs_point(recall: np.ndarray, precision: np.ndarray,
                 beta: float) -> tuple[int, float]:
     """Index of the last (highest-threshold) maximum of F_beta, and that
     maximum."""
     b2 = beta * beta
-    prec = _precision(tp, fp)
-    rec = tp / n_pos
-    denom = b2 * prec + rec
-    fb = np.divide((1.0 + b2) * prec * rec, denom, out=np.zeros(denom.size),
-                   where=denom > 0)
+    denom = b2 * precision + recall
+    fb = np.divide((1.0 + b2) * precision * recall, denom,
+                   out=np.zeros(denom.size), where=denom > 0)
     i = fb.size - 1 - int(np.argmax(fb[::-1]))
     return i, fb[i]
 
@@ -217,12 +210,13 @@ def frame_metrics(scores: np.ndarray, positives: np.ndarray,
     eer, hprs = (np.inf,), (-1.0,)
     for cand, tp, fp in _count_blocks(scores, positives, _BLOCK):
         curve = _roc(cand, tp, fp, n_pos, n_neg)
+        precision = tp / np.maximum(tp + fp, 1)  # nothing predicted: 0 / 1
         area_roc = _add(area_roc, _roc_terms(curve))
-        area_pr = _add(area_pr, _pr_terms(tp, fp, n_pos))
+        area_pr = _add(area_pr, _pr_terms(curve.tpr, precision))
         i, gap, value = _eer_point(curve)
         if gap <= eer[0]:  # ties: the lower threshold wins
             eer = gap, cand[i], prf(int(tp[i]), int(fp[i]), n_pos).f1, value
-        i, fb = _hprs_point(tp, fp, n_pos, beta)
+        i, fb = _hprs_point(curve.tpr, precision, beta)
         if fb > hprs[0]:  # ties: the higher threshold wins
             hprs = fb, cand[i], prf(int(tp[i]), int(fp[i]), n_pos).f1
     return FrameMetrics(

@@ -481,14 +481,18 @@ def _count_line_parser(monkeypatch) -> list[Path]:
     return calls
 
 
-def test_load_videos_takes_vectorized_path(tmp_path, monkeypatch):
+def test_load_dataset_takes_vectorized_path(tmp_path, monkeypatch):
     scores, masks = make_dataset(n_videos=5, seed=3)
     manifest = load_manifest(write_dataset(tmp_path, scores, masks))
     calls = _count_line_parser(monkeypatch)
-    videos = io_mod.load_videos(manifest)
+    data = io_mod.load_dataset(manifest)
     assert calls == []
-    assert [s for s, _ in videos] == scores
-    assert [m for _, m in videos] == masks
+    assert data.video_ids == tuple(s.video_id for s in scores)
+    assert data.bounds.tolist() == np.cumsum([0, *map(len, scores)]).tolist()
+    assert np.array_equal(data.scores,
+                          np.concatenate([s.as_array() for s in scores]))
+    assert np.array_equal(data.labels,
+                          np.concatenate([m.as_array() for m in masks]))
 
 
 def test_crlf_file_reaches_line_parser(tmp_path, monkeypatch):

@@ -11,6 +11,9 @@
   its caller, and that an exception still shuts down normally. A report
   that cannot be written, into a closed pipe say, exits 2 with one
   `error:` line whatever its size.
+
+A third `ast` guard keeps every subcommand on one lay-out of the frames:
+`cli.py` reads scores and masks only through `io.load_dataset`.
 """
 
 from __future__ import annotations
@@ -93,6 +96,39 @@ def test_only_the_cli_entry_point_calls_os_exit():
     assert list(found) == ["__main__.py"], (
         "only event_eval.__main__ may end the process without "
         f"finalization; found {found}")
+
+
+# the loaders of the files that hold no frames
+OTHER_LOADERS = {"load_manifest", "load_config", "load_events_json",
+                 "load_branch_errors"}
+
+
+def loader_calls(source: str) -> list[str]:
+    """`line: name` for each call of a `load_*` function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", ""))
+            if name.startswith("load_"):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "load_mask(p)", "io.load_scores(p, v)", "load_frames(m)",
+    "x = [load_labels(m)]",
+])
+def test_loader_guard_sees_each_kind_of_call(source):
+    assert loader_calls(source)
+
+
+def test_cli_reads_frames_only_through_load_dataset():
+    calls = loader_calls((SRC / "cli.py").read_text(encoding="utf-8"))
+    frames = [c for c in calls if c.split(": ")[1] not in OTHER_LOADERS]
+    assert frames and all(c.endswith(": load_dataset") for c in frames), (
+        "every subcommand reads scores and masks through io.load_dataset, "
+        f"one lay-out of the frames; cli.py calls {frames}")
 
 
 def run_python(*args: str, env: dict[str, str] | None = None,

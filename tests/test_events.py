@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from event_eval import events as events_mod
 from event_eval.core import (
+    Dataset,
     EvalConfig,
     EventSet,
     FrameMask,
@@ -307,7 +308,8 @@ def test_ragged_tail_equals_per_clip_functions(videos, cfg):
             want = {s.video_id: refine_pipeline(s, tau, cfg)
                     if mode == "refined" else mask_to_events(binarize(s, tau))
                     for s, _ in videos}
-            assert predict_videos(videos, tau, cfg, mode) == want
+            assert predict_videos(Dataset.of(videos), tau, cfg,
+                                  mode) == want
             assert event_metrics_at(videos, tau, cfg, mode) == \
                 multi_threshold_eval(gt, list(want.values()),
                                      cfg.tiou_thresholds)

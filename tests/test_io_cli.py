@@ -11,7 +11,7 @@ import pytest
 
 from event_eval import events as events_mod, io as io_mod
 from event_eval.cli import main
-from event_eval.core import EvalConfig, FrameMask, ScoreSequence
+from event_eval.core import Dataset, EvalConfig, FrameMask, ScoreSequence
 from event_eval.errors import (
     BadLength,
     DuplicateVideoId,
@@ -604,6 +604,55 @@ def test_cli_fuse_requires_tau(tmp_path, capsysbinary):
     assert "tau" in err
 
 
+def opened_fixture(tmp_path: Path) -> Path:
+    """Three canonical videos, each with a scores file, a mask and a
+    branch-errors file, listed out of video id order."""
+    lines = ["dataset: d"]
+    for vid in ("c", "a", "b"):
+        write(tmp_path / f"{vid}_s.csv",
+              scores_csv([0.1] * 10 + [0.9] * 20 + [0.1] * 10))
+        write(tmp_path / f"{vid}_m.csv",
+              mask_csv([0] * 10 + [1] * 20 + [0] * 10))
+        write(tmp_path / f"{vid}_b.txt", f"8 8 {' '.join(['0.9'] * 32)}\n")
+        lines += [f"video: {vid}", f"scores: {vid}_s.csv",
+                  f"mask: {vid}_m.csv", f"branch_errors: {vid}_b.txt"]
+    write(tmp_path / "pred.json", '{"a": [], "b": [], "c": []}')
+    return write(tmp_path / "manifest.txt", "\n".join(lines) + "\n")
+
+
+PAIRS = ["a_s.csv", "a_m.csv", "b_s.csv", "b_m.csv", "c_s.csv", "c_m.csv"]
+MASKS = ["a_m.csv", "b_m.csv", "c_m.csv"]
+
+
+@pytest.mark.parametrize("argv,want", [
+    pytest.param(["evaluate"], PAIRS, id="evaluate"),
+    pytest.param(["frame-metrics"], PAIRS, id="frame-metrics"),
+    pytest.param(["refine"], PAIRS, id="refine"),
+    pytest.param(["audit"], MASKS, id="audit"),
+    pytest.param(["event-metrics", "--pred", "pred.json"], MASKS,
+                 id="event-metrics"),
+    pytest.param(["fuse", "--tau", "0.5"],
+                 MASKS + ["a_b.txt", "b_b.txt", "c_b.txt"], id="fuse"),
+])
+def test_each_subcommand_opens_the_files_the_readme_lists(
+        tmp_path, capsysbinary, monkeypatch, argv, want):
+    """Each scores, mask and branch-errors file a subcommand uses is read
+    once, in video id order: for each video its scores file, then its
+    mask; or every mask; or every mask, then every branch-errors file."""
+    manifest = str(opened_fixture(tmp_path))
+    opened = []
+    read_bytes = io_mod._read_bytes
+
+    def recorded(path):
+        opened.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(io_mod, "_read_bytes", recorded)
+    monkeypatch.chdir(tmp_path)   # where --pred finds pred.json
+    cli_out(capsysbinary, argv[0], manifest, *argv[1:])
+    assert opened == want
+
+
 def test_readme_quick_start(tmp_path, capsysbinary):
     made = subprocess.run([sys.executable, "-m", "event_eval.synthetic",
                            str(tmp_path), "--videos", "6", "--seed", "7"],
@@ -703,7 +752,7 @@ def test_cli_refine_writes_the_events_at_the_strategy_tau(tmp_path,
     scores, masks = make_dataset(n_videos=3, seed=5)
     manifest = str(write_dataset(tmp_path, scores, masks))
     frame = json.loads(cli_out(capsysbinary, "frame-metrics", manifest))
-    videos = io_mod.load_videos(load_manifest(manifest))
+    data = io_mod.load_dataset(load_manifest(manifest))
     outs = set()
     for strategy, tau in [("eer", frame["tau_eer"]),
                           ("hprs", frame["tau_hprs"]), ("fixed", 0.45)]:
@@ -711,7 +760,7 @@ def test_cli_refine_writes_the_events_at_the_strategy_tau(tmp_path,
             {"threshold_strategy": strategy, "fixed_tau": 0.45}))
         at_tau = cli_out(capsysbinary, "refine", manifest, f"--tau={tau!r}")
         assert at_tau == json_bytes(events_to_json_obj(
-            io_mod.predict_videos(videos, tau, EvalConfig(), "refined")))
+            io_mod.predict_videos(data, tau, EvalConfig(), "refined")))
         assert cli_out(capsysbinary, "--config", str(config), "refine",
                        manifest) == at_tau
         outs.add(at_tau)
@@ -722,13 +771,13 @@ def test_cli_refine_writes_the_events_at_the_strategy_tau(tmp_path,
 def test_cli_refine_lays_the_videos_end_to_end_once(tmp_path, capsysbinary,
                                                     monkeypatch, strategy):
     calls = []
-    end_to_end = io_mod._end_to_end
+    lay_out = Dataset.of.__func__
 
-    def counted(videos):
+    def counted(cls, videos):
         calls.append(len(videos))
-        return end_to_end(videos)
+        return lay_out(cls, videos)
 
-    monkeypatch.setattr(io_mod, "_end_to_end", counted)
+    monkeypatch.setattr(Dataset, "of", classmethod(counted))
     manifest = str(perfect_fixture(tmp_path))
     config = write(tmp_path / "cfg.json", json.dumps(
         {"threshold_strategy": strategy or "eer", "fixed_tau": 0.5}))

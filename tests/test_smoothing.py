@@ -203,6 +203,18 @@ def test_clip_among_others_equals_clip_alone_bit_for_bit(monkeypatch, chunk):
                                          np.cumsum([0, *lengths]), 5).tobytes()
 
 
+def test_signed_zeros_among_others_keep_the_bits_they_have_alone():
+    """The sign of a zero is a bit too: a clip of +0.0 and -0.0 scores,
+    long enough that its smoothed frames move onto their own input, keeps
+    the bits it has alone."""
+    rng = np.random.default_rng(0)
+    lengths = [40, 300, 7, 120, 500]
+    clips = [np.where(rng.random(n) < 0.5, -0.0, 0.0) for n in lengths]
+    got = smooth_clips(np.concatenate(clips), np.cumsum([0, *lengths]), 5)
+    alone = [smooth_clips(x, np.array([0, x.size]), 5) for x in clips]
+    assert got.tobytes() == np.concatenate(alone).tobytes()
+
+
 _SMOOTH_DIGEST = """
 import hashlib, sys
 import numpy as np
