@@ -1,10 +1,11 @@
 """Core domain types: score sequences, binary masks, temporal events, config.
 
 All types are immutable value objects. Input is checked where it enters:
-in the public constructors and in the loaders of io.py. Internal producers
-whose output is valid by construction build through the private _of, which
-skips the checks. Frame indexing is 0-based and event intervals are closed
-[start, end]; an event's duration is end - start + 1.
+in the public constructors, in the loaders of io.py and, for each score and
+mask pair, in Dataset.of. Internal producers whose output is valid by
+construction build through the private _of, which skips the checks. Frame
+indexing is 0-based and event intervals are closed [start, end]; an event's
+duration is end - start + 1.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ MAX_SIGMA = 64
 
 
 class _Arrays:
-    """A video id plus the read-only arrays named in _arrays, copied in.
+    """A video id plus the read-only arrays named in _arrays.
 
-    Public constructors check their input; internal producers whose output
-    is valid by construction build through _of, which skips the checks.
+    Public constructors check their input and copy it; internal producers
+    whose output is valid by construction build through _of, which skips
+    the checks and keeps the arrays it is handed, made read-only.
     """
 
     _arrays: tuple[str, ...]
@@ -50,7 +52,7 @@ class _Arrays:
     def _fill(self, video_id: str, *arrays) -> None:
         self.__dict__["video_id"] = video_id
         for name, values in zip(self._arrays, arrays):
-            self.__dict__[name] = arr = np.array(values, dtype=self._dtype)
+            self.__dict__[name] = arr = np.asarray(values, self._dtype)
             arr.flags.writeable = False
 
     def _stored(self) -> tuple[np.ndarray, ...]:
@@ -73,7 +75,7 @@ class _Arrays:
 
 
 def _one_d(video_id: str, values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)   # the copy a constructor stores
     if arr.ndim != 1:
         raise ValidationError(
             f"{what} for {video_id!r} must be 1-D, got shape {arr.shape}")
@@ -207,9 +209,17 @@ class Dataset:
     scores: np.ndarray | None = None
 
     @classmethod
-    def of(cls, videos: Sequence[tuple[ScoreSequence | None, FrameMask]]
+    def of(cls, pairs: Iterable[tuple[ScoreSequence | None, FrameMask]]
            ) -> Dataset:
-        """The (scores or None, mask) pairs laid end to end, unchecked."""
+        """The (scores or None, mask) pairs laid end to end; each pair with
+        scores passes validate_pair before the next pair is drawn."""
+        videos = []
+        for seq, mask in pairs:
+            if seq is not None:
+                validate_pair(seq, mask)
+            videos.append((seq, mask))
+        if not videos:
+            raise ValidationError("need at least one video")
         arrays = [np.cumsum([0, *(len(m) for _, m in videos)]),
                   np.concatenate([m.as_array() for _, m in videos])]
         if videos[0][0] is not None:

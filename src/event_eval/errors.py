@@ -63,7 +63,7 @@ class DegenerateLabels(ValidationError):
 
 
 class InvalidSigma(ValidationError):
-    """Gaussian kernel sigma must be strictly positive."""
+    """Gaussian kernel sigma must be positive, with 2 sigma^2 above 0."""
 
 
 class InvalidWindow(ValidationError):

@@ -83,11 +83,6 @@ def events_to_mask(events: EventSet, n: int) -> FrameMask:
     return FrameMask._of(events.video_id, np.cumsum(delta[:n]))
 
 
-def binarize(scores: ScoreSequence, tau: float) -> FrameMask:
-    """Frames with score >= tau become anomalous."""
-    return FrameMask._of(scores.video_id, scores.as_array() >= tau)
-
-
 _WINDOWS = 8192  # vote windows per block of clip_vote
 
 
@@ -207,8 +202,6 @@ def audit_events(gt: EventSet, n_frames: int,
 def audit_dataset(masks: list[FrameMask],
                   micro_threshold: int) -> AuditReport:
     """audit_events of the maximal runs of 1s of every ground-truth mask."""
-    if not masks:
-        raise ValidationError("audit requires at least one mask")
     if micro_threshold < 1:
         raise ValidationError(
             f"micro_threshold must be >= 1, got {micro_threshold}")

@@ -34,7 +34,6 @@ from .core import (
     ScoreSequence,
     TemporalEvent,
     ThresholdStrategy,
-    validate_pair,
 )
 from .errors import (
     DuplicateVideoId,
@@ -525,17 +524,12 @@ def load_config(path: str | Path) -> EvalConfig:
 
 def load_dataset(manifest: Manifest, scores: bool = True) -> Dataset:
     """Every video of the manifest, in video_id order, laid end to end: each
-    scores file (when scores is True) and then its mask is read and the pair
-    cross-validated before the next video's files are opened."""
-    videos = []
-    for entry in sorted(manifest.videos, key=lambda e: e.video_id):
-        seq = (load_scores(entry.scores_path, entry.video_id) if scores
-               else None)
-        mask = load_mask(entry.mask_path, entry.video_id)
-        if seq is not None:
-            validate_pair(seq, mask)
-        videos.append((seq, mask))
-    return Dataset.of(videos)
+    scores file (when scores is True) and then its mask is read, and
+    Dataset.of checks the pair before the next video's files are opened."""
+    return Dataset.of(
+        (load_scores(e.scores_path, e.video_id) if scores else None,
+         load_mask(e.mask_path, e.video_id))
+        for e in sorted(manifest.videos, key=lambda e: e.video_id))
 
 
 def predict_clips(data: Dataset, taus: Sequence[float], cfg: EvalConfig,

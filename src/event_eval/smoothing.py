@@ -60,6 +60,8 @@ def build_kernel(sigma: float, radius: int) -> GaussianKernel:
     """
     if not sigma > 0:
         raise InvalidSigma(f"sigma must be positive, got {sigma}")
+    if not 2.0 * sigma * sigma > 0:
+        raise InvalidSigma(f"sigma {sigma} is too small: 2 sigma^2 is 0")
     if radius < 1:
         raise ValidationError(f"radius must be >= 1, got {radius}")
     w = _gaussian_weights(sigma, radius)
@@ -141,8 +143,9 @@ def _tap_sums(padded: np.ndarray, w: np.ndarray,
 
 def smooth_clips(x: np.ndarray, bounds: np.ndarray,
                  sigma_max: int) -> np.ndarray:
-    """hierarchical_smooth of each clip x[bounds[c]:bounds[c + 1]], in one
-    pass per sigma over all clips; a clip's bits are those it has alone."""
+    """Each clip x[bounds[c]:bounds[c + 1]] smoothed by build_kernel(sigma,
+    default_radius(sigma)) for sigma = 1..sigma_max in turn, bit for bit,
+    in one pass per sigma over all clips, with the bits it has alone."""
     if sigma_max < 1:
         raise InvalidSigma(f"sigma_max must be >= 1, got {sigma_max}")
     return _smooth(x, bounds, [_gaussian_weights(s, default_radius(s))
@@ -155,15 +158,3 @@ def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
     return ScoreSequence._of(scores.video_id, _smooth(
         scores.as_array(), np.array([0, len(scores)]), [w]))
 
-
-def hierarchical_smooth(scores: ScoreSequence, sigma_max: int) -> ScoreSequence:
-    """Apply smooth_once for sigma = 1..sigma_max with radius ceil(3 sigma).
-
-    Ascending sigma suppresses local noise first, then progressively wider
-    passes flatten what remains while preserving the global trend. The passes
-    chain on one float64 array with the weights build_kernel would hold, so
-    the result equals the composed smooth_once calls bit for bit, without a
-    ScoreSequence or a GaussianKernel per pass.
-    """
-    return ScoreSequence._of(scores.video_id, smooth_clips(
-        scores.as_array(), np.array([0, len(scores)]), sigma_max))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from event_eval.core import (
+    Dataset,
     EvalConfig,
     EventMetrics,
     EventPrf,
@@ -81,6 +82,27 @@ def test_validate_pair_video_id_mismatch():
     mask = FrameMask("b", (1,))
     with pytest.raises(VideoIdMismatch):
         validate_pair(scores, mask)
+
+
+def test_dataset_of_checks_each_pair_before_drawing_the_next():
+    drawn = []
+
+    def pairs():
+        for vid, n in (("a", 2), ("b", 3), ("c", 2)):
+            drawn.append(vid)
+            yield ScoreSequence(vid, [0.5] * n), FrameMask(vid, [0, 1])
+
+    with pytest.raises(LengthMismatch) as exc:
+        Dataset.of(pairs())
+    assert exc.value.video_id == "b" and drawn == ["a", "b"]
+
+
+def test_private_of_keeps_the_array_it_is_handed():
+    scores, labels = np.arange(4.0), np.array([0, 1, 1, 0], np.uint8)
+    seq, mask = ScoreSequence._of("v", scores), FrameMask._of("v", labels)
+    assert np.shares_memory(seq.as_array(), scores)
+    assert np.shares_memory(mask.as_array(), labels)
+    assert not (scores.flags.writeable or labels.flags.writeable)
 
 
 def test_nan_score_reports_index():
@@ -260,6 +282,17 @@ def test_event_prf_f1_identity_enforced():
     EventPrf(precision=0.5, recall=0.5, f1=0.5, tp=1, fp=1, fn=1)
     with pytest.raises(ValidationError):
         EventPrf(precision=0.5, recall=0.5, f1=0.9, tp=1, fp=1, fn=1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: EventPrf(precision=0.0, recall=0.0, f1=0.0, tp=0, fp=-1, fn=0),
+     "confusion counts must be non-negative"),
+    (lambda: EventMetrics(per_tiou={}, average_f1=0.0),
+     "per_tiou must not be empty"),
+], ids=["negative count", "no thresholds"])
+def test_event_values_reject_impossible_counts(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_event_metrics_average_and_totals_enforced():

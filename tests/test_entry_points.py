@@ -13,7 +13,10 @@
   `error:` line whatever its size.
 
 A third `ast` guard keeps every subcommand on one lay-out of the frames:
-`cli.py` reads scores and masks only through `io.load_dataset`.
+`cli.py` reads scores and masks only through `io.load_dataset`. A fourth
+keeps that lay-out the one checked door: no module builds a `Dataset`
+but through `Dataset.of`, which checks every pair, and only it and
+`thresholds._as_arrays` use `validate_pair`.
 """
 
 from __future__ import annotations
@@ -284,3 +287,53 @@ def test_cli_process_into_a_closed_pipe(manifests, unbuffered, n_videos,
                            unbuffered=unbuffered)
     assert (out.returncode, out.stderr) == (
         2, b"error: [Errno 32] Broken pipe\n")
+
+
+def pair_checks(source: str) -> list[str]:
+    """`function: what` for each use of validate_pair and each Dataset(...)
+    call, function being the enclosing def's dotted name ('' at the top)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            name = getattr(child, "attr", getattr(child, "id", ""))
+            if (isinstance(child, (ast.Name, ast.Attribute))
+                    and name == "validate_pair"):
+                found.append(f"{where}: validate_pair")
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", "")) == "Dataset":
+                    found.append(f"{where}: Dataset()")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "validate_pair(s, m)", "core.validate_pair(s, m)", "check = validate_pair",
+    "def f():\n    return [validate_pair(s, m)]", "Dataset(ids, b, y)",
+    "core.Dataset(ids, b, y)", "class C:\n    x = Dataset(ids, b, y)",
+])
+def test_pair_check_guard_sees_each_kind_of_use(source):
+    assert pair_checks(source)
+
+
+def test_pair_check_guard_places_a_use_in_its_function():
+    source = "class D:\n    def of(cls):\n        validate_pair(s, m)\n"
+    assert pair_checks(source) == ["D.of: validate_pair"]
+    assert pair_checks("Dataset.of(pairs)\ndata: Dataset") == []
+
+
+def test_frames_are_laid_out_only_through_the_checked_dataset_of():
+    found = {path.name: uses for path in sorted(SRC.glob("*.py"))
+             if (uses := pair_checks(path.read_text(encoding="utf-8")))}
+    assert found == {"core.py": ["Dataset.of: validate_pair"],
+                     "thresholds.py": ["_as_arrays: validate_pair"]}, (
+        "Dataset.of is the one checked lay-out of the frames: it alone "
+        "builds a Dataset, and only it and thresholds._as_arrays check "
+        f"pairs; found {found}")

@@ -16,8 +16,8 @@ from event_eval.core import (
 from event_eval.errors import (EventOutOfRange, InvalidWindow,
                                ValidationError)
 from event_eval.events import (
+    AuditReport,
     audit_dataset,
-    binarize,
     clip_vote,
     events_to_mask,
     filter_short_events,
@@ -27,7 +27,7 @@ from event_eval.events import (
 )
 from event_eval.io import event_metrics_at, predict_videos
 from event_eval.matching import multi_threshold_eval
-from event_eval.smoothing import hierarchical_smooth
+from event_eval.smoothing import smooth_clips
 
 from oracles import brute_majority_vote, runs_of_ones
 
@@ -259,8 +259,9 @@ def test_refine_pipeline_clamps_vote_to_short_clips():
             for _ in range(20):
                 seq = ScoreSequence("v", tuple(rng.random(n)))
                 tau = float(rng.uniform(0.2, 0.8))
-                smoothed = hierarchical_smooth(seq, cfg.sigma_max)
-                labels = list(binarize(smoothed, tau).labels)
+                smoothed = smooth_clips(seq.as_array(), np.array([0, n]),
+                                        cfg.sigma_max)
+                labels = (smoothed >= tau).astype(int).tolist()
                 voted = brute_majority_vote(labels, n,
                                             min(cfg.vote_stride, n))
                 want = [(s, e) for s, e in runs_of_ones(voted)
@@ -306,7 +307,9 @@ def test_ragged_tail_equals_per_clip_functions(videos, cfg):
     for mode in ("refined", "baseline"):
         for tau in (0.5, 0.35):
             want = {s.video_id: refine_pipeline(s, tau, cfg)
-                    if mode == "refined" else mask_to_events(binarize(s, tau))
+                    if mode == "refined"
+                    else mask_to_events(FrameMask(s.video_id,
+                                                  s.as_array() >= tau))
                     for s, _ in videos}
             assert predict_videos(Dataset.of(videos), tau, cfg,
                                   mode) == want
@@ -316,8 +319,10 @@ def test_ragged_tail_equals_per_clip_functions(videos, cfg):
 
 
 def test_binarize_uses_geq_convention():
-    got = binarize(ScoreSequence("v", (0.2, 0.5, 0.7)), 0.5)
-    assert got.labels == (0, 1, 1)
+    # the baseline path binarizes the raw scores: the tie at tau is anomalous
+    data = Dataset.of([(ScoreSequence("v", (0.2, 0.5, 0.7)), mask(0, 0, 0))])
+    got = predict_videos(data, 0.5, EvalConfig(), "baseline")
+    assert spans(got["v"]) == [(1, 2)]
 
 
 def test_audit_single_video():
@@ -343,5 +348,24 @@ def test_audit_across_videos():
 
 
 def test_audit_requires_masks():
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match="at least one video"):
         audit_dataset([], micro_threshold=2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: filter_short_events(EventSet("v"), 0), "d_min must be >= 1"),
+    (lambda: audit_dataset([mask(0, 1)], micro_threshold=0),
+     "micro_threshold must be >= 1"),
+    (lambda: AuditReport(normal_frames=2, anomalous_frames=2, event_count=0,
+                         avg_duration_frames=0.0, min_duration=0,
+                         max_duration=0, micro_event_count=0),
+     "anomalous frames present but no events"),
+    (lambda: AuditReport(normal_frames=2, anomalous_frames=4, event_count=2,
+                         avg_duration_frames=3.0, min_duration=1,
+                         max_duration=3, micro_event_count=0),
+     "avg_duration_frames inconsistent"),
+], ids=["filter d_min 0", "audit micro_threshold 0", "frames without events",
+        "average not frames / events"])
+def test_events_rejections(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

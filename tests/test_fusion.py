@@ -256,6 +256,15 @@ def test_mark_windows_names_first_out_of_range_window():
         mark_scored([branch([0.1], [0.1] * 3, start=huge)], 0.5, 20)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: align_center([0.1] * 3, 0), "window length must be >= 1"),
+    (lambda: mark([], 0.5, 0), "video_len must be >= 1"),
+], ids=["align_center window 0", "mark_windows video_len 0"])
+def test_fusion_rejects_a_length_below_one(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_run_dual_pipeline_without_windows():
     out = mark_scored([], 0.5, 5, "v")
     assert len(out) == 0 and out.video_id == "v"

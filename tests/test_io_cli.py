@@ -15,11 +15,13 @@ from event_eval.core import Dataset, EvalConfig, FrameMask, ScoreSequence
 from event_eval.errors import (
     BadLength,
     DuplicateVideoId,
+    LengthMismatch,
     MissingFile,
     NonBinaryLabel,
     NonFiniteScore,
     ParseError,
     ValidationError,
+    VideoIdMismatch,
 )
 from event_eval.events import clip_runs
 from event_eval.fusion import (
@@ -28,8 +30,10 @@ from event_eval.fusion import (
     pool_event_score,
 )
 from event_eval.io import (
+    compute_frame_metrics,
     config_from_dict,
     config_to_dict,
+    event_metrics_at,
     events_to_json_obj,
     load_branch_errors,
     load_config,
@@ -269,6 +273,43 @@ def test_run_evaluation_perfect_fixture(tmp_path):
     assert report.audit.event_count == 2
     assert report.mode == "refined"
     assert report.config_echo == EvalConfig()
+
+
+def _pair(vid: str, n_scores: int, labels: list[int], mask_id: str = ""):
+    return (ScoreSequence(vid, [0.1, 0.9, 0.5][:n_scores]),
+            FrameMask(mask_id or vid, labels))
+
+
+ADAPTERS = {
+    "compute_frame_metrics": lambda videos: compute_frame_metrics(
+        videos, EvalConfig()),
+    "event_metrics_at": lambda videos: event_metrics_at(
+        videos, 0.5, EvalConfig(), "refined"),
+}
+# no pair may slide a score onto another frame's label
+BAD_PAIRS = {
+    "3 scores, 2 labels": (LengthMismatch, [_pair("a", 3, [0, 1])]),
+    "3/2 beside 2/3": (LengthMismatch, [_pair("a", 3, [0, 1]),
+                                         _pair("b", 2, [1, 0, 1])]),
+    "two ids": (VideoIdMismatch, [_pair("a", 2, [0, 1], mask_id="b")]),
+    "no videos": (ValidationError, []),
+}
+
+
+@pytest.mark.parametrize("adapter", ADAPTERS)
+@pytest.mark.parametrize("error,videos", BAD_PAIRS.values(), ids=BAD_PAIRS)
+def test_adapters_check_every_pair(adapter, error, videos):
+    with pytest.raises(error):
+        ADAPTERS[adapter](videos)
+
+
+def test_unknown_mode_is_rejected(tmp_path):
+    videos = [_pair("a", 2, [0, 1])]
+    with pytest.raises(ValidationError, match="unknown mode 'fancy'"):
+        event_metrics_at(videos, 0.5, EvalConfig(), "fancy")
+    manifest = load_manifest(perfect_fixture(tmp_path))
+    with pytest.raises(ValidationError, match="unknown mode 'fancy'"):
+        run_evaluation(manifest, EvalConfig(), mode="fancy")
 
 
 def test_run_evaluation_audits_micro_events_at_min_event_len(tmp_path):
@@ -773,9 +814,14 @@ def test_cli_refine_lays_the_videos_end_to_end_once(tmp_path, capsysbinary,
     calls = []
     lay_out = Dataset.of.__func__
 
-    def counted(cls, videos):
-        calls.append(len(videos))
-        return lay_out(cls, videos)
+    def counted(cls, pairs):
+        calls.append(0)   # the pairs this lay-out draws
+
+        def drawn():
+            for pair in pairs:
+                calls[-1] += 1
+                yield pair
+        return lay_out(cls, drawn())
 
     monkeypatch.setattr(Dataset, "of", classmethod(counted))
     manifest = str(perfect_fixture(tmp_path))

@@ -197,6 +197,14 @@ def test_multi_threshold_eval_video_id_mismatch():
         multi_threshold_eval(gt, pred, (0.5,))
 
 
+@pytest.mark.parametrize("twice", ["gt", "pred"])
+def test_multi_threshold_eval_rejects_a_video_id_twice(twice):
+    a, b = eventset([(0, 9)], "a"), eventset([(0, 9)], "b")
+    sides = {"gt": [a, b], "pred": [a, b], twice: [a, a]}
+    with pytest.raises(VideoIdMismatch, match="duplicate video_id"):
+        multi_threshold_eval(sides["gt"], sides["pred"], (0.5,))
+
+
 @pytest.mark.parametrize("thresholds", [
     (1.5, -2.0), (0.0,), (0.5, 1.0000001), (float("nan"),), (True,),
     ("0.5",), (None,), (0.5, 0.2, 0.5), (0.3, 0.3),

@@ -13,17 +13,20 @@ import pytest
 from event_eval import smoothing
 from event_eval.core import ScoreSequence
 from event_eval.errors import InvalidSigma, ValidationError
-from event_eval.events import binarize
 from event_eval.smoothing import (
     GaussianKernel,
     build_kernel,
     default_radius,
-    hierarchical_smooth,
     smooth_clips,
     smooth_once,
 )
 
 from oracles import naive_smooth, reflect_index, variance
+
+
+def smooth(seq: ScoreSequence, sigma_max: int) -> np.ndarray:
+    """smooth_clips of the one clip seq: sigma = 1..sigma_max in turn."""
+    return smooth_clips(seq.as_array(), np.array([0, len(seq)]), sigma_max)
 
 
 def closed_form_weights(sigma: float, radius: int) -> list[float]:
@@ -73,6 +76,14 @@ def test_build_kernel_rejects_bad_sigma():
         build_kernel(1.0, 0)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 5e-324])
+def test_build_kernel_rejects_a_sigma_whose_square_underflows(sigma):
+    # 2 sigma^2 rounds to 0, the divisor of every weight's exponent
+    with pytest.raises(InvalidSigma, match="too small") as err:
+        build_kernel(sigma, 1)
+    assert "positive" not in str(err.value)
+
+
 def test_kernel_type_validates():
     with pytest.raises(ValidationError):  # asymmetric
         GaussianKernel(sigma=1.0, radius=1, weights=(0.2, 0.5, 0.3))
@@ -83,6 +94,8 @@ def test_kernel_type_validates():
         GaussianKernel(sigma=1.0, radius=2, weights=(0.25, 0.5, 0.25))
     with pytest.raises(ValidationError):  # not normalized
         GaussianKernel(sigma=1.0, radius=1, weights=(0.3, 0.5, 0.3))
+    with pytest.raises(ValidationError, match="strictly positive"):
+        GaussianKernel(sigma=1.0, radius=1, weights=(0.0, 1.0, 0.0))
 
 
 def test_smooth_once_constant_is_exact_fixed_point():
@@ -148,7 +161,7 @@ def test_smooth_once_matches_naive_convolution():
 def test_hierarchical_sigma_max_one_is_single_pass():
     seq = ScoreSequence("v", tuple(np.sin(np.arange(30) * 0.7)))
     direct = smooth_once(seq, build_kernel(1, default_radius(1)))
-    assert hierarchical_smooth(seq, 1).scores == direct.scores
+    assert smooth(seq, 1).tolist() == list(direct.scores)
 
 
 def test_hierarchical_equals_composed_passes_bit_for_bit():
@@ -160,7 +173,7 @@ def test_hierarchical_equals_composed_passes_bit_for_bit():
             for k in range(1, 6):
                 composed = smooth_once(composed,
                                        build_kernel(k, default_radius(k)))
-                assert hierarchical_smooth(seq, k).scores == composed.scores
+                assert smooth(seq, k).tolist() == list(composed.scores)
 
 
 def fixed_order_smooth(values, weights) -> list[float]:
@@ -218,10 +231,9 @@ def test_signed_zeros_among_others_keep_the_bits_they_have_alone():
 _SMOOTH_DIGEST = """
 import hashlib, sys
 import numpy as np
-from event_eval.core import ScoreSequence
-from event_eval.smoothing import hierarchical_smooth
+from event_eval.smoothing import smooth_clips
 x = np.random.default_rng(5).random(50_000)
-out = hierarchical_smooth(ScoreSequence("v", x), 5).as_array()
+out = smooth_clips(x, np.array([0, x.size]), 5)
 sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
@@ -254,10 +266,10 @@ def test_plateau_interior_passes_through_exactly():
     values = np.full(end + 100, 0.1)
     values[start:end + 1] = 0.9
     values[-1] = 1.0  # so the clip to [min, max] cannot hide an overshoot
-    out = hierarchical_smooth(ScoreSequence("v", values), 5)
+    out = smooth(ScoreSequence("v", values), 5)
     inner = slice(start + reach, end - reach + 1)
-    assert np.all(out.as_array()[inner] == 0.9)
-    assert np.all(binarize(out, 0.9).as_array()[inner] == 1)
+    # exactly 0.9, so score >= tau still marks them anomalous at tau 0.9
+    assert np.all(out[inner] == 0.9)
 
 
 def test_overflowing_tap_pairs_give_no_nan_and_no_warning():
@@ -267,27 +279,27 @@ def test_overflowing_tap_pairs_give_no_nan_and_no_warning():
     values = np.array([-big, big, 0.0, big, -big] * 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = hierarchical_smooth(ScoreSequence("v", values), 2).as_array()
+        out = smooth(ScoreSequence("v", values), 2)
     assert np.all((out >= -big) & (out <= big))
 
 
 def test_hierarchical_constant_fixed_point():
     seq = ScoreSequence("v", (2.5,) * 64)
     for sigma_max in (1, 3, 6):
-        assert hierarchical_smooth(seq, sigma_max).scores == seq.scores
+        assert smooth(seq, sigma_max).tolist() == list(seq.scores)
 
 
 def test_hierarchical_rejects_bad_sigma_max():
     seq = ScoreSequence("v", (1.0, 2.0))
     with pytest.raises(InvalidSigma):
-        hierarchical_smooth(seq, 0)
+        smooth(seq, 0)
 
 
 def test_alternating_variance_strictly_drops():
     values = tuple(float(i % 2) for i in range(64))
     seq = ScoreSequence("v", values)
-    out = hierarchical_smooth(seq, 3)
-    assert variance(out.scores) < variance(values)
+    out = smooth(seq, 3)
+    assert variance(out.tolist()) < variance(values)
 
 
 def test_variance_monotone_in_sigma_max():
@@ -296,7 +308,7 @@ def test_variance_monotone_in_sigma_max():
     fixtures.append(tuple(float(i % 2) for i in range(64)))
     for values in fixtures:
         seq = ScoreSequence("v", values)
-        variances = [variance(hierarchical_smooth(seq, k).scores)
+        variances = [variance(smooth(seq, k).tolist())
                      for k in range(1, 6)]
         for a, b in zip(variances, variances[1:]):
             assert b <= a + 1e-15
