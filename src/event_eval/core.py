@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -212,9 +212,14 @@ class Dataset:
     def of(cls, pairs: Iterable[tuple[ScoreSequence | None, FrameMask]]
            ) -> Dataset:
         """The (scores or None, mask) pairs laid end to end; each pair with
-        scores passes validate_pair before the next pair is drawn."""
+        scores passes validate_pair before the next pair is drawn, and
+        either every pair has scores or none has."""
         videos = []
         for seq, mask in pairs:
+            if videos and (seq is None) != (videos[0][0] is None):
+                raise ValidationError(
+                    f"video {mask.video_id!r}: scores must be given for "
+                    "every video or for none")
             if seq is not None:
                 validate_pair(seq, mask)
             videos.append((seq, mask))
@@ -307,8 +312,10 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         try:
-            if isinstance(self.tiou_thresholds, (str, bytes)):
-                raise TypeError("a string is not a list of numbers")
+            # iterable, but their items are characters, keys or unordered
+            if isinstance(self.tiou_thresholds,
+                          (str, bytes, Mapping, AbstractSet)):
+                raise TypeError("not a list of numbers")
             thresholds = tuple(self.tiou_thresholds)
         except TypeError:
             raise ValidationError("tiou_thresholds must be a list of numbers, "

@@ -13,7 +13,7 @@ import csv
 import dataclasses
 import json
 import math
-import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -413,32 +413,38 @@ def _branch_errors_from_lines(path: Path) -> tuple[np.ndarray, ...]:
 
 
 # A canonical branch-error file: lines 'start len values...' split by
-# single spaces, each ending in '\n', of the bytes _BRANCH_BYTES only. A
-# start or length of at most 15 digits is exact in a float64.
+# single spaces, of the bytes _BRANCH_BYTES only, read by one typed parse.
 _BRANCH_BYTES = b"0123456789+-.eE \n"
-_BRANCH_LINES = re.compile(rb"(?:[0-9]{1,15} [0-9]{1,15} [^\n]*\n)+")
-_BRANCH_SPACING = re.compile(rb" [ \n]")   # an empty field
 
 
 def _fast_branch_errors(path: Path) -> tuple[np.ndarray, ...] | None:
     """The arrays of a canonical file whose windows all have one length
-    i >= 1 and finite errors >= 0, or None."""
+    i >= 1 and finite errors >= 0, or None. The typed parse fails on an
+    empty field (a doubled, leading or trailing space), a start or length
+    that is not an int64, and a row of another width."""
     data = _read_bytes(path)
-    if (data is None or data.translate(None, _BRANCH_BYTES)
-            or _BRANCH_SPACING.search(data)
-            or not _BRANCH_LINES.fullmatch(data)):
+    if data is None or data.translate(None, _BRANCH_BYTES):
+        return None
+    end = data.find(b"\n")   # the first line has 2 + 4i fields
+    i, extra = divmod(data.count(b" ", 0, end if end >= 0 else None) - 1, 4)
+    if extra or i < 1:
         return None
     try:
-        # not the path: numpy would pick a decompressor by its suffix
-        rows = np.loadtxt(BytesIO(data), delimiter=" ", ndmin=2)
-    except ValueError:   # a field that is not a number, or ragged rows
+        # an error, not the deprecated int-via-float fallback with which
+        # some numpy releases read a start of '1.9' as 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            # not the path: numpy would pick a decompressor by its suffix
+            rows = np.loadtxt(BytesIO(data), delimiter=" ", ndmin=1, dtype=[
+                ("start", np.int64), ("len", np.int64),
+                ("e", np.float64, 4 * i)])
+    except (ValueError, DeprecationWarning):
         return None
-    i, extra = divmod(rows.shape[1] - 2, 4)   # the pattern makes i >= 1
-    if (extra or (rows[:, 1] != i).any() or not np.isfinite(rows).all()
-            or (rows < 0).any()):
+    errors = rows["e"]
+    if ((rows["len"] != i).any() or (rows["start"] < 0).any()
+            or not np.isfinite(errors).all() or (errors < 0).any()):
         return None
-    return (rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64),
-            score_window(rows[:, 2:]))
+    return rows["start"], rows["len"], score_window(errors)
 
 
 def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
@@ -447,8 +453,8 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
 
     Each non-comment line is whitespace-separated numbers: target_start,
     window_len i, then 4i error values (the i short-branch values followed
-    by the 3i long-branch values). Canonical files (see _BRANCH_LINES) are
-    read by one np.loadtxt call; every other file, and every error, goes
+    by the 3i long-branch values). Canonical files (see _fast_branch_errors)
+    are read by one np.loadtxt call; every other file, and every error, goes
     through the line parser.
     """
     path = Path(path)

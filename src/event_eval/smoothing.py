@@ -65,6 +65,9 @@ def build_kernel(sigma: float, radius: int) -> GaussianKernel:
     if radius < 1:
         raise ValidationError(f"radius must be >= 1, got {radius}")
     w = _gaussian_weights(sigma, radius)
+    if not w[0] > 0:   # exp underflows at the outermost weight first
+        raise InvalidSigma(f"sigma {sigma} is too small for radius "
+                           f"{radius}: the outermost weights are 0")
     return GaussianKernel(sigma=float(sigma), radius=int(radius),
                           weights=tuple(w.tolist()))
 

@@ -97,6 +97,15 @@ def test_dataset_of_checks_each_pair_before_drawing_the_next():
     assert exc.value.video_id == "b" and drawn == ["a", "b"]
 
 
+@pytest.mark.parametrize("scored", [(True, False), (False, True)])
+def test_dataset_of_rejects_scores_for_only_some_videos(scored):
+    pairs = [(ScoreSequence(vid, [0.5, 0.5]) if has else None,
+              FrameMask(vid, [0, 1])) for vid, has in zip("ab", scored)]
+    with pytest.raises(ValidationError, match="'b': scores must be given "
+                       "for every video or for none"):
+        Dataset.of(pairs)
+
+
 def test_private_of_keeps_the_array_it_is_handed():
     scores, labels = np.arange(4.0), np.array([0, 1, 1, 0], np.uint8)
     seq, mask = ScoreSequence._of("v", scores), FrameMask._of("v", labels)
@@ -254,6 +263,16 @@ def test_config_rejects_bad_values(kwargs):
 @pytest.mark.parametrize("value", ["0.5", b"0.5"])
 def test_config_rejects_a_string_of_tiou_thresholds(value):
     # a string is iterable, but its characters are not thresholds
+    with pytest.raises(ValidationError) as exc:
+        EvalConfig(tiou_thresholds=value)
+    assert str(exc.value) == ("tiou_thresholds must be a list of numbers, "
+                              f"got {value!r}")
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, {0.5: 1}, {0.3, 0.5},
+                                   frozenset({0.5})])
+def test_config_rejects_a_mapping_or_set_of_tiou_thresholds(value):
+    # iterable, but as its keys, or in hash order
     with pytest.raises(ValidationError) as exc:
         EvalConfig(tiou_thresholds=value)
     assert str(exc.value) == ("tiou_thresholds must be a list of numbers, "

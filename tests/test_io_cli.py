@@ -863,6 +863,16 @@ def test_cli_string_of_tiou_thresholds_exits_1(tmp_path, capsysbinary):
         "error: tiou_thresholds must be a list of numbers, got '0.5'"]
 
 
+def test_cli_object_of_tiou_thresholds_exits_1(tmp_path, capsysbinary):
+    manifest = str(perfect_fixture(tmp_path))
+    config = write(tmp_path / "cfg.json", '{"tiou_thresholds": {"0.5": 1}}')
+    assert main(["--config", str(config), "evaluate", manifest]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode().splitlines() == [
+        "error: tiou_thresholds must be a list of numbers, got {'0.5': 1}"]
+
+
 def test_cli_sigma_max_past_cap_exits_1(tmp_path, capsysbinary):
     manifest = str(perfect_fixture(tmp_path))
     config = write(tmp_path / "cfg.json", '{"sigma_max": 65}')

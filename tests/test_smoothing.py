@@ -84,6 +84,16 @@ def test_build_kernel_rejects_a_sigma_whose_square_underflows(sigma):
     assert "positive" not in str(err.value)
 
 
+@pytest.mark.parametrize("sigma,radius", [(0.02, 1), (1e-160, 1),
+                                          (0.05, 3)])
+def test_build_kernel_rejects_a_sigma_whose_outer_weights_underflow(
+        sigma, radius):
+    # exp(-radius^2 / (2 sigma^2)) rounds to 0; at radius 1 only the centre
+    # weight is left
+    with pytest.raises(InvalidSigma, match=f"sigma {sigma} is too small"):
+        build_kernel(sigma, radius)
+
+
 def test_kernel_type_validates():
     with pytest.raises(ValidationError):  # asymmetric
         GaussianKernel(sigma=1.0, radius=1, weights=(0.2, 0.5, 0.3))
