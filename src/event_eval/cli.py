@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import EvalConfig, events_within
 from .errors import (EventEvalError, InputError, ValidationError,
-                     WindowOutOfRange)
+                     WindowOutOfRange, _locate)
 from .events import audit_events, clip_runs
 from .fusion import mark_windows
 from .io import (
@@ -142,8 +142,7 @@ def _run(args: argparse.Namespace) -> int:
             try:
                 events[vid] = mark_windows(*windows, float(tau), n, vid)
             except WindowOutOfRange as exc:
-                exc.args = (f"{exc} | video_id={vid!r} | path={path}",)
-                raise
+                raise _locate(exc, vid, path)
         _emit(json_bytes(events_to_json_obj(events)), args.out)
     elif args.command == "evaluate":
         report = run_evaluation(manifest, cfg, mode=args.mode)

@@ -20,13 +20,14 @@ class InputError(EventEvalError):
     """Missing or structurally malformed input file."""
 
 
-def _with_context(msg: str, video_id: str | None, path: str | None) -> str:
-    parts = [msg]
-    if video_id is not None:
-        parts.append(f"video_id={video_id!r}")
-    if path is not None:
-        parts.append(f"path={path}")
-    return " | ".join(parts)
+def _locate(exc: EventEvalError, video_id: str | None = None,
+            path: object = None) -> EventEvalError:
+    """Append ' | video_id=ID' and then ' | path=PATH', each when given, to
+    exc's message and return exc: the one place an error is located."""
+    where = [f"video_id={video_id!r}"] if video_id is not None else []
+    where += [f"path={path}"] if path is not None else []
+    exc.args = (" | ".join([str(exc), *where]),)
+    return exc
 
 
 class LengthMismatch(ValidationError):
@@ -35,27 +36,26 @@ class LengthMismatch(ValidationError):
         self.n_scores = n_scores
         self.n_labels = n_labels
         self.video_id = video_id
-        super().__init__(_with_context(
-            f"length mismatch: {n_scores} scores vs {n_labels} labels",
-            video_id, path))
+        super().__init__(
+            f"length mismatch: {n_scores} scores vs {n_labels} labels")
+        _locate(self, video_id, path)
 
 
-class NonFiniteScore(ValidationError):
+class _FrameError(ValidationError):
     def __init__(self, index: int, video_id: str | None = None,
                  path: str | None = None):
         self.index = index
         self.video_id = video_id
-        super().__init__(_with_context(
-            f"non-finite score at frame {index}", video_id, path))
+        super().__init__(self._template.format(index))
+        _locate(self, video_id, path)
 
 
-class NonBinaryLabel(ValidationError):
-    def __init__(self, index: int, video_id: str | None = None,
-                 path: str | None = None):
-        self.index = index
-        self.video_id = video_id
-        super().__init__(_with_context(
-            f"label at frame {index} is not 0 or 1", video_id, path))
+class NonFiniteScore(_FrameError):
+    _template = "non-finite score at frame {}"
+
+
+class NonBinaryLabel(_FrameError):
+    _template = "label at frame {} is not 0 or 1"
 
 
 class DegenerateLabels(ValidationError):
@@ -89,8 +89,8 @@ class VideoIdMismatch(ValidationError):
 class DuplicateVideoId(InputError):
     def __init__(self, video_id: str, path: str | None = None):
         self.video_id = video_id
-        super().__init__(_with_context(
-            f"duplicate video_id {video_id!r} in manifest", None, path))
+        super().__init__(f"duplicate video_id {video_id!r} in manifest")
+        _locate(self, path=path)
 
 
 class MissingFile(InputError):

@@ -43,6 +43,7 @@ from .errors import (
     NonFiniteScore,
     ParseError,
     ValidationError,
+    _locate,
 )
 from .events import AuditReport, audit_events, clip_runs, refine_clips
 from .fusion import BranchErrors, score_window
@@ -402,8 +403,7 @@ def _branch_errors_from_lines(path: Path) -> tuple[np.ndarray, ...]:
                 BranchErrors(short=tuple(values[:i]), long=tuple(values[i:]),
                              window_len=i, target_start=start)
             except EventEvalError as exc:
-                exc.args = (f"{exc} | path={path}:{lineno}",)
-                raise
+                raise _locate(exc, path=f"{path}:{lineno}")
             starts.append(start)
             lengths.append(i)
             scores.append(score_window(np.array([values]))[0])

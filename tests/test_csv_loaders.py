@@ -696,9 +696,11 @@ _JSON_FUZZ_BYTES = st.sampled_from(
 _DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
 
-def _assert_clean_exit(argv: list[str], capsysbinary) -> int:
-    """Exit 0 with strict JSON on stdout, or 1/2 with one 'error:' line;
-    never a traceback or a warning. Returns the exit code."""
+def _assert_clean_exit(argv: list[str], capsysbinary,
+                       json_out: bool = True) -> int:
+    """Exit 0 with strict JSON on stdout (any bytes unless json_out), or 1/2
+    with one 'error:' line; never a traceback or a warning. Returns the exit
+    code."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
@@ -708,8 +710,9 @@ def _assert_clean_exit(argv: list[str], capsysbinary) -> int:
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
-        json.loads(captured.out, parse_constant=lambda token: pytest.fail(
-            f"non-standard JSON constant {token}"))
+        if json_out:
+            json.loads(captured.out, parse_constant=lambda token: pytest.fail(
+                f"non-standard JSON constant {token}"))
     else:
         assert code in (1, 2)
         lines = err.splitlines()
@@ -816,6 +819,88 @@ def test_cli_event_metrics_fuzzed_predictions_exit_cleanly(tmp_path,
     (tmp_path / "pred.json").write_bytes(body)
     _assert_clean_exit(["event-metrics", str(path), "--pred",
                         str(tmp_path / "pred.json")], capsysbinary)
+
+
+def _branch_file(starts) -> bytes:
+    """One window of 2 frames at each start, loud from frame 10 to 19."""
+    return "".join(f"{t} 2 " + " ".join([f"{0.8 if 10 <= t < 20 else 0.1!r}"]
+                                        * 8) + "\n" for t in starts).encode()
+
+
+# two clips with branch files, a config and predictions: every subcommand
+# exits 0 on them unchanged
+_CLI_FILES = {
+    "manifest.txt": b"dataset: d\n" + b"".join(
+        b"\nvideo: v%d\nscores: s%d.csv\nmask: m%d.csv\n"
+        b"branch_errors: b%d.txt\n" % ((n,) * 4) for n in (1, 2)),
+    "s1.csv": _FUZZ_SCORES,
+    "m1.csv": _FUZZ_MASK,
+    "s2.csv": b"frame,score\n" + "".join(
+        f"{i},{0.3 + 0.5 * (3 <= i < 9) - 0.01 * i!r}\n"
+        for i in range(24)).encode(),
+    "m2.csv": b"frame,label\n" + "".join(
+        f"{i},{int(4 <= i < 10)}\n" for i in range(24)).encode(),
+    "b1.txt": _branch_file([0, 6, 10, 14, 22, 28]),
+    "b2.txt": b"# target_start window_len short... long...\n"
+              + _branch_file([3, 11, 16, 20]),
+    "cfg.json": json.dumps({"sigma_max": 3, "vote_window": 5,
+                            "vote_stride": 2, "min_event_len": 3,
+                            "tiou_thresholds": [0.1, 0.5],
+                            "threshold_strategy": "hprs",
+                            "hprs_beta": 0.5}).encode(),
+    "pred.json": b'{"v1": [[8, 19], [22, 24]], "v2": [[2, 3]]}',
+}
+_CLI_COMMANDS = {
+    "audit": [], "frame-metrics": [], "refine": [], "evaluate": [],
+    "event-metrics": ["--pred", "pred.json"], "fuse": ["--tau", "0.5"],
+}
+_CLI_FUZZ_BYTES = st.sampled_from(
+    list(b"0123456789,. \t\n\"'#:\x00\xff[]{}infa"))
+
+
+def _cli_argv(tmp_path: Path, command: str, fmt: str) -> list[str]:
+    extra = [str(tmp_path / a) if a.endswith(".json") else a
+             for a in _CLI_COMMANDS[command]]
+    return ["--config", str(tmp_path / "cfg.json"), "--format", fmt, command,
+            str(tmp_path / "manifest.txt"), *extra]
+
+
+@pytest.mark.parametrize("command", _CLI_COMMANDS)
+def test_cli_fuzz_fixture_runs_every_subcommand(tmp_path, capsysbinary,
+                                                command):
+    for name, body in _CLI_FILES.items():
+        (tmp_path / name).write_bytes(body)
+    for fmt in ("json", "csv", "markdown"):
+        assert main(_cli_argv(tmp_path, command, fmt)) == 0
+    assert capsysbinary.readouterr().err == b""
+
+
+@settings(max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(_CLI_FILES)),
+       command=st.sampled_from(sorted(_CLI_COMMANDS)),
+       fmt=st.sampled_from(["json", "csv", "markdown"]), data=st.data())
+def test_cli_fuzzed_input_ends_in_a_report_or_one_error_line(
+        tmp_path, capsysbinary, name, command, fmt, data):
+    """1-8 edits of one input: a byte replaced, up to 50 deleted, or up to
+    30 inserted, or a word of them (nan, inf, or a number past int64).
+    refine and fuse write JSON whatever the format."""
+    body = bytearray(_CLI_FILES[name])
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.integers(0, max(len(body) - (op != "insert"), 0)))
+        if op == "insert":
+            body[at:at] = data.draw(st.one_of(
+                st.sampled_from([b"nan", b"inf", b"9" * 20]),
+                st.lists(_CLI_FUZZ_BYTES, min_size=1, max_size=30)))
+        elif op == "delete":
+            del body[at:at + data.draw(st.integers(1, 50))]
+        elif body:
+            body[at] = data.draw(_CLI_FUZZ_BYTES)
+    for each, text in _CLI_FILES.items():
+        (tmp_path / each).write_bytes(bytes(body) if each == name else text)
+    _assert_clean_exit(_cli_argv(tmp_path, command, fmt), capsysbinary,
+                       json_out=fmt == "json" or command in ("refine", "fuse"))
 
 
 # ---------------------------------------------------------------------------

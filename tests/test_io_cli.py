@@ -15,6 +15,7 @@ from event_eval.core import Dataset, EvalConfig, FrameMask, ScoreSequence
 from event_eval.errors import (
     BadLength,
     DuplicateVideoId,
+    EventEvalError,
     LengthMismatch,
     MissingFile,
     NonBinaryLabel,
@@ -301,6 +302,149 @@ BAD_PAIRS = {
 def test_adapters_check_every_pair(adapter, error, videos):
     with pytest.raises(error):
         ADAPTERS[adapter](videos)
+
+
+# ---------------------------------------------------------------------------
+# located errors: type, exact message and attributes, from a public entry
+
+
+def _raise(exc: Exception):
+    raise exc
+
+
+def _one_video(tmp_path: Path, scores: str, mask: str) -> Path:
+    write(tmp_path / "s.csv", scores)
+    write(tmp_path / "m.csv", mask)
+    return write(tmp_path / "manifest.txt",
+                 "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n")
+
+
+# call(tmp_path) raises error with str() message ('{tmp}' is tmp_path) and
+# exactly the attributes attrs
+LOCATED = {
+    "LengthMismatch()": (
+        lambda tmp: _raise(LengthMismatch(5, 4)), LengthMismatch,
+        "length mismatch: 5 scores vs 4 labels",
+        {"n_scores": 5, "n_labels": 4, "video_id": None}),
+    "LengthMismatch(path)": (
+        lambda tmp: _raise(LengthMismatch(5, 4, "v", "p.csv")),
+        LengthMismatch,
+        "length mismatch: 5 scores vs 4 labels | video_id='v' | path=p.csv",
+        {"n_scores": 5, "n_labels": 4, "video_id": "v"}),
+    "LengthMismatch/Dataset.of": (
+        lambda tmp: Dataset.of([_pair("a", 3, [0, 1])]), LengthMismatch,
+        "length mismatch: 3 scores vs 2 labels | video_id='a'",
+        {"n_scores": 3, "n_labels": 2, "video_id": "a"}),
+    "LengthMismatch/load_dataset": (
+        lambda tmp: io_mod.load_dataset(load_manifest(_one_video(
+            tmp, scores_csv([0.1] * 4), mask_csv([0, 1, 0])))),
+        LengthMismatch, "length mismatch: 4 scores vs 3 labels | video_id='v'",
+        {"n_scores": 4, "n_labels": 3, "video_id": "v"}),
+    "NonFiniteScore()": (
+        lambda tmp: _raise(NonFiniteScore(3)), NonFiniteScore,
+        "non-finite score at frame 3", {"index": 3, "video_id": None}),
+    "NonFiniteScore(path)": (
+        lambda tmp: _raise(NonFiniteScore(3, path="p.csv")), NonFiniteScore,
+        "non-finite score at frame 3 | path=p.csv",
+        {"index": 3, "video_id": None}),
+    "NonFiniteScore/ScoreSequence": (
+        lambda tmp: ScoreSequence("v", [0.5, float("inf")]), NonFiniteScore,
+        "non-finite score at frame 1 | video_id='v'",
+        {"index": 1, "video_id": "v"}),
+    "NonFiniteScore/load_scores": (
+        lambda tmp: load_scores(write(tmp / "s.csv", "frame,score\n0,0.5\n"
+                                      "1,nan\n"), "v"), NonFiniteScore,
+        "non-finite score at frame 1 | video_id='v' | path={tmp}/s.csv",
+        {"index": 1, "video_id": "v"}),
+    "NonBinaryLabel(video_id)": (
+        lambda tmp: _raise(NonBinaryLabel(0, "v")), NonBinaryLabel,
+        "label at frame 0 is not 0 or 1 | video_id='v'",
+        {"index": 0, "video_id": "v"}),
+    "NonBinaryLabel/FrameMask": (
+        lambda tmp: FrameMask("v", [0, 1, 2]), NonBinaryLabel,
+        "label at frame 2 is not 0 or 1 | video_id='v'",
+        {"index": 2, "video_id": "v"}),
+    "NonBinaryLabel/load_mask": (
+        lambda tmp: load_mask(write(tmp / "m.csv", "frame,label\n0,2\n")),
+        NonBinaryLabel,
+        "label at frame 0 is not 0 or 1 | video_id='m' | path={tmp}/m.csv",
+        {"index": 0, "video_id": "m"}),
+    "DuplicateVideoId()": (
+        lambda tmp: _raise(DuplicateVideoId("v")), DuplicateVideoId,
+        "duplicate video_id 'v' in manifest", {"video_id": "v"}),
+    "DuplicateVideoId/load_manifest": (
+        lambda tmp: load_manifest(write(
+            _one_video(tmp, scores_csv([0.1]), mask_csv([1])),
+            "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\n"
+            "video: v\nscores: s.csv\nmask: m.csv\n")), DuplicateVideoId,
+        "duplicate video_id 'v' in manifest | path={tmp}/manifest.txt",
+        {"video_id": "v"}),
+    "BranchErrors/load_branch_errors": (
+        lambda tmp: load_branch_errors(write(tmp / "b.txt", "# c\n0 0\n")),
+        ValidationError, "window_len must be >= 1, got 0 | path={tmp}/b.txt:2",
+        {}),
+    "ParseError/load_branch_errors": (
+        lambda tmp: load_branch_errors(write(tmp / "b.txt", "0 x\n")),
+        ParseError,
+        "{tmp}/b.txt:1: invalid literal for int() with base 10: 'x'",
+        {"path": "{tmp}/b.txt", "line": 1}),
+}
+
+
+@pytest.mark.parametrize("call,error,message,attrs", LOCATED.values(),
+                         ids=LOCATED)
+def test_located_errors_keep_type_message_and_attributes(tmp_path, call,
+                                                         error, message,
+                                                         attrs):
+    with pytest.raises(EventEvalError) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(tmp=tmp_path)
+    assert vars(exc.value) == {
+        key: value.format(tmp=tmp_path) if isinstance(value, str) else value
+        for key, value in attrs.items()}
+
+
+# (command, file, text): fuse_fixture with file rewritten as text; then the
+# exit code and the one stderr line ('{tmp}' is tmp_path)
+LOCATED_CLI = {
+    "LengthMismatch": (
+        ("evaluate", "m.csv", mask_csv([0] * 31)), 1,
+        "length mismatch: 32 scores vs 31 labels | video_id='v'"),
+    "NonFiniteScore": (
+        ("frame-metrics", "s.csv", scores_csv(["nan"] + [0.1] * 31)), 1,
+        "non-finite score at frame 0 | video_id='v' | path={tmp}/s.csv"),
+    "NonBinaryLabel": (
+        ("audit", "m.csv", mask_csv([0, 2] + [0] * 30)), 1,
+        "label at frame 1 is not 0 or 1 | video_id='v' | path={tmp}/m.csv"),
+    "DuplicateVideoId": (
+        ("audit", "manifest.txt", "dataset: d\nvideo: v\nscores: s.csv\n"
+         "mask: m.csv\nvideo: v\nscores: s.csv\nmask: m.csv\n"), 2,
+        "duplicate video_id 'v' in manifest | path={tmp}/manifest.txt"),
+    "BranchErrors": (
+        ("fuse", "b.txt", "0 0\n"), 1,
+        "window_len must be >= 1, got 0 | path={tmp}/b.txt:1"),
+    "WindowOutOfRange": (
+        ("fuse", "b.txt", "30 8 " + " ".join(["0.9"] * 32) + "\n"), 1,
+        "window [30,37] exceeds video length 32 | video_id='v' | "
+        "path={tmp}/b.txt"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+@pytest.mark.parametrize("case,code,message", LOCATED_CLI.values(),
+                         ids=LOCATED_CLI)
+def test_cli_located_errors_keep_their_bytes(tmp_path, capsysbinary, fmt,
+                                             case, code, message):
+    command, name, text = case
+    manifest = str(fuse_fixture(tmp_path))
+    write(tmp_path / name, text)
+    tau = ["--tau", "0.5"] if command == "fuse" else []
+    assert main(["--format", fmt, command, manifest, *tau]) == code
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode() == \
+        f"error: {message.format(tmp=tmp_path)}\n"
 
 
 def test_unknown_mode_is_rejected(tmp_path):
