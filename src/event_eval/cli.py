@@ -19,7 +19,6 @@ from .fusion import mark_windows
 from .io import (
     BASELINE,
     REFINED,
-    _frame_metrics,
     config_to_dict,
     events_to_json_obj,
     load_branch_errors,
@@ -38,6 +37,7 @@ from .report import (
     emit_report,
     json_bytes,
 )
+from .thresholds import frame_metrics
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +109,7 @@ def _run(args: argparse.Namespace) -> int:
                              int(data.bounds[-1]), cfg.min_event_len)
         _emit(emit_audit(audit, args.format), args.out)
     elif args.command == "frame-metrics":
-        metrics = _frame_metrics(load_dataset(manifest), cfg)
+        metrics = frame_metrics(load_dataset(manifest), cfg.hprs_beta)
         _emit(emit_frame_metrics(metrics, args.format), args.out)
     elif args.command == "refine":
         events = predict_videos(load_dataset(manifest), args.tau, cfg,

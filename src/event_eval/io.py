@@ -560,7 +560,7 @@ def predict_videos(data: Dataset, tau: float | None, cfg: EvalConfig,
     if tau is None and strategy is ThresholdStrategy.FIXED:
         tau = cfg.fixed_tau
     elif tau is None:
-        frame = _frame_metrics(data, cfg)
+        frame = frame_metrics(data, cfg.hprs_beta)
         tau = (frame.tau_eer if strategy is ThresholdStrategy.EER
                else frame.tau_hprs)
     elif not math.isfinite(tau):
@@ -569,17 +569,10 @@ def predict_videos(data: Dataset, tau: float | None, cfg: EvalConfig,
     return data.split(pred)
 
 
-def _frame_metrics(data: Dataset, cfg: EvalConfig) -> FrameMetrics:
-    """frame_metrics of data's scores, from a copy, which it sorts in
-    place; the label bytes, viewed as bool, select the positives."""
-    return frame_metrics(np.array(data.scores),
-                         data.scores[data.labels.view(bool)], cfg.hprs_beta)
-
-
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
     """Frame-level metrics over the concatenated scores of all videos."""
-    return _frame_metrics(Dataset.of(videos), cfg)
+    return frame_metrics(Dataset.of(videos), cfg.hprs_beta)
 
 
 def event_metrics_at(videos: Sequence[tuple[ScoreSequence, FrameMask]],
@@ -601,7 +594,7 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
     is byte-identical across runs.
     """
     data = load_dataset(manifest)
-    frame = _frame_metrics(data, cfg)
+    frame = frame_metrics(data, cfg.hprs_beta)
     gt = clip_runs(data.labels, data.bounds)
     metrics_eer, metrics_hprs = (
         multi_threshold_eval([gt], [pred], cfg.tiou_thresholds)

@@ -8,8 +8,9 @@ counts at those candidates (the one-pass ROC construction, Fawcett 2006,
 Alg. 2), which _count_blocks reads from one sort of all scores and one of
 the positives' scores. A count is read only where a run of equal scores
 starts, so the order inside a run never matters: neither sort is stable.
-frame_metrics reads the counts block by block and reports every metric;
-hprs_threshold is its tau_hprs, and roc_curve holds the counts as one block.
+frame_metrics reads the counts of a Dataset block by block and reports every
+metric; hprs_threshold is its tau_hprs, and roc_curve holds the counts as
+one block. Both lay their scores and labels out as one video by Dataset.of.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (EventPrf, FrameMask, FrameMetrics, ScoreSequence,
-                   check_hprs_beta, validate_pair)
+from .core import (Dataset, EventPrf, FrameMask, FrameMetrics, ScoreSequence,
+                   check_hprs_beta)
 from .errors import DegenerateLabels
 
 
@@ -37,37 +38,33 @@ class RocCurve(NamedTuple):
     fpr: np.ndarray
 
 
-def _as_arrays(scores: Sequence[float],
-               labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Owned copies of every score and of the positives' scores, checked
-    by the value types: frame_metrics sorts both in place."""
-    s, y = ScoreSequence(None, scores), FrameMask(None, labels)
-    validate_pair(s, y)
-    return np.array(s.as_array()), s.as_array()[y.as_array() == 1]
-
-
 _BLOCK = 4096  # frames per block of frame_metrics' candidate sweep
 
 
-def _class_sizes(n: int, n_pos: int) -> tuple[int, int]:
-    n_neg = n - n_pos
+def _class_sizes(data: Dataset) -> tuple[int, int]:
+    n_pos = int(np.count_nonzero(data.labels))
+    n_neg = data.labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels(f"need both classes, got {n_pos} positive / "
                                f"{n_neg} negative frames")
     return n_pos, n_neg
 
 
-def _count_blocks(s: np.ndarray, pos: np.ndarray, block: int):
-    """Exact int64 TP/FP counts of the >=-threshold classifier, in blocks
-    of candidates from the highest threshold down.
+def _count_blocks(data: Dataset, block: int):
+    """Exact int64 TP/FP counts of the >=-threshold classifier on data, in
+    blocks of candidates from the highest threshold down.
 
-    s holds every score and pos the positives' scores, both sorted
-    ascending. A block is (candidates ascending, tp, fp): the run starts
-    among `block` frames of s, then the previous block's lowest candidate
-    (first, the +inf sentinel), so neighbouring candidates share a block.
+    s is a sorted copy of every score and pos of the positives' scores,
+    which the label bytes, viewed as bool, select. A block is (candidates
+    ascending, tp, fp): the run starts among `block` frames of s, then the
+    previous block's lowest candidate (first, the +inf sentinel), so
+    neighbouring candidates share a block.
     The -inf sentinel is left out: with the lowest score's counts it adds
     0.0 to each area, and only makes eer_threshold's tau_EER -inf.
     """
+    s = np.sort(data.scores)
+    pos = data.scores[data.labels.view(bool)]
+    pos.sort()
     top, top_above = np.inf, 0  # a candidate and the frames scoring >= it
     for end in range(s.size, 0, -block):
         lo = max(end - block, 0)
@@ -147,9 +144,10 @@ def prf(tp: int, fp: int, n_pos: int) -> EventPrf:
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     """ROC operating points at every distinct score plus +-inf sentinels."""
-    s, pos = _as_arrays(scores, labels)
-    n_pos, n_neg = _class_sizes(s.size, pos.size)
-    ((cand, tp, fp),) = _count_blocks(np.sort(s), np.sort(pos), s.size)
+    data = Dataset.of([(ScoreSequence(None, scores),
+                        FrameMask(None, labels))])
+    n_pos, n_neg = _class_sizes(data)
+    ((cand, tp, fp),) = _count_blocks(data, data.labels.size)
     # -inf: every frame predicted positive
     return _roc(np.append(-np.inf, cand), np.append(n_pos, tp),
                 np.append(n_neg, fp), n_pos, n_neg)
@@ -182,19 +180,18 @@ def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
     F1-maximizing threshold. This is frame_metrics' tau_hprs.
     """
     check_hprs_beta(beta)
-    return frame_metrics(*_as_arrays(scores, labels), beta).tau_hprs
+    return frame_metrics(Dataset.of([(ScoreSequence(None, scores),
+                                      FrameMask(None, labels))]),
+                         beta).tau_hprs
 
 
-def frame_metrics(scores: np.ndarray, positives: np.ndarray,
-                  beta: float = 0.5) -> FrameMetrics:
-    """Every frame-level metric from one sort of the scores.
+def frame_metrics(data: Dataset, beta: float) -> FrameMetrics:
+    """Every frame-level metric of data's scores from one sort of them.
 
-    scores holds every frame's score and positives the scores of the
-    frames labelled 1: checked arrays that the caller owns, sorted here in
-    place. The candidates are read in blocks of _BLOCK frames from the
-    highest threshold down, carrying the running areas and the best
-    operating points across blocks, so beyond the two arrays the memory
-    is a few blocks' worth.
+    The candidates are read in blocks of _BLOCK frames from the highest
+    threshold down, carrying the running areas and the best operating
+    points across blocks, so beyond a sorted copy of the scores and one of
+    the positives' scores the memory is a few blocks' worth.
 
     hprs_threshold returns this tau_hprs. roc_curve is one block of the
     same counts, so auc_roc and eer_threshold on it give this auc_roc, eer
@@ -202,13 +199,11 @@ def frame_metrics(scores: np.ndarray, positives: np.ndarray,
     is reported here as the lowest observed score, which binarizes the data
     identically and keeps reports finite.
     """
-    scores.sort()
-    positives.sort()
-    n_pos, n_neg = _class_sizes(scores.size, positives.size)
+    n_pos, n_neg = _class_sizes(data)
     area_roc = area_pr = 0.0
     # best (|FAR - FRR| or F_beta, tau, F1 at tau[, EER]) so far
     eer, hprs = (np.inf,), (-1.0,)
-    for cand, tp, fp in _count_blocks(scores, positives, _BLOCK):
+    for cand, tp, fp in _count_blocks(data, _BLOCK):
         curve = _roc(cand, tp, fp, n_pos, n_neg)
         precision = tp / np.maximum(tp + fp, 1)  # nothing predicted: 0 / 1
         area_roc = _add(area_roc, _roc_terms(curve))

@@ -15,8 +15,8 @@
 A third `ast` guard keeps every subcommand on one lay-out of the frames:
 `cli.py` reads scores and masks only through `io.load_dataset`. A fourth
 keeps that lay-out the one checked door: no module builds a `Dataset`
-but through `Dataset.of`, which checks every pair, and only it and
-`thresholds._as_arrays` use `validate_pair`.
+but through `Dataset.of`, which checks every pair, and only it uses
+`validate_pair`.
 """
 
 from __future__ import annotations
@@ -332,8 +332,6 @@ def test_pair_check_guard_places_a_use_in_its_function():
 def test_frames_are_laid_out_only_through_the_checked_dataset_of():
     found = {path.name: uses for path in sorted(SRC.glob("*.py"))
              if (uses := pair_checks(path.read_text(encoding="utf-8")))}
-    assert found == {"core.py": ["Dataset.of: validate_pair"],
-                     "thresholds.py": ["_as_arrays: validate_pair"]}, (
+    assert found == {"core.py": ["Dataset.of: validate_pair"]}, (
         "Dataset.of is the one checked lay-out of the frames: it alone "
-        "builds a Dataset, and only it and thresholds._as_arrays check "
-        f"pairs; found {found}")
+        f"builds a Dataset and checks pairs; found {found}")
