@@ -7,9 +7,16 @@ input files, exit 2).
 
 from __future__ import annotations
 
+import copyreg
+
 
 class EventEvalError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # a copy is rebuilt from its message, not through __init__, which
+        # would take other arguments or locate the message a second time
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(EventEvalError, ValueError):
