@@ -75,7 +75,10 @@ class _Arrays:
 
 
 def _one_d(video_id: str, values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)   # the copy a constructor stores
+    try:
+        arr = np.array(values, dtype=float)   # the copy a constructor stores
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} for {video_id!r}: {exc}") from None
     if arr.ndim != 1:
         raise ValidationError(
             f"{what} for {video_id!r} must be 1-D, got shape {arr.shape}")
@@ -291,6 +294,12 @@ def check_hprs_beta(beta: float) -> None:
                               f"square, got {beta!r}")
 
 
+def check_tau(tau: float) -> None:
+    """A finite real number: frames scoring >= tau are anomalous."""
+    if not _is_finite(tau):
+        raise ValidationError(f"tau must be finite, got {tau}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """All pipeline knobs, with the documented defaults.
@@ -323,8 +332,11 @@ class EvalConfig:
         check_tiou_thresholds(thresholds)
         object.__setattr__(self, "tiou_thresholds",
                            tuple(float(t) for t in thresholds))
-        object.__setattr__(self, "threshold_strategy",
-                           ThresholdStrategy(self.threshold_strategy))
+        try:
+            strategy = ThresholdStrategy(self.threshold_strategy)
+        except ValueError as exc:
+            raise ValidationError(f"threshold_strategy: {exc}") from None
+        object.__setattr__(self, "threshold_strategy", strategy)
         for name in ("sigma_max", "vote_window", "vote_stride",
                      "min_event_len"):
             value = getattr(self, name)

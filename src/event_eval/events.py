@@ -20,6 +20,7 @@ from .core import (
     FrameMask,
     ScoreSequence,
     _is_int,
+    check_tau,
     events_within,
 )
 from .errors import InvalidWindow, ValidationError
@@ -173,6 +174,7 @@ def refine_pipeline(scores: ScoreSequence, tau: float,
     """Run the full refinement for one video: smooth_clips, then
     refine_clips at tau. A clip shorter than the vote window is voted on
     with the window clamped to its length, rather than rejected."""
+    check_tau(tau)
     bounds = np.array([0, len(scores)])
     events = refine_clips(smooth_clips(scores.as_array(), bounds,
                                        cfg.sigma_max), bounds, tau, cfg)
@@ -202,9 +204,9 @@ def audit_events(gt: EventSet, n_frames: int,
 def audit_dataset(masks: list[FrameMask],
                   micro_threshold: int) -> AuditReport:
     """audit_events of the maximal runs of 1s of every ground-truth mask."""
-    if micro_threshold < 1:
+    if not _is_int(micro_threshold) or micro_threshold < 1:
         raise ValidationError(
-            f"micro_threshold must be >= 1, got {micro_threshold}")
+            f"micro_threshold must be >= 1, got {micro_threshold!r}")
     data = Dataset.of([(None, m) for m in masks])
     return audit_events(clip_runs(data.labels, data.bounds),
                         int(data.bounds[-1]), micro_threshold)

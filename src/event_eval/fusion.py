@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EventSet
+from .core import EventSet, check_tau
 from .errors import BadLength, LengthMismatch, ValidationError, WindowOutOfRange
 from .events import clip_runs
 
@@ -111,8 +111,7 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
     windows have started than ended. The first window, in the given
     order, that leaves [0, video_len) raises WindowOutOfRange.
     """
-    if not np.isfinite(tau):
-        raise ValidationError(f"tau must be finite, got {tau}")
+    check_tau(tau)
     if video_len < 1:
         raise ValidationError(f"video_len must be >= 1, got {video_len}")
     # not starts + lengths > video_len, which can wrap around in int64

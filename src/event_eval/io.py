@@ -34,6 +34,7 @@ from .core import (
     ScoreSequence,
     TemporalEvent,
     ThresholdStrategy,
+    check_tau,
 )
 from .errors import (
     DuplicateVideoId,
@@ -543,6 +544,8 @@ def predict_clips(data: Dataset, taus: Sequence[float], cfg: EvalConfig,
     """The events of every video of data at each tau, as indices into its
     frames. Refined mode smooths once for all taus; baseline mode binarizes
     the raw scores."""
+    for tau in taus:
+        check_tau(tau)
     if mode == BASELINE:
         return [clip_runs(data.scores >= tau, data.bounds) for tau in taus]
     if mode == REFINED:
@@ -563,9 +566,7 @@ def predict_videos(data: Dataset, tau: float | None, cfg: EvalConfig,
         frame = frame_metrics(data, cfg.hprs_beta)
         tau = (frame.tau_eer if strategy is ThresholdStrategy.EER
                else frame.tau_hprs)
-    elif not math.isfinite(tau):
-        raise ValidationError(f"tau must be finite, got {tau}")
-    (pred,) = predict_clips(data, (float(tau),), cfg, mode)
+    (pred,) = predict_clips(data, (tau,), cfg, mode)
     return data.split(pred)
 
 
