@@ -14,10 +14,9 @@ import dataclasses
 import json
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from io import BytesIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Sequence
 
@@ -87,29 +86,27 @@ class Report:
 # loaders
 
 
-@contextmanager
-def _open_utf8(path: Path, newline: str | None = None):
-    """Open a text file; a path that is not a file is MissingFile, and an
-    undecodable byte is a ParseError at its line.
-
-    A leading UTF-8 byte-order mark is skipped. The stream decodes in
-    chunks, so the error's offset is not a file offset: the file is decoded
-    again in full to find the first bad byte.
-    """
+def _read(path: Path) -> bytes:
+    """The file's bytes, its one read; a path that is not a regular file is
+    MissingFile, so a FIFO is never opened."""
     if not path.is_file():
         raise MissingFile(str(path))
+    return path.read_bytes()
+
+
+def _text(path: Path, data: bytes,
+          newline: str | None = None) -> TextIOWrapper:
+    """data as a text stream whose lines split as path.open's would; a
+    leading UTF-8 byte-order mark is skipped. All of data is decoded first,
+    so an undecodable byte is a ParseError at its line before any line is
+    parsed."""
     try:
-        with path.open("r", encoding="utf-8-sig", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError:
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
-                             f"byte 0x{data[exc.start]:02x} is not valid "
-                             "UTF-8") from None
-        raise
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
+                         f"byte 0x{data[exc.start]:02x} is not valid "
+                         "UTF-8") from None
+    return TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline=newline)
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -151,36 +148,34 @@ def load_manifest(path: str | Path) -> Manifest:
         ))
         current = None
 
-    with _open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if not sep or not value:
+    for lineno, raw in enumerate(_text(path, _read(path)), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if not sep or not value:
+            raise ParseError(str(path), lineno,
+                             f"expected 'key: value', got {line!r}")
+        if key == "dataset":
+            if dataset_name is not None:
+                raise ParseError(str(path), lineno, "duplicate 'dataset' key")
+            dataset_name = value
+        elif key == "video":
+            flush()
+            current = {"video": value}
+            current_line = lineno
+        elif key in ("scores", "mask", "branch_errors"):
+            if current is None:
                 raise ParseError(str(path), lineno,
-                                 f"expected 'key: value', got {line!r}")
-            if key == "dataset":
-                if dataset_name is not None:
-                    raise ParseError(str(path), lineno,
-                                     "duplicate 'dataset' key")
-                dataset_name = value
-            elif key == "video":
-                flush()
-                current = {"video": value}
-                current_line = lineno
-            elif key in ("scores", "mask", "branch_errors"):
-                if current is None:
-                    raise ParseError(str(path), lineno,
-                                     f"{key!r} before any 'video' record")
-                if key in current:
-                    raise ParseError(str(path), lineno,
-                                     f"duplicate {key!r} in record "
-                                     f"{current['video']!r}")
-                current[key] = value
-            else:
-                raise ParseError(str(path), lineno, f"unknown key {key!r}")
+                                 f"{key!r} before any 'video' record")
+            if key in current:
+                raise ParseError(str(path), lineno,
+                                 f"duplicate {key!r} in record "
+                                 f"{current['video']!r}")
+            current[key] = value
+        else:
+            raise ParseError(str(path), lineno, f"unknown key {key!r}")
     flush()
     if dataset_name is None:
         raise ParseError(str(path), None, "missing 'dataset' key")
@@ -198,49 +193,39 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(dataset_name=dataset_name, videos=tuple(entries))
 
 
-def _read_csv_column(path: str | Path, value_header: str, parse) -> list:
-    """The line parser: read a headered two-column CSV, enforcing
-    consecutive frame indices, then parse(text, i, line) each frame i's
-    value, line being its row's first line, the line its errors name."""
-    path = Path(path)
+def _read_csv_column(path: Path, data: bytes, value_header: str,
+                     parse) -> list:
+    """The line parser of data, the bytes of path, a headered two-column
+    CSV: frame indices must run consecutively, then parse(text, i, line)
+    reads frame i's value, line being its row's first, which errors name."""
     rows: list[tuple[int, str]] = []
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["frame",
-                                                             value_header]:
-            raise ParseError(str(path), 1,
-                             f"expected header 'frame,{value_header}'")
-        end = reader.line_num   # the last line read
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(str(path), lineno,
-                                 f"expected 2 columns, got {len(row)}")
-            try:
-                frame = int(row[0])
-            except ValueError:
-                raise ParseError(str(path), lineno,
-                                 f"frame index {row[0]!r} is not an integer")
-            if frame != len(rows):
-                raise ParseError(str(path), lineno,
-                                 f"frame indices must be consecutive from 0; "
-                                 f"expected {len(rows)}, got {frame}")
-            rows.append((lineno, row[1]))
+    reader = csv.reader(_text(path, data, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["frame",
+                                                         value_header]:
+        raise ParseError(str(path), 1,
+                         f"expected header 'frame,{value_header}'")
+    end = reader.line_num   # the last line read
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(str(path), lineno,
+                             f"expected 2 columns, got {len(row)}")
+        try:
+            frame = int(row[0])
+        except ValueError:
+            raise ParseError(str(path), lineno,
+                             f"frame index {row[0]!r} is not an integer")
+        if frame != len(rows):
+            raise ParseError(str(path), lineno,
+                             f"frame indices must be consecutive from 0; "
+                             f"expected {len(rows)}, got {frame}")
+        rows.append((lineno, row[1]))
     if not rows:
         raise ParseError(str(path), None, "file contains no frames")
     return [parse(text, i, line) for i, (line, text) in enumerate(rows)]
-
-
-def _read_bytes(path: Path) -> bytes | None:
-    """The file's bytes, or None, which sends the caller to the line parser
-    for the error."""
-    try:
-        return path.read_bytes()
-    except OSError:
-        return None
 
 
 def _prefixed(lines: bytes, prefixes: range) -> bytes:
@@ -269,8 +254,8 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
 _BLOCK = 1 << 16   # bytes of lines split and converted at a time
 
 
-def _fast_column(path: Path, value_header: str, convert) -> np.ndarray | None:
-    """The values of a canonical 'frame,<value_header>' CSV, or None.
+def _fast_column(data: bytes, value_header: str, convert) -> np.ndarray | None:
+    """The values of data, a canonical 'frame,<value_header>' CSV, or None.
 
     Canonical: the exact header, then one 'frame,value' line per frame, each
     ending in '\\n', with no CR; the frames are those of the frame column,
@@ -282,8 +267,7 @@ def _fast_column(path: Path, value_header: str, convert) -> np.ndarray | None:
     bytes and objects on long clips.
     """
     header = f"frame,{value_header}\n".encode()
-    data = _read_bytes(path)
-    if (data is None or len(data) == len(header)
+    if (len(data) == len(header)
             or not (data.startswith(header) and data.endswith(b"\n"))):
         return None
     column = _frame_column(1 << (data.count(b"\n") - 2).bit_length())
@@ -356,9 +340,10 @@ def load_scores(path: str | Path,
             raise NonFiniteScore(i, video_id=video_id, path=str(path))
         return value
 
-    scores = _fast_column(path, "score", _finite_floats)
+    data = _read(path)
+    scores = _fast_column(data, "score", _finite_floats)
     if scores is None:
-        scores = _read_csv_column(path, "score", parse)
+        scores = _read_csv_column(path, data, "score", parse)
     return ScoreSequence._of(video_id, scores)
 
 
@@ -372,42 +357,42 @@ def load_mask(path: str | Path, video_id: str | None = None) -> FrameMask:
             raise NonBinaryLabel(i, video_id=video_id, path=str(path))
         return int(text)
 
-    labels = _fast_column(path, "label", _binary_bytes)
+    data = _read(path)
+    labels = _fast_column(data, "label", _binary_bytes)
     if labels is None:
-        labels = _read_csv_column(path, "label", parse)
+        labels = _read_csv_column(path, data, "label", parse)
     return FrameMask._of(video_id, labels)
 
 
-def _branch_errors_from_lines(path: Path) -> tuple[np.ndarray, ...]:
-    """The line parser for branch-error files: every accepted variant, and
+def _branch_errors_from_lines(path: Path,
+                              data: bytes) -> tuple[np.ndarray, ...]:
+    """The line parser of data, path's bytes: every accepted variant, and
     every error with its line. Each line is checked as a BranchErrors and
     scored as a one-row score_window. The starts and lengths take no dtype,
     so a start past int64 stays a Python int for mark_windows' range check.
     """
     starts, lengths, scores = [], [], []
-    with _open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise ParseError(str(path), lineno,
-                                 "expected 'target_start window_len "
-                                 "values...'")
-            try:
-                start, i = int(fields[0]), int(fields[1])
-                values = [float(v) for v in fields[2:]]
-            except ValueError as exc:
-                raise ParseError(str(path), lineno, str(exc))
-            try:
-                BranchErrors(short=tuple(values[:i]), long=tuple(values[i:]),
-                             window_len=i, target_start=start)
-            except EventEvalError as exc:
-                raise _locate(exc, path=f"{path}:{lineno}")
-            starts.append(start)
-            lengths.append(i)
-            scores.append(score_window(np.array([values]))[0])
+    for lineno, raw in enumerate(_text(path, data), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) < 2:
+            raise ParseError(str(path), lineno,
+                             "expected 'target_start window_len values...'")
+        try:
+            start, i = int(fields[0]), int(fields[1])
+            values = [float(v) for v in fields[2:]]
+        except ValueError as exc:
+            raise ParseError(str(path), lineno, str(exc))
+        try:
+            BranchErrors(short=tuple(values[:i]), long=tuple(values[i:]),
+                         window_len=i, target_start=start)
+        except EventEvalError as exc:
+            raise _locate(exc, path=f"{path}:{lineno}")
+        starts.append(start)
+        lengths.append(i)
+        scores.append(score_window(np.array([values]))[0])
     if not starts:
         raise ParseError(str(path), None, "file contains no windows")
     return np.array(starts), np.array(lengths), np.array(scores)
@@ -418,13 +403,12 @@ def _branch_errors_from_lines(path: Path) -> tuple[np.ndarray, ...]:
 _BRANCH_BYTES = b"0123456789+-.eE \n"
 
 
-def _fast_branch_errors(path: Path) -> tuple[np.ndarray, ...] | None:
-    """The arrays of a canonical file whose windows all have one length
-    i >= 1 and finite errors >= 0, or None. The typed parse fails on an
-    empty field (a doubled, leading or trailing space), a start or length
+def _fast_branch_errors(data: bytes) -> tuple[np.ndarray, ...] | None:
+    """The arrays of data, a canonical file whose windows all have one
+    length i >= 1 and finite errors >= 0, or None. The typed parse fails on
+    an empty field (a doubled, leading or trailing space), a start or length
     that is not an int64, and a row of another width."""
-    data = _read_bytes(path)
-    if data is None or data.translate(None, _BRANCH_BYTES):
+    if data.translate(None, _BRANCH_BYTES):
         return None
     end = data.find(b"\n")   # the first line has 2 + 4i fields
     i, extra = divmod(data.count(b" ", 0, end if end >= 0 else None) - 1, 4)
@@ -459,7 +443,8 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
     through the line parser.
     """
     path = Path(path)
-    return _fast_branch_errors(path) or _branch_errors_from_lines(path)
+    data = _read(path)
+    return _fast_branch_errors(data) or _branch_errors_from_lines(path, data)
 
 
 def _load_json_object(path: Path) -> dict:
@@ -473,8 +458,7 @@ def _load_json_object(path: Path) -> dict:
         return data
 
     try:
-        with _open_utf8(path) as fh:
-            data = json.load(fh, object_pairs_hook=unique)
+        data = json.load(_text(path, _read(path)), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.msg)
     except RecursionError:

@@ -10,8 +10,11 @@ and message) stand.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -26,7 +29,7 @@ from hypothesis import (HealthCheck, example, given, settings,
 import event_eval.io as io_mod
 from event_eval.cli import main
 from event_eval.core import ScoreSequence
-from event_eval.errors import ParseError
+from event_eval.errors import MissingFile, ParseError
 from event_eval.io import (
     load_branch_errors,
     load_config,
@@ -473,9 +476,9 @@ def _count_line_parser(monkeypatch) -> list[Path]:
     calls: list[Path] = []
     original = io_mod._read_csv_column
 
-    def counted(path, value_header, parse):
+    def counted(path, data, value_header, parse):
         calls.append(Path(path))
-        return original(path, value_header, parse)
+        return original(path, data, value_header, parse)
 
     monkeypatch.setattr(io_mod, "_read_csv_column", counted)
     return calls
@@ -574,6 +577,27 @@ def test_undecodable_line_counted_past_the_first_chunk(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_scores(path)
     assert exc.value.line == 5002
+
+
+# a bad byte 20 KB past a fault on line 2: beyond the first 8 KiB that a
+# text stream decodes, so a reader that parses as it decodes meets the
+# fault first
+_FAR = b"#" * 20_000 + b"\n\xff\n"
+
+
+@pytest.mark.parametrize("loader,body", [
+    (load_manifest, b"dataset: d\nbogus: 1\n" + _FAR),
+    (load_scores, b"frame,score\r\n0,0.5,7\r\n" + _FAR),
+    (load_mask, b"frame,label\r\nx,1\r\n" + _FAR),
+    (load_branch_errors, b"0\t1 0.1 0.2 0.3 0.4\n0 x\n" + _FAR),
+], ids=["manifest", "crlf-scores", "crlf-mask", "tab-branch"])
+def test_a_bad_byte_is_reported_before_an_earlier_fault(tmp_path, loader,
+                                                        body):
+    path = tmp_path / "f.txt"
+    path.write_bytes(body)
+    with pytest.raises(ParseError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}:4: byte 0xff is not valid UTF-8"
 
 
 @pytest.mark.parametrize("which", ["scores", "mask", "manifest"])
@@ -920,7 +944,7 @@ def assert_branch_same_as_line_parser(path: Path) -> None:
         warnings.simplefilter("always")
         got = _outcome(lambda: _window_bits(load_branch_errors(path)))
         want = _outcome(lambda: _window_bits(
-            io_mod._branch_errors_from_lines(path)))
+            io_mod._branch_errors_from_lines(path, path.read_bytes())))
     assert got == want
     assert [str(w.message) for w in caught] == []
 
@@ -980,7 +1004,7 @@ BRANCH_VARIANTS = [
 def test_branch_variants_take_the_line_parser(tmp_path, body):
     path = tmp_path / "b.txt"
     path.write_bytes(body)
-    assert io_mod._fast_branch_errors(path) is None
+    assert io_mod._fast_branch_errors(path.read_bytes()) is None
     assert_branch_same_as_line_parser(path)
 
 
@@ -1003,7 +1027,7 @@ def test_branch_variants_take_the_line_parser(tmp_path, body):
 def test_canonical_branch_variants_take_the_vectorized_path(tmp_path, body):
     path = tmp_path / "b.txt"
     path.write_bytes(body)
-    assert io_mod._fast_branch_errors(path) is not None
+    assert io_mod._fast_branch_errors(path.read_bytes()) is not None
     assert_branch_same_as_line_parser(path)
 
 
@@ -1021,7 +1045,7 @@ def test_branch_loadtxt_deprecation_takes_the_line_parser(tmp_path,
     path.write_bytes(WINDOW + b"\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert io_mod._fast_branch_errors(path) is None
+        assert io_mod._fast_branch_errors(path.read_bytes()) is None
     assert_branch_same_as_line_parser(path)
 
 
@@ -1067,10 +1091,10 @@ def test_canonical_branch_files_are_bit_identical_property(tmp_path, i,
     path = tmp_path / "b.txt"
     path.write_bytes("".join(f"{start} {i} {' '.join(values)}\n"
                              for start, values in rows).encode())
-    fast = io_mod._fast_branch_errors(path)
+    fast = io_mod._fast_branch_errors(path.read_bytes())
     assert fast is not None
     assert _window_bits(fast) == _window_bits(
-        io_mod._branch_errors_from_lines(path))
+        io_mod._branch_errors_from_lines(path, path.read_bytes()))
     assert _window_bits(fast) == _window_bits((
         np.array([start for start, _ in rows]), np.full(len(rows), i),
         [_left_to_right_score([float(v) for v in values], i)
@@ -1119,3 +1143,53 @@ def test_cli_fuse_fuzzed_branch_file_exits_cleanly(tmp_path, capsysbinary,
     (tmp_path / "b.txt").write_bytes(bytes(body))
     path = _write_manifest(tmp_path, scores, mask, "branch_errors: b.txt\n")
     _assert_clean_exit(["fuse", str(path), "--tau", "0.5"], capsysbinary)
+
+
+# ---------------------------------------------------------------------------
+# each file is read once
+
+
+def test_each_line_parsed_file_is_opened_once(tmp_path, monkeypatch):
+    # pathlib opens through io.open for both Path.open and Path.read_bytes
+    files = {"s.csv": b"frame,score\r\n0,0.5\r\n1,0.25\r\n",
+             "m.csv": b"frame,label\r\n0,1\r\n1,0\r\n",
+             "b.txt": b"# comment\n" + WINDOW + b"\n"}
+    for name, body in files.items():
+        (tmp_path / name).write_bytes(body)
+    opened = []
+    real_open = io.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted)
+    assert load_scores(tmp_path / "s.csv").scores == (0.5, 0.25)
+    assert load_mask(tmp_path / "m.csv").labels == (1, 0)
+    assert load_branch_errors(tmp_path / "b.txt")[0].tolist() == [0]
+    monkeypatch.undo()
+    assert opened == list(files)
+
+
+_FIFO_CHILD = """
+import sys
+from event_eval.io import load_branch_errors, load_mask, load_scores
+for load in (load_scores, load_mask, load_branch_errors):
+    try:
+        load(sys.argv[1])
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_is_a_missing_file_at_every_loader(tmp_path):
+    # a loader that opened the FIFO would block with no writer: the child's
+    # timeout fails the test instead of hanging the suite
+    path = tmp_path / "fifo.csv"
+    os.mkfifo(path)
+    done = subprocess.run([sys.executable, "-c", _FIFO_CHILD, str(path)],
+                          capture_output=True, timeout=10)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().splitlines() == [
+        f"{MissingFile.__name__} {MissingFile(str(path))}"] * 3

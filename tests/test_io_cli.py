@@ -805,8 +805,9 @@ def opened_fixture(tmp_path: Path) -> Path:
     return write(tmp_path / "manifest.txt", "\n".join(lines) + "\n")
 
 
-PAIRS = ["a_s.csv", "a_m.csv", "b_s.csv", "b_m.csv", "c_s.csv", "c_m.csv"]
-MASKS = ["a_m.csv", "b_m.csv", "c_m.csv"]
+PAIRS = ["manifest.txt", "a_s.csv", "a_m.csv", "b_s.csv", "b_m.csv",
+         "c_s.csv", "c_m.csv"]
+MASKS = ["manifest.txt", "a_m.csv", "b_m.csv", "c_m.csv"]
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -814,25 +815,26 @@ MASKS = ["a_m.csv", "b_m.csv", "c_m.csv"]
     pytest.param(["frame-metrics"], PAIRS, id="frame-metrics"),
     pytest.param(["refine"], PAIRS, id="refine"),
     pytest.param(["audit"], MASKS, id="audit"),
-    pytest.param(["event-metrics", "--pred", "pred.json"], MASKS,
-                 id="event-metrics"),
+    pytest.param(["event-metrics", "--pred", "pred.json"],
+                 MASKS + ["pred.json"], id="event-metrics"),
     pytest.param(["fuse", "--tau", "0.5"],
                  MASKS + ["a_b.txt", "b_b.txt", "c_b.txt"], id="fuse"),
 ])
 def test_each_subcommand_opens_the_files_the_readme_lists(
         tmp_path, capsysbinary, monkeypatch, argv, want):
-    """Each scores, mask and branch-errors file a subcommand uses is read
-    once, in video id order: for each video its scores file, then its
-    mask; or every mask; or every mask, then every branch-errors file."""
+    """Each file a subcommand uses is read once: the manifest, then in
+    video id order for each video its scores file, then its mask; or every
+    mask, then the predictions; or every mask, then every branch-errors
+    file."""
     manifest = str(opened_fixture(tmp_path))
     opened = []
-    read_bytes = io_mod._read_bytes
+    read = io_mod._read
 
     def recorded(path):
         opened.append(path.name)
-        return read_bytes(path)
+        return read(path)
 
-    monkeypatch.setattr(io_mod, "_read_bytes", recorded)
+    monkeypatch.setattr(io_mod, "_read", recorded)
     monkeypatch.chdir(tmp_path)   # where --pred finds pred.json
     cli_out(capsysbinary, argv[0], manifest, *argv[1:])
     assert opened == want
