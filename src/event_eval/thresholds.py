@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Dataset, EventPrf, FrameMask, FrameMetrics, ScoreSequence,
                    check_hprs_beta)
-from .errors import DegenerateLabels
+from .errors import DegenerateLabels, ValidationError
 
 
 class RocCurve(NamedTuple):
@@ -179,7 +179,6 @@ def hprs_threshold(scores: Sequence[float], labels: Sequence[int],
     beta < 1 weights precision over recall; beta = 1 reduces to the
     F1-maximizing threshold. This is frame_metrics' tau_hprs.
     """
-    check_hprs_beta(beta)
     return frame_metrics(Dataset.of([(ScoreSequence(None, scores),
                                       FrameMask(None, labels))]),
                          beta).tau_hprs
@@ -199,6 +198,9 @@ def frame_metrics(data: Dataset, beta: float) -> FrameMetrics:
     is reported here as the lowest observed score, which binarizes the data
     identically and keeps reports finite.
     """
+    if data.scores is None:
+        raise ValidationError("frame metrics need scores; none were loaded")
+    check_hprs_beta(beta)
     n_pos, n_neg = _class_sizes(data)
     area_roc = area_pr = 0.0
     # best (|FAR - FRR| or F_beta, tau, F1 at tau[, EER]) so far

@@ -31,7 +31,7 @@ from event_eval.fusion import mark_windows
 from event_eval.io import compute_frame_metrics, event_metrics_at
 from event_eval.matching import match_events
 from event_eval.smoothing import build_kernel
-from event_eval.thresholds import hprs_threshold, roc_curve
+from event_eval.thresholds import frame_metrics, hprs_threshold, roc_curve
 
 # ---------------------------------------------------------------------------
 # errors survive pickle and copy
@@ -128,6 +128,15 @@ def dataset_of(draw) -> None:
     assert (data.scores is None) == (not drawn[0][0])
 
 
+def frame_metrics_of(draw) -> None:
+    scored = draw(st.booleans())
+    data = Dataset.of([(seq if scored else None, mask)
+                       for seq, mask in videos(draw)])
+    metrics = frame_metrics(data, draw(NUMBERS))
+    # a NaN beta once made every F_beta 0, and tau_hprs the +inf sentinel
+    assert math.isfinite(metrics.tau_hprs)
+
+
 GT = EventSet("v", [TemporalEvent(0, 4), TemporalEvent(8, 9)])
 PRED = EventSet("v", [TemporalEvent(1, 4), TemporalEvent(7, 12)])
 ENTRIES = {
@@ -137,6 +146,7 @@ ENTRIES = {
     "roc_curve": lambda draw: roc_curve(*draw(pairs())),
     "hprs_threshold": lambda draw: hprs_threshold(*draw(pairs()),
                                                   draw(NUMBERS)),
+    "frame_metrics": frame_metrics_of,
     "compute_frame_metrics": lambda draw: compute_frame_metrics(
         videos(draw), EvalConfig(**draw(CONFIGS))),
     "event_metrics_at": lambda draw: event_metrics_at(
@@ -215,6 +225,32 @@ def test_tau_must_be_a_finite_real(call, tau):
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
         "micro_threshold nan"])
 def test_a_mended_escape_is_a_validation_error(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value).startswith(message)
+
+
+SCORED = Dataset.of(VIDEOS)
+SCORELESS = Dataset.of([(None, mask) for _, mask in VIDEOS])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: frame_metrics(SCORELESS, 0.5),
+     "frame metrics need scores; none were loaded"),
+    (lambda: frame_metrics(SCORELESS, math.nan),
+     "frame metrics need scores; none were loaded"),
+    (lambda: frame_metrics(SCORED, math.nan),
+     "hprs_beta must be positive with a finite square, got nan"),
+    (lambda: frame_metrics(SCORED, 10**400),
+     "hprs_beta must be positive with a finite square, got 1000"),
+    (lambda: frame_metrics(SCORED, "a"),
+     "hprs_beta must be positive with a finite square, got 'a'"),
+    # the scores are checked, as they are laid out, before beta
+    (lambda: hprs_threshold([math.nan, 1], [0, 1], math.nan),
+     "non-finite score at frame 0"),
+], ids=["scoreless", "scoreless, beta nan", "beta nan", "beta 10**400",
+        "beta string", "hprs_threshold scores first"])
+def test_frame_metrics_checks_its_scores_then_beta(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value).startswith(message)
