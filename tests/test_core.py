@@ -260,6 +260,16 @@ def test_config_rejects_bad_values(kwargs):
         EvalConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"vote_stride": 3, "vote_window": 3},  # the stride of a whole window
+    {"sigma_max": 64},  # MAX_SIGMA itself
+    {"tiou_thresholds": (0.5, 1.0)},  # an exact match
+])
+def test_config_accepts_each_boundary_value(kwargs):
+    cfg = EvalConfig(**kwargs)
+    assert {key: getattr(cfg, key) for key in kwargs} == kwargs
+
+
 @pytest.mark.parametrize("value", ["0.5", b"0.5"])
 def test_config_rejects_a_string_of_tiou_thresholds(value):
     # a string is iterable, but its characters are not thresholds

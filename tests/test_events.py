@@ -347,6 +347,13 @@ def test_audit_across_videos():
     assert report.micro_event_count == 0
 
 
+def test_audit_micro_events_are_shorter_than_the_threshold():
+    report = audit_dataset([mask(*([1] * 7 + [0] + [1] * 8))],
+                           micro_threshold=8)
+    assert report.event_count == 2
+    assert report.micro_event_count == 1  # 7 < 8, and 8 is not
+
+
 def test_audit_requires_masks():
     with pytest.raises(ValidationError, match="at least one video"):
         audit_dataset([], micro_threshold=2)
