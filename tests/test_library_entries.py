@@ -9,7 +9,8 @@
   that each call returns or raises an EventEvalError. No draw allocates in
   proportion to a drawn number: a kernel radius stays at or below 10**4,
   and every other drawn number is a value, not a size.
-- Unit tests pin the one tau rule and the messages of the mended escapes.
+- Unit tests pin the one tau rule, the messages of the mended escapes and
+  the order of frame_metrics' own checks.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def frame_metrics_of(draw) -> None:
     data = Dataset.of([(seq if scored else None, mask)
                        for seq, mask in videos(draw)])
     metrics = frame_metrics(data, draw(NUMBERS))
-    # a NaN beta once made every F_beta 0, and tau_hprs the +inf sentinel
+    # an unchecked NaN beta makes every F_beta 0, and tau_hprs +inf
     assert math.isfinite(metrics.tau_hprs)
 
 
