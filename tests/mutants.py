@@ -3,8 +3,7 @@ must be killed by the tests listed for it.
 
 Run it from anywhere, once the tier-1 tests pass:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # only these
+    python tests/mutants.py
 
 src/, tests/ and pyproject.toml are copied to a temporary directory once.
 For each mutant its old text, which occurs exactly once in src/, is
@@ -129,12 +128,7 @@ def run(mutant: Mutant, copy: Path) -> str:
         done.returncode, f"pytest exit {done.returncode}")
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in chosen}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -142,15 +136,15 @@ def main(names: list[str]) -> int:
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        for mutant in chosen:
+        for mutant in MUTANTS:
             start = time.perf_counter()
             outcome = run(mutant, copy)
             failed += outcome != "killed"
             print(f"{outcome:<10} {time.perf_counter() - start:5.1f} s  "
                   f"{mutant.name}", flush=True)
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
