@@ -294,6 +294,15 @@ def check_hprs_beta(beta: float) -> None:
                               f"square, got {beta!r}")
 
 
+def check_count(name: str, value, least: int = 1) -> int:
+    """A frame count: an integer >= least, Python or numpy but not a bool,
+    returned as an int."""
+    if not (_is_int(value) and value >= least):
+        raise ValidationError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def check_tau(tau: float) -> None:
     """A finite real number: frames scoring >= tau are anomalous."""
     if not _is_finite(tau):
@@ -339,11 +348,8 @@ class EvalConfig:
         object.__setattr__(self, "threshold_strategy", strategy)
         for name in ("sigma_max", "vote_window", "vote_stride",
                      "min_event_len"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValidationError(f"{name} must be a positive integer, "
-                                      f"got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name,
+                               check_count(name, getattr(self, name)))
         if self.sigma_max > MAX_SIGMA:
             raise ValidationError(f"sigma_max must be at most {MAX_SIGMA}, "
                                   f"got {self.sigma_max}")

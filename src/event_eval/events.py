@@ -20,6 +20,7 @@ from .core import (
     FrameMask,
     ScoreSequence,
     _is_int,
+    check_count,
     check_tau,
     events_within,
 )
@@ -73,9 +74,7 @@ def mask_to_events(mask: FrameMask) -> EventSet:
 
 def events_to_mask(events: EventSet, n: int) -> FrameMask:
     """Render events back to a length-n binary mask."""
-    if not _is_int(n) or n < 1:
-        raise ValidationError(
-            f"mask length must be an integer >= 1, got {n!r}")
+    n = check_count("mask length", n)
     events_within(events, n)
     # events are disjoint and non-adjacent, so no two bounds share an index
     delta = np.zeros(n + 1, dtype=int)
@@ -152,8 +151,7 @@ def majority_vote_refine(mask: FrameMask, window: int,
 
 def filter_short_events(events: EventSet, d_min: int) -> EventSet:
     """Drop events whose duration is strictly shorter than d_min frames."""
-    if d_min < 1:
-        raise ValidationError(f"d_min must be >= 1, got {d_min}")
+    check_count("d_min", d_min)
     keep = events.ends - events.starts + 1 >= d_min
     return EventSet._of(events.video_id, events.starts[keep],
                         events.ends[keep])
@@ -204,9 +202,7 @@ def audit_events(gt: EventSet, n_frames: int,
 def audit_dataset(masks: list[FrameMask],
                   micro_threshold: int) -> AuditReport:
     """audit_events of the maximal runs of 1s of every ground-truth mask."""
-    if not _is_int(micro_threshold) or micro_threshold < 1:
-        raise ValidationError(
-            f"micro_threshold must be >= 1, got {micro_threshold!r}")
+    check_count("micro_threshold", micro_threshold)
     data = Dataset.of([(None, m) for m in masks])
     return audit_events(clip_runs(data.labels, data.bounds),
                         int(data.bounds[-1]), micro_threshold)

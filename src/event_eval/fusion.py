@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EventSet, check_tau
+from .core import EventSet, check_count, check_tau
 from .errors import BadLength, LengthMismatch, ValidationError, WindowOutOfRange
 from .events import clip_runs
 
@@ -39,12 +39,8 @@ class BranchErrors:
                            tuple(float(v) for v in self.short))
         object.__setattr__(self, "long",
                            tuple(float(v) for v in self.long))
-        if self.window_len < 1:
-            raise ValidationError(
-                f"window_len must be >= 1, got {self.window_len}")
-        if self.target_start < 0:
-            raise ValidationError(
-                f"target_start must be >= 0, got {self.target_start}")
+        check_count("window_len", self.window_len)
+        check_count("target_start", self.target_start, least=0)
         if len(self.short) != self.window_len:
             raise BadLength(
                 f"short branch has {len(self.short)} values, expected "
@@ -62,8 +58,7 @@ class BranchErrors:
 
 def align_center(long: Sequence[float], i: int) -> list[float]:
     """Middle third of the long-branch errors: elements i..2i-1 (0-based)."""
-    if i < 1:
-        raise ValidationError(f"window length must be >= 1, got {i}")
+    check_count("window length", i)
     if len(long) != 3 * i:
         raise BadLength(
             f"long branch has {len(long)} values, expected 3*i={3 * i}")
@@ -112,8 +107,7 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
     order, that leaves [0, video_len) raises WindowOutOfRange.
     """
     check_tau(tau)
-    if video_len < 1:
-        raise ValidationError(f"video_len must be >= 1, got {video_len}")
+    check_count("video_len", video_len)
     # not starts + lengths > video_len, which can wrap around in int64
     bad = np.asarray((starts < 0) | (lengths < 0)
                      | (starts > video_len - lengths), dtype=bool)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSequence, _is_finite, _is_int
+from .core import ScoreSequence, _is_finite, check_count
 from .errors import InvalidSigma, ValidationError
 
 _CHUNK = 16384  # frames per group of tap sums in _smooth
@@ -62,13 +62,12 @@ def build_kernel(sigma: float, radius: int) -> GaussianKernel:
         raise InvalidSigma(f"sigma must be positive and finite, got {sigma!r}")
     if not 2.0 * float(sigma) * float(sigma) > 0:
         raise InvalidSigma(f"sigma {sigma} is too small: 2 sigma^2 is 0")
-    if not _is_int(radius) or radius < 1:
-        raise ValidationError(f"radius must be an int >= 1, got {radius!r}")
-    w = _gaussian_weights(float(sigma), int(radius))
+    radius = check_count("radius", radius)
+    w = _gaussian_weights(float(sigma), radius)
     if not w[0] > 0:   # exp underflows at the outermost weight first
         raise InvalidSigma(f"sigma {sigma} is too small for radius "
                            f"{radius}: the outermost weights are 0")
-    return GaussianKernel(sigma=float(sigma), radius=int(radius),
+    return GaussianKernel(sigma=float(sigma), radius=radius,
                           weights=tuple(w.tolist()))
 
 

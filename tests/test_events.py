@@ -360,9 +360,10 @@ def test_audit_requires_masks():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: filter_short_events(EventSet("v"), 0), "d_min must be >= 1"),
+    (lambda: filter_short_events(EventSet("v"), 0),
+     "d_min must be an integer >= 1, got 0"),
     (lambda: audit_dataset([mask(0, 1)], micro_threshold=0),
-     "micro_threshold must be >= 1"),
+     "micro_threshold must be an integer >= 1, got 0"),
     (lambda: AuditReport(normal_frames=2, anomalous_frames=2, event_count=0,
                          avg_duration_frames=0.0, min_duration=0,
                          max_duration=0, micro_event_count=0),

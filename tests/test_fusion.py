@@ -257,8 +257,9 @@ def test_mark_windows_names_first_out_of_range_window():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: align_center([0.1] * 3, 0), "window length must be >= 1"),
-    (lambda: mark([], 0.5, 0), "video_len must be >= 1"),
+    (lambda: align_center([0.1] * 3, 0),
+     "window length must be an integer >= 1, got 0"),
+    (lambda: mark([], 0.5, 0), "video_len must be an integer >= 1, got 0"),
 ], ids=["align_center window 0", "mark_windows video_len 0"])
 def test_fusion_rejects_a_length_below_one(call, message):
     with pytest.raises(ValidationError, match=message):

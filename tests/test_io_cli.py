@@ -228,7 +228,8 @@ def test_load_branch_errors_negative_window_len(tmp_path):
     with pytest.raises(ValidationError) as exc:
         load_branch_errors(path)
     assert not isinstance(exc.value, BadLength)
-    assert str(exc.value) == f"window_len must be >= 1, got -1 | path={path}:2"
+    assert str(exc.value) == ("window_len must be an integer >= 1, got -1 | "
+                              f"path={path}:2")
 
 
 def test_load_events_json(tmp_path):
@@ -381,7 +382,8 @@ LOCATED = {
         {"video_id": "v"}),
     "BranchErrors/load_branch_errors": (
         lambda tmp: load_branch_errors(write(tmp / "b.txt", "# c\n0 0\n")),
-        ValidationError, "window_len must be >= 1, got 0 | path={tmp}/b.txt:2",
+        ValidationError, "window_len must be an integer >= 1, got 0 | "
+        "path={tmp}/b.txt:2",
         {}),
     "ParseError/load_branch_errors": (
         lambda tmp: load_branch_errors(write(tmp / "b.txt", "0 x\n")),
@@ -423,7 +425,8 @@ LOCATED_CLI = {
         "duplicate video_id 'v' in manifest | path={tmp}/manifest.txt"),
     "BranchErrors": (
         ("fuse", "b.txt", "0 0\n"), 1,
-        "window_len must be >= 1, got 0 | path={tmp}/b.txt:1"),
+        "window_len must be an integer >= 1, got 0 | "
+        "path={tmp}/b.txt:1"),
     "WindowOutOfRange": (
         ("fuse", "b.txt", "30 8 " + " ".join(["0.9"] * 32) + "\n"), 1,
         "window [30,37] exceeds video length 32 | video_id='v' | "
@@ -762,7 +765,7 @@ def test_cli_fuse_start_past_int64_is_a_range_error(tmp_path, capsysbinary,
 
 
 @pytest.mark.parametrize("line,message", [
-    ("0 -1", "window_len must be >= 1, got -1"),
+    ("0 -1", "window_len must be an integer >= 1, got -1"),
     ("0 2 0.1 0.2 0.3", "long branch has 1 values, expected 3*window_len=6"),
 ])
 def test_cli_fuse_bad_branch_line_exits_1(tmp_path, capsysbinary, line,

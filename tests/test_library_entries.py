@@ -210,17 +210,20 @@ def test_tau_must_be_a_finite_real(call, tau):
      "score sequence for 'a': could not convert string to float: 'abc'"),
     (lambda: ScoreSequence("a", [1j]), "score sequence for 'a': float() "
                                        "argument must be"),
-    (lambda: build_kernel(1.0, 1.5), "radius must be an int >= 1, got 1.5"),
-    (lambda: build_kernel(1.0, True), "radius must be an int >= 1, got True"),
-    (lambda: build_kernel(1.0, "a"), "radius must be an int >= 1, got 'a'"),
+    (lambda: build_kernel(1.0, 1.5),
+     "radius must be an integer >= 1, got 1.5"),
+    (lambda: build_kernel(1.0, True),
+     "radius must be an integer >= 1, got True"),
+    (lambda: build_kernel(1.0, "a"),
+     "radius must be an integer >= 1, got 'a'"),
     (lambda: build_kernel("a", 1),
      "sigma must be positive and finite, got 'a'"),
     (lambda: build_kernel(math.inf, 1),
      "sigma must be positive and finite, got inf"),
     (lambda: audit_dataset([FrameMask("v", [0, 1])], "a"),
-     "micro_threshold must be >= 1, got 'a'"),
+     "micro_threshold must be an integer >= 1, got 'a'"),
     (lambda: audit_dataset([FrameMask("v", [0, 1])], math.nan),
-     "micro_threshold must be >= 1, got nan"),
+     "micro_threshold must be an integer >= 1, got nan"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
