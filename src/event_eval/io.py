@@ -98,12 +98,12 @@ def _text(path: Path, data: bytes,
           newline: str | None = None) -> TextIOWrapper:
     """data as a text stream whose lines split as path.open's would; a
     leading UTF-8 byte-order mark is skipped. All of data is decoded first,
-    so an undecodable byte is a ParseError at its line before any line is
-    parsed."""
+    so an undecodable byte is a ParseError at its line, ended by LF, CRLF or
+    a lone CR as the parsers' lines are, before any line is parsed."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
+        raise ParseError(str(path), len(data[:exc.start + 1].splitlines()),
                          f"byte 0x{data[exc.start]:02x} is not valid "
                          "UTF-8") from None
     return TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline=newline)

@@ -570,6 +570,34 @@ def test_undecodable_bytes_are_parse_errors(tmp_path, loader, body, line):
     assert "UTF-8" in str(exc.value)
 
 
+# the lines of a valid file of each kind that a line parser reads
+_LINES = {
+    "scores": (load_scores, [b"frame,score", b"0,0.5", b"1,0.25"]),
+    "mask": (load_mask, [b"frame,label", b"0,1", b"1,0"]),
+    "branch": (load_branch_errors, [b"# c", b"0 1 0.1 0.2 0.3 0.4", b"",
+                                    b"1 1 0.1 0.2 0.3 0.4"]),
+    "manifest": (load_manifest, [b"dataset: d", b"video: v",
+                                 b"scores: s.csv", b"mask: m.csv"]),
+}
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"],
+                         ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("kind", _LINES)
+def test_a_bad_byte_is_reported_at_the_line_the_parsers_count(tmp_path,
+                                                              kind, end):
+    # a line ends at LF, CRLF or a lone CR, for the byte as for the parsers
+    loader, lines = _LINES[kind]
+    path = tmp_path / "f.txt"
+    for k in range(1, len(lines) + 1):
+        path.write_bytes(b"".join(
+            line + b"\xff" * (j == k) + end
+            for j, line in enumerate(lines, start=1)))
+        with pytest.raises(ParseError) as exc:
+            loader(path)
+        assert str(exc.value) == f"{path}:{k}: byte 0xff is not valid UTF-8"
+
+
 def test_undecodable_line_counted_past_the_first_chunk(tmp_path):
     rows = "".join(f"{i},0.5\n" for i in range(5000))
     path = tmp_path / "s.csv"
