@@ -28,12 +28,14 @@ class InputError(EventEvalError):
 
 
 def _locate(exc: EventEvalError, video_id: str | None = None,
-            path: object = None) -> EventEvalError:
+            path: object = None, line: int | None = None) -> EventEvalError:
     """Append ' | video_id=ID' and then ' | path=PATH', each when given, to
-    exc's message and return exc: the one place an error is located."""
+    exc's message and return exc: the one place an error is located. Given a
+    line, prefix 'PATH:LINE: ' instead, as a ParseError's message has it."""
     where = [f"video_id={video_id!r}"] if video_id is not None else []
     where += [f"path={path}"] if path is not None else []
-    exc.args = (" | ".join([str(exc), *where]),)
+    exc.args = (" | ".join([str(exc), *where]) if line is None
+                else f"{path}:{line}: {exc}",)
     return exc
 
 

@@ -389,7 +389,7 @@ def _branch_errors_from_lines(path: Path,
             BranchErrors(short=tuple(values[:i]), long=tuple(values[i:]),
                          window_len=i, target_start=start)
         except EventEvalError as exc:
-            raise _locate(exc, path=f"{path}:{lineno}")
+            raise _locate(exc, path=path, line=lineno)
         starts.append(start)
         lengths.append(i)
         scores.append(score_window(np.array([values]))[0])

@@ -219,8 +219,8 @@ def test_load_branch_errors_bad_length(tmp_path):
     path = write(tmp_path / "b.txt", "0 2 0.1 0.2 0.3\n")
     with pytest.raises(BadLength) as exc:
         load_branch_errors(path)
-    assert str(exc.value) == ("long branch has 1 values, expected "
-                              f"3*window_len=6 | path={path}:1")
+    assert str(exc.value) == (f"{path}:1: long branch has 1 values, "
+                              "expected 3*window_len=6")
 
 
 def test_load_branch_errors_negative_window_len(tmp_path):
@@ -228,8 +228,8 @@ def test_load_branch_errors_negative_window_len(tmp_path):
     with pytest.raises(ValidationError) as exc:
         load_branch_errors(path)
     assert not isinstance(exc.value, BadLength)
-    assert str(exc.value) == ("window_len must be an integer >= 1, got -1 | "
-                              f"path={path}:2")
+    assert str(exc.value) == (f"{path}:2: window_len must be an integer "
+                              ">= 1, got -1")
 
 
 def test_load_events_json(tmp_path):
@@ -382,8 +382,8 @@ LOCATED = {
         {"video_id": "v"}),
     "BranchErrors/load_branch_errors": (
         lambda tmp: load_branch_errors(write(tmp / "b.txt", "# c\n0 0\n")),
-        ValidationError, "window_len must be an integer >= 1, got 0 | "
-        "path={tmp}/b.txt:2",
+        ValidationError,
+        "{tmp}/b.txt:2: window_len must be an integer >= 1, got 0",
         {}),
     "ParseError/load_branch_errors": (
         lambda tmp: load_branch_errors(write(tmp / "b.txt", "0 x\n")),
@@ -425,8 +425,7 @@ LOCATED_CLI = {
         "duplicate video_id 'v' in manifest | path={tmp}/manifest.txt"),
     "BranchErrors": (
         ("fuse", "b.txt", "0 0\n"), 1,
-        "window_len must be an integer >= 1, got 0 | "
-        "path={tmp}/b.txt:1"),
+        "{tmp}/b.txt:1: window_len must be an integer >= 1, got 0"),
     "WindowOutOfRange": (
         ("fuse", "b.txt", "30 8 " + " ".join(["0.9"] * 32) + "\n"), 1,
         "window [30,37] exceeds video length 32 | video_id='v' | "
@@ -774,7 +773,7 @@ def test_cli_fuse_bad_branch_line_exits_1(tmp_path, capsysbinary, line,
     branch = write(tmp_path / "b.txt", line + "\n")
     assert main(["fuse", manifest, "--tau", "0.5"]) == 1
     err = capsysbinary.readouterr().err.decode().splitlines()
-    assert err == [f"error: {message} | path={branch}:1"]
+    assert err == [f"error: {branch}:1: {message}"]
 
 
 def test_cli_fuse_needs_a_branch_errors_file(tmp_path, capsysbinary):

@@ -60,6 +60,7 @@ ERRORS = [
     errors.ParseError("p", 1, "bad"),
     errors.ParseError("p", None, "bad"),
     errors._locate(errors.WindowOutOfRange("m"), "v", "p"),
+    errors._locate(errors.BadLength("m"), path="p", line=3),
 ]
 
 
