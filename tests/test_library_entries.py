@@ -7,10 +7,12 @@
   10**400, NaN, +-inf, 1e308, 5e-324, bools, numpy scalars and short
   strings) for every numeric parameter of the library entries, and asserts
   that each call returns or raises an EventEvalError. No draw allocates in
-  proportion to a drawn number: a kernel radius stays at or below 10**4,
-  and every other drawn number is a value, not a size.
-- Unit tests pin the one tau rule, the messages of the mended escapes and
-  the order of frame_metrics' own checks.
+  proportion to a drawn number: a kernel radius, a mask length and a video
+  length stay at or below 10**4, and every other drawn number is a value or
+  a count that sizes nothing.
+- Unit tests pin the one tau rule, the messages of the mended escapes (the
+  one frame-count rule among them) and the order of frame_metrics' own
+  checks.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from event_eval import errors
 from event_eval.core import (Dataset, EvalConfig, EventSet, FrameMask,
                              ScoreSequence, TemporalEvent)
 from event_eval.errors import EventEvalError, ValidationError
-from event_eval.events import audit_dataset, refine_pipeline
-from event_eval.fusion import mark_windows
+from event_eval.events import (audit_dataset, events_to_mask,
+                               filter_short_events, refine_pipeline)
+from event_eval.fusion import BranchErrors, align_center, mark_windows
 from event_eval.io import compute_frame_metrics, event_metrics_at
 from event_eval.matching import match_events
 from event_eval.smoothing import build_kernel
@@ -90,8 +93,9 @@ NUMBER_LIKE = [0, -1, -7, 10**400, -10**400, math.nan, math.inf, -math.inf,
                np.int8(-2), np.uint8(1), np.bool_(True), "", "a", "1", "nan"]
 NUMBERS = st.one_of(st.sampled_from(NUMBER_LIKE), st.integers(-3, 12),
                     st.floats(-2.0, 2.0), st.text(max_size=3))
-# a kernel's radius sizes its weights: no int above 10**4
-RADII = NUMBERS.filter(lambda r: not (isinstance(r, int) and r > 10**4))
+# a kernel's radius, a mask's length and a video's length size an
+# allocation: no int above 10**4
+SIZES = NUMBERS.filter(lambda r: not (isinstance(r, int) and r > 10**4))
 VALUES = st.one_of(NUMBERS, st.lists(NUMBERS, max_size=4))
 MODES = st.sampled_from(["refined", "baseline"])
 # finite floats at the edges of the range, whose differences overflow
@@ -157,11 +161,21 @@ ENTRIES = {
     "refine_pipeline": lambda draw: refine_pipeline(
         ScoreSequence("v", draw(pairs(number_likes=False))[0]), draw(NUMBERS),
         EvalConfig(**draw(CONFIGS))),
-    "build_kernel": lambda draw: build_kernel(draw(NUMBERS), draw(RADII)),
+    "build_kernel": lambda draw: build_kernel(draw(NUMBERS), draw(SIZES)),
     "EvalConfig": lambda draw: EvalConfig(**draw(CONFIGS)),
     "match_events": lambda draw: match_events(GT, PRED, draw(NUMBERS)),
     "audit_dataset": lambda draw: audit_dataset(
         [FrameMask("v", draw(pairs())[1])], draw(NUMBERS)),
+    "filter_short_events": lambda draw: filter_short_events(PRED,
+                                                            draw(NUMBERS)),
+    "events_to_mask": lambda draw: events_to_mask(GT, draw(SIZES)),
+    "mark_windows": lambda draw: mark_windows(
+        np.array([0, 3]), np.array([2, 2]), np.array([0.9, 0.1]), 0.5,
+        draw(SIZES)),
+    "BranchErrors": lambda draw: BranchErrors(
+        short=(0.1, 0.2), long=(0.1,) * 6, window_len=draw(NUMBERS),
+        target_start=draw(NUMBERS)),
+    "align_center": lambda draw: align_center([0.1] * 6, draw(NUMBERS)),
 }
 
 
@@ -225,10 +239,23 @@ def test_tau_must_be_a_finite_real(call, tau):
      "micro_threshold must be an integer >= 1, got 'a'"),
     (lambda: audit_dataset([FrameMask("v", [0, 1])], math.nan),
      "micro_threshold must be an integer >= 1, got nan"),
+    (lambda: filter_short_events(PRED, 2.5),
+     "d_min must be an integer >= 1, got 2.5"),
+    (lambda: filter_short_events(PRED, math.nan),
+     "d_min must be an integer >= 1, got nan"),
+    (lambda: BranchErrors(short=(0.1,), long=(0.1,) * 3, window_len=True,
+                          target_start=0),
+     "window_len must be an integer >= 1, got True"),
+    (lambda: align_center([0.1] * 3, True),
+     "window length must be an integer >= 1, got True"),
+    (lambda: mark_windows(np.array([0]), np.array([1]), np.array([0.5]),
+                          0.5, True),
+     "video_len must be an integer >= 1, got True"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
-        "micro_threshold nan"])
+        "micro_threshold nan", "d_min 2.5", "d_min nan", "window_len True",
+        "align_center True", "video_len True"])
 def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()
