@@ -56,6 +56,16 @@ MUTANTS = [
     Mutant("_fast_column always declines", "src/event_eval/io.py",
            'header = f"frame,{value_header}\\n".encode()', "return None",
            (f"{_CSV}::test_load_dataset_takes_vectorized_path",)),
+    Mutant("bad byte's line counted by LF alone", "src/event_eval/io.py",
+           "len(data[:exc.start + 1].splitlines())",
+           'data.count(b"\\n", 0, exc.start) + 1',
+           (f"{_CSV}::test_a_bad_byte_is_reported_at_the_line_the_parsers_"
+            "count",)),
+    Mutant("branch rule fault loses its FILE:LINE prefix",
+           "src/event_eval/errors.py", 'else f"{path}:{line}: {exc}",)',
+           "else str(exc),)",
+           ("tests/test_io_cli.py::test_located_errors_keep_type_message_"
+            "and_attributes",)),
     # frame metrics
     Mutant("frame_metrics beta check removed", "src/event_eval/thresholds.py",
            "check_hprs_beta(beta)", "pass",
@@ -93,6 +103,10 @@ MUTANTS = [
            "hit = scores >= tau", "hit = scores > tau",
            ("tests/test_fusion.py",)),
     # config boundaries
+    Mutant("count rule rejects its least", "src/event_eval/core.py",
+           "value >= least", "value > least",
+           ("tests/test_fusion.py::test_align_center_examples",
+            "tests/test_fusion.py::test_branch_errors_validation")),
     Mutant("sigma_max of MAX_SIGMA rejected", "src/event_eval/core.py",
            "if self.sigma_max > MAX_SIGMA:", "if self.sigma_max >= MAX_SIGMA:",
            ("tests/test_core.py",)),
