@@ -153,6 +153,80 @@ def test_load_manifest_parse_errors(tmp_path, body, fragment):
     assert fragment in str(exc.value)
 
 
+# manifests with two faults: (body, error, message, line); the fault that
+# wins is the first the one pass meets. A record's missing key is found
+# when the next 'video:' line or the end closes the record, before any
+# later line is read; duplicate ids and missing files are checked after
+# the pass, record by record, each record's files in the order scores,
+# mask, branch_errors. '{tmp}' is tmp_path; s.csv and m.csv exist.
+TWO_FAULTS = {
+    "missing mask, then unknown key": (
+        "dataset: d\nvideo: v\nscores: s.csv\nvideo: w\nbogus: x\n",
+        ParseError, "{tmp}/manifest.txt:2: video 'v' is missing the 'mask' "
+        "key", 2),
+    "unknown key, then missing mask": (
+        "dataset: d\nvideo: v\nscores: s.csv\nbogus: x\nvideo: w\n",
+        ParseError, "{tmp}/manifest.txt:4: unknown key 'bogus'", 4),
+    "last record's missing mask, then missing dataset": (
+        "video: v\nscores: s.csv\n", ParseError,
+        "{tmp}/manifest.txt:1: video 'v' is missing the 'mask' key", 1),
+    "last record misses scores and mask": (
+        "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\nvideo: w\n",
+        ParseError,
+        "{tmp}/manifest.txt:5: video 'w' is missing the 'scores' key", 5),
+    "duplicate key, then missing dataset": (
+        "video: v\nscores: s.csv\nscores: s.csv\nmask: m.csv\n", ParseError,
+        "{tmp}/manifest.txt:3: duplicate 'scores' in record 'v'", 3),
+    "key before any video, then duplicate dataset": (
+        "dataset: d\nmask: m.csv\ndataset: e\n", ParseError,
+        "{tmp}/manifest.txt:2: 'mask' before any 'video' record", 2),
+    "bad line, then missing mask": (
+        "dataset: d\nvideo: v\nscores\nscores: s.csv\n", ParseError,
+        "{tmp}/manifest.txt:3: expected 'key: value', got 'scores'", 3),
+    "missing dataset and no videos": (
+        "# a comment\n", ParseError,
+        "{tmp}/manifest.txt: missing 'dataset' key", None),
+    "missing key, then duplicate id": (
+        "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\nvideo: v\n"
+        "scores: s.csv\n", ParseError,
+        "{tmp}/manifest.txt:5: video 'v' is missing the 'mask' key", 5),
+    "duplicate id with a missing file": (
+        "dataset: d\nvideo: v\nscores: s.csv\nmask: m.csv\nvideo: v\n"
+        "scores: nope.csv\nmask: m.csv\n", DuplicateVideoId,
+        "duplicate video_id 'v' in manifest | path={tmp}/manifest.txt", None),
+    "missing file, then duplicate id": (
+        "dataset: d\nvideo: v\nscores: s.csv\nmask: nope.csv\nvideo: v\n"
+        "scores: s.csv\nmask: m.csv\n", MissingFile,
+        "referenced file does not exist: {tmp}/nope.csv", None),
+    "missing mask file listed before a missing scores file": (
+        "dataset: d\nvideo: v\nbranch_errors: b.txt\nmask: m2.csv\n"
+        "scores: s2.csv\n", MissingFile,
+        "referenced file does not exist: {tmp}/s2.csv", None),
+    "missing branch file, then a later record's missing file": (
+        "dataset: d\nvideo: v\nbranch_errors: b.txt\nmask: m.csv\n"
+        "scores: s.csv\nvideo: w\nscores: s2.csv\nmask: m.csv\n",
+        MissingFile, "referenced file does not exist: {tmp}/b.txt", None),
+}
+
+
+@pytest.mark.parametrize("body,error,message,line", TWO_FAULTS.values(),
+                         ids=TWO_FAULTS)
+def test_load_manifest_reports_the_first_of_two_faults(tmp_path,
+                                                       capsysbinary, body,
+                                                       error, message, line):
+    write(tmp_path / "s.csv", scores_csv([0.1]))
+    write(tmp_path / "m.csv", mask_csv([1]))
+    path = write(tmp_path / "manifest.txt", body)
+    with pytest.raises(EventEvalError) as exc:
+        load_manifest(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(tmp=tmp_path)
+    assert getattr(exc.value, "line", None) == line
+    assert main(["audit", str(path)]) == 2
+    assert capsysbinary.readouterr().err.decode() == \
+        f"error: {message.format(tmp=tmp_path)}\n"
+
+
 def test_load_scores_and_mask(tmp_path):
     spath = write(tmp_path / "v.csv", "frame,score\n0,0.12\n1,0.87\n")
     seq = load_scores(spath, "v")
