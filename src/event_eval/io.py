@@ -109,6 +109,16 @@ def _text(path: Path, data: bytes,
     return TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline=newline)
 
 
+def _close_record(path: Path, records: list) -> None:
+    """The open record, the last of records, must name its scores and mask;
+    a missing key is a ParseError at the record's 'video' line."""
+    for line, video, paths in records[-1:]:
+        for key in ("scores", "mask"):
+            if key not in paths:
+                raise ParseError(str(path), line, f"video {video!r} is "
+                                 f"missing the {key!r} key")
+
+
 def load_manifest(path: str | Path) -> Manifest:
     """Parse and validate a manifest file.
 
@@ -126,28 +136,7 @@ def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     base = path.parent
     dataset_name: str | None = None
-    entries: list[ManifestEntry] = []
-    current: dict[str, str] | None = None
-    current_line = 0
-
-    def flush() -> None:
-        nonlocal current
-        if current is None:
-            return
-        for required in ("scores", "mask"):
-            if required not in current:
-                raise ParseError(str(path), current_line,
-                                 f"video {current['video']!r} is missing "
-                                 f"the {required!r} key")
-        entries.append(ManifestEntry(
-            video_id=current["video"],
-            scores_path=base / current["scores"],
-            mask_path=base / current["mask"],
-            branch_errors_path=(base / current["branch_errors"]
-                                if "branch_errors" in current else None),
-        ))
-        current = None
-
+    records: list[tuple[int, str, dict[str, Path]]] = []   # line, id, paths
     for lineno, raw in enumerate(_text(path, _read(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -162,34 +151,35 @@ def load_manifest(path: str | Path) -> Manifest:
                 raise ParseError(str(path), lineno, "duplicate 'dataset' key")
             dataset_name = value
         elif key == "video":
-            flush()
-            current = {"video": value}
-            current_line = lineno
+            _close_record(path, records)
+            records.append((lineno, value, {}))
         elif key in ("scores", "mask", "branch_errors"):
-            if current is None:
+            if not records:
                 raise ParseError(str(path), lineno,
                                  f"{key!r} before any 'video' record")
-            if key in current:
+            _, video, paths = records[-1]
+            if key in paths:
                 raise ParseError(str(path), lineno,
-                                 f"duplicate {key!r} in record "
-                                 f"{current['video']!r}")
-            current[key] = value
+                                 f"duplicate {key!r} in record {video!r}")
+            paths[key] = base / value
         else:
             raise ParseError(str(path), lineno, f"unknown key {key!r}")
-    flush()
+    _close_record(path, records)   # the last record
     if dataset_name is None:
         raise ParseError(str(path), None, "missing 'dataset' key")
-    if not entries:
+    if not records:
         raise ParseError(str(path), None, "manifest lists no videos")
+    entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    for entry in entries:
-        if entry.video_id in seen:
-            raise DuplicateVideoId(entry.video_id, path=str(path))
-        seen.add(entry.video_id)
-        for p in (entry.scores_path, entry.mask_path,
-                  entry.branch_errors_path):
+    for _, video, paths in records:
+        if video in seen:
+            raise DuplicateVideoId(video, path=str(path))
+        seen.add(video)
+        files = [paths.get(key) for key in ("scores", "mask", "branch_errors")]
+        for p in files:
             if p is not None and not p.is_file():
                 raise MissingFile(str(p))
+        entries.append(ManifestEntry(video, *files))
     return Manifest(dataset_name=dataset_name, videos=tuple(entries))
 
 
