@@ -74,16 +74,15 @@ class _Arrays:
         return type(self)._of, (self.video_id, *self._stored())
 
 
-def _one_d(video_id: str, values, what: str) -> np.ndarray:
+def _one_d(values, what: str) -> np.ndarray:
+    """values as a new 1-D float64 array; a value that is not a number, or
+    another shape, is a ValidationError that names what."""
     try:
         arr = np.array(values, dtype=float)   # the copy a constructor stores
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} for {video_id!r}: {exc}") from None
+        raise ValidationError(f"{what}: {exc}") from None
     if arr.ndim != 1:
-        raise ValidationError(
-            f"{what} for {video_id!r} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError(f"empty {what} for {video_id!r}")
+        raise ValidationError(f"{what} must be 1-D, got shape {arr.shape}")
     return arr
 
 
@@ -102,7 +101,9 @@ class ScoreSequence(_Arrays):
     _arrays, _dtype = ("_scores",), np.float64
 
     def __init__(self, video_id: str, scores: Iterable[float]) -> None:
-        arr = _one_d(video_id, scores, "score sequence")
+        arr = _one_d(scores, f"score sequence for {video_id!r}")
+        if arr.size == 0:
+            raise ValidationError(f"empty score sequence for {video_id!r}")
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteScore(int(bad[0]), video_id=video_id)
@@ -126,7 +127,9 @@ class FrameMask(_Arrays):
     _arrays, _dtype = ("_labels",), np.uint8
 
     def __init__(self, video_id: str, labels: Iterable[int]) -> None:
-        raw = _one_d(video_id, labels, "frame mask")
+        raw = _one_d(labels, f"frame mask for {video_id!r}")
+        if raw.size == 0:
+            raise ValidationError(f"empty frame mask for {video_id!r}")
         bad = np.flatnonzero((raw != 0.0) & (raw != 1.0))
         if bad.size:
             raise NonBinaryLabel(int(bad[0]), video_id=video_id)
@@ -178,7 +181,14 @@ class EventSet(_Arrays):
 
     def __init__(self, video_id: str,
                  events: Iterable[TemporalEvent] = ()) -> None:
-        events = tuple(events)
+        try:
+            events = tuple(events)
+        except TypeError:   # not iterable: reported as the one bad event
+            events = (events,)
+        for event in events:
+            if not isinstance(event, TemporalEvent):
+                raise ValidationError(f"events of {video_id!r} must be "
+                                      f"TemporalEvents, got {event!r}")
         for prev, cur in zip(events, events[1:]):
             if cur.start < prev.end + 2:
                 raise ValidationError(

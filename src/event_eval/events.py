@@ -76,8 +76,12 @@ def events_to_mask(events: EventSet, n: int) -> FrameMask:
     """Render events back to a length-n binary mask."""
     n = check_count("mask length", n)
     events_within(events, n)
+    try:
+        delta = np.zeros(n + 1, dtype=int)
+    except (ValueError, MemoryError):   # numpy cannot hold that many frames
+        raise ValidationError(f"mask length {n} is too large to allocate") \
+            from None
     # events are disjoint and non-adjacent, so no two bounds share an index
-    delta = np.zeros(n + 1, dtype=int)
     delta[events.starts] = 1
     delta[events.ends + 1] = -1
     return FrameMask._of(events.video_id, np.cumsum(delta[:n]))

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EventSet, check_count, check_tau
+from .core import (EventSet, _is_finite, _is_int, _one_d, check_count,
+                   check_tau)
 from .errors import BadLength, LengthMismatch, ValidationError, WindowOutOfRange
 from .events import clip_runs
 
@@ -35,10 +36,10 @@ class BranchErrors:
     target_start: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "short",
-                           tuple(float(v) for v in self.short))
-        object.__setattr__(self, "long",
-                           tuple(float(v) for v in self.long))
+        arrays = {name: _one_d(getattr(self, name), f"{name} branch errors")
+                  for name in ("short", "long")}
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, tuple(arr.tolist()))
         check_count("window_len", self.window_len)
         check_count("target_start", self.target_start, least=0)
         if len(self.short) != self.window_len:
@@ -49,8 +50,7 @@ class BranchErrors:
             raise BadLength(
                 f"long branch has {len(self.long)} values, expected "
                 f"3*window_len={3 * self.window_len}")
-        for name, values in (("short", self.short), ("long", self.long)):
-            arr = np.asarray(values)
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValidationError(
                     f"{name} branch errors must be finite and >= 0")
@@ -59,18 +59,21 @@ class BranchErrors:
 def align_center(long: Sequence[float], i: int) -> list[float]:
     """Middle third of the long-branch errors: elements i..2i-1 (0-based)."""
     check_count("window length", i)
+    long = _one_d(long, "long branch errors")
     if len(long) != 3 * i:
         raise BadLength(
             f"long branch has {len(long)} values, expected 3*i={3 * i}")
-    return [float(v) for v in long[i:2 * i]]
+    return long[i:2 * i].tolist()
 
 
 def fuse_frames(short: Sequence[float],
                 aligned_long: Sequence[float]) -> list[float]:
     """Frame-wise mean of the short and aligned long errors."""
+    short = _one_d(short, "short branch errors").tolist()
+    aligned_long = _one_d(aligned_long, "aligned long branch errors").tolist()
     if len(short) != len(aligned_long):
         raise LengthMismatch(len(short), len(aligned_long))
-    return [(float(s) + float(l)) / 2.0 for s, l in zip(short, aligned_long)]
+    return [(s + l) / 2.0 for s, l in zip(short, aligned_long)]
 
 
 # a sum past the float64 range is inf, as in Python, and not a warning
@@ -83,9 +86,10 @@ def _pool(fused: np.ndarray) -> np.ndarray:
 
 def pool_event_score(fused: Sequence[float]) -> float:
     """Mean of the fused responses over the target window."""
-    if not len(fused):
+    fused = _one_d(fused, "fused responses")
+    if not fused.size:
         raise ValidationError("cannot pool an empty window")
-    return float(_pool(np.asarray(fused, dtype=np.float64)))
+    return float(_pool(fused))
 
 
 @np.errstate(over="ignore")
@@ -102,12 +106,33 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
                  video_id: str = "") -> EventSet:
     """Mark the frame span of every window scoring >= tau, merge, extract.
 
+    starts, lengths and scores are 1-D numpy arrays of one length, as
+    load_branch_errors returns them; starts and lengths hold integers.
     Windows may overlap or coincide: a frame is marked while more hit
     windows have started than ended. The first window, in the given
     order, that leaves [0, video_len) raises WindowOutOfRange.
     """
     check_tau(tau)
-    check_count("video_len", video_len)
+    if check_count("video_len", video_len) >= 2**63:   # frames are int64
+        raise ValidationError(
+            f"video_len must be below 2**63, got {video_len}")
+    for name, column in (("starts", starts), ("lengths", lengths),
+                         ("scores", scores)):
+        if not (isinstance(column, np.ndarray) and column.ndim == 1
+                and column.shape == starts.shape):
+            raise ValidationError(
+                f"{name} must be a 1-D numpy array, one entry per window, "
+                f"got {getattr(column, 'shape', type(column).__name__)}")
+    # any dtype but int64 as Python objects, which the range check cannot
+    # wrap around; a column mixing int64 and larger ints is float64
+    starts, lengths = (c if c.dtype == np.int64 else c.astype(object)
+                       for c in (starts, lengths))
+    for name, column in (("starts", starts), ("lengths", lengths)):
+        if column.dtype == object and not all(
+                _is_int(v) or _is_finite(v) and v == int(v)
+                for v in column.tolist()):
+            raise ValidationError(f"{name} must be whole numbers")
+    scores = _one_d(scores, "scores")
     # not starts + lengths > video_len, which can wrap around in int64
     bad = np.asarray((starts < 0) | (lengths < 0)
                      | (starts > video_len - lengths), dtype=bool)
@@ -118,7 +143,8 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
     hit = scores >= tau
     starts = starts[hit].astype(np.int64)
     ends = starts + lengths[hit].astype(np.int64)
-    depth = np.cumsum(np.bincount(starts, minlength=video_len + 1)
-                      - np.bincount(ends, minlength=video_len + 1))
+    size = int(ends.max(initial=0)) + 1   # frames past every end are 0
+    depth = np.cumsum(np.bincount(starts, minlength=size)
+                      - np.bincount(ends, minlength=size))
     return clip_runs(depth > 0, np.array([0, depth.size]), video_id)
 

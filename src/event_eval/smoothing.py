@@ -156,6 +156,9 @@ def smooth_clips(x: np.ndarray, bounds: np.ndarray,
 
 def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
     """Convolve one sequence with a kernel under reflect padding."""
+    if not isinstance(kernel, GaussianKernel):
+        raise ValidationError(
+            f"kernel must be a GaussianKernel, got {kernel!r}")
     w = np.asarray(kernel.weights, dtype=float)
     return ScoreSequence._of(scores.video_id, _smooth(
         scores.as_array(), np.array([0, len(scores)]), [w]))

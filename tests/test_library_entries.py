@@ -5,11 +5,12 @@
   and attributes.
 - A derandomized property draws number-like values (0, negative ints,
   10**400, NaN, +-inf, 1e308, 5e-324, bools, numpy scalars and short
-  strings) for every numeric parameter of the library entries, and asserts
-  that each call returns or raises an EventEvalError. No draw allocates in
-  proportion to a drawn number: a kernel radius, a mask length and a video
-  length stay at or below 10**4, and every other drawn number is a value or
-  a count that sizes nothing.
+  strings) for every numeric parameter of the library entries, and
+  array-likes (lists of those, a string, a nested list, None, bare tuples)
+  for every array parameter, and asserts that each call returns or raises
+  an EventEvalError. No draw allocates in proportion to a drawn number: a
+  kernel radius, a mask length and a video length stay at or below 10**4,
+  and every other drawn number is a value or a count that sizes nothing.
 - Unit tests pin the one tau rule, the messages of the mended escapes (the
   one frame-count rule among them) and the order of frame_metrics' own
   checks.
@@ -28,13 +29,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from event_eval import errors
 from event_eval.core import (Dataset, EvalConfig, EventSet, FrameMask,
                              ScoreSequence, TemporalEvent)
+from event_eval.smoothing import build_kernel, smooth_once
 from event_eval.errors import EventEvalError, ValidationError
 from event_eval.events import (audit_dataset, events_to_mask,
                                filter_short_events, refine_pipeline)
-from event_eval.fusion import BranchErrors, align_center, mark_windows
+from event_eval.fusion import (BranchErrors, align_center, fuse_frames,
+                               mark_windows, pool_event_score)
 from event_eval.io import compute_frame_metrics, event_metrics_at
 from event_eval.matching import match_events
-from event_eval.smoothing import build_kernel
 from event_eval.thresholds import frame_metrics, hprs_threshold, roc_curve
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,10 @@ NUMBERS = st.one_of(st.sampled_from(NUMBER_LIKE), st.integers(-3, 12),
 # a kernel's radius, a mask's length and a video's length size an
 # allocation: no int above 10**4
 SIZES = NUMBERS.filter(lambda r: not (isinstance(r, int) and r > 10**4))
-VALUES = st.one_of(NUMBERS, st.lists(NUMBERS, max_size=4))
+# what an array parameter may be handed instead of an array of numbers
+ARRAY_LIKES = st.sampled_from(["abc", "", [[0.5, 1.0]], [[1], [2, 3]], None,
+                               (0, 2), (0.5, 1), ((1, 2),), ()])
+VALUES = st.one_of(NUMBERS, st.lists(NUMBERS, max_size=4), ARRAY_LIKES)
 MODES = st.sampled_from(["refined", "baseline"])
 # finite floats at the edges of the range, whose differences overflow
 SCORES = st.sampled_from([0.0, 0.3, 0.5, 1.0, -7, 1e308, -1e308, 5e-324])
@@ -145,6 +150,24 @@ def frame_metrics_of(draw) -> None:
 
 GT = EventSet("v", [TemporalEvent(0, 4), TemporalEvent(8, 9)])
 PRED = EventSet("v", [TemporalEvent(1, 4), TemporalEvent(7, 12)])
+
+
+def array_or(draw, valid):
+    """valid, or now and then a drawn VALUES or its numpy array."""
+    drawn = draw(st.one_of(st.just(valid), VALUES))
+    if drawn is not valid and draw(st.booleans()):
+        try:
+            return np.array(drawn)
+        except ValueError:   # a ragged nested list
+            pass
+    return drawn
+
+
+def marked(draw) -> None:
+    """mark_windows on two drawn windows in a drawn video."""
+    columns = [array_or(draw, np.array(c)) for c in ([0, 3], [2, 2],
+                                                     [0.9, 0.1])]
+    mark_windows(*columns, 0.5, draw(SIZES))
 ENTRIES = {
     "ScoreSequence": lambda draw: ScoreSequence("v", draw(VALUES)),
     "FrameMask": lambda draw: FrameMask("v", draw(VALUES)),
@@ -169,13 +192,20 @@ ENTRIES = {
     "filter_short_events": lambda draw: filter_short_events(PRED,
                                                             draw(NUMBERS)),
     "events_to_mask": lambda draw: events_to_mask(GT, draw(SIZES)),
-    "mark_windows": lambda draw: mark_windows(
-        np.array([0, 3]), np.array([2, 2]), np.array([0.9, 0.1]), 0.5,
-        draw(SIZES)),
+    "mark_windows": marked,
     "BranchErrors": lambda draw: BranchErrors(
-        short=(0.1, 0.2), long=(0.1,) * 6, window_len=draw(NUMBERS),
-        target_start=draw(NUMBERS)),
-    "align_center": lambda draw: align_center([0.1] * 6, draw(NUMBERS)),
+        short=array_or(draw, (0.1, 0.2)), long=array_or(draw, (0.1,) * 6),
+        window_len=draw(NUMBERS), target_start=draw(NUMBERS)),
+    "align_center": lambda draw: align_center(array_or(draw, [0.1] * 6),
+                                              draw(NUMBERS)),
+    "fuse_frames": lambda draw: fuse_frames(array_or(draw, [0.1, 0.2]),
+                                            array_or(draw, [0.3, 0.4])),
+    "pool_event_score": lambda draw: pool_event_score(
+        array_or(draw, [0.1, 0.2])),
+    "EventSet": lambda draw: EventSet("v", array_or(draw, PRED.events)),
+    "smooth_once": lambda draw: smooth_once(
+        ScoreSequence("v", [0.1, 0.9, 0.2]),
+        array_or(draw, build_kernel(1.0, 1))),
 }
 
 
@@ -251,11 +281,47 @@ def test_tau_must_be_a_finite_real(call, tau):
     (lambda: mark_windows(np.array([0]), np.array([1]), np.array([0.5]),
                           0.5, True),
      "video_len must be an integer >= 1, got True"),
+    (lambda: EventSet("v", [(1, 2)]),
+     "events of 'v' must be TemporalEvents, got (1, 2)"),
+    (lambda: smooth_once(ScoreSequence("v", [0.1, 0.9]), None),
+     "kernel must be a GaussianKernel, got None"),
+    (lambda: mark_windows([0], [2], [0.9], 0.5, 10),
+     "starts must be a 1-D numpy array, one entry per window, got list"),
+    (lambda: mark_windows(np.array([0]), np.array([2]), np.array([0.9]),
+                          0.5, 10**400),
+     "video_len must be below 2**63, got 1000"),
+    (lambda: events_to_mask(GT, 2**62),
+     "mask length 4611686018427387904 is too large to allocate"),
+    (lambda: BranchErrors(short=("a",), long=(0.1,) * 3, window_len=1,
+                          target_start=0),
+     "short branch errors: could not convert string to float: 'a'"),
+    (lambda: BranchErrors(short=(0.1,), long=(0.1, 10**400, 0.1),
+                          window_len=1, target_start=0),
+     "long branch errors: int too large to convert to float"),
+    (lambda: align_center([0.1, "a", 0.1], 1),
+     "long branch errors: could not convert string to float: 'a'"),
+    (lambda: align_center([0.1, 10**400, 0.1], 1),
+     "long branch errors: int too large to convert to float"),
+    (lambda: fuse_frames(["a"], [0.1]),
+     "short branch errors: could not convert string to float: 'a'"),
+    (lambda: fuse_frames([0.1], [10**400]),
+     "aligned long branch errors: int too large to convert to float"),
+    (lambda: pool_event_score(["a"]),
+     "fused responses: could not convert string to float: 'a'"),
+    (lambda: pool_event_score([10**400]),
+     "fused responses: int too large to convert to float"),
+    (lambda: pool_event_score([[1, 2]]),
+     "fused responses must be 1-D, got shape (1, 2)"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
         "micro_threshold nan", "d_min 2.5", "d_min nan", "window_len True",
-        "align_center True", "video_len True"])
+        "align_center True", "video_len True", "EventSet tuple",
+        "smooth_once None", "mark_windows lists", "video_len 10**400",
+        "mask length 2**62", "BranchErrors string", "BranchErrors 10**400",
+        "align_center string", "align_center 10**400", "fuse_frames string",
+        "fuse_frames 10**400", "pool_event_score string",
+        "pool_event_score 10**400", "pool_event_score nested"])
 def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()
