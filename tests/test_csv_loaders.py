@@ -598,6 +598,40 @@ def test_a_bad_byte_is_reported_at_the_line_the_parsers_count(tmp_path,
         assert str(exc.value) == f"{path}:{k}: byte 0xff is not valid UTF-8"
 
 
+# the JSON kinds, an object of n members laid out one member a line
+_JSON_KINDS = {
+    "events": (load_events_json,
+               lambda i: b'"v%d": [[%d, %d]]' % (i, 3 * i, 3 * i + 1)),
+    "config": (load_config, lambda i: [b'"sigma_max": 5', b'"vote_window": 9',
+                                       b'"vote_stride": 3',
+                                       b'"min_event_len": 8',
+                                       b'"hprs_beta": 0.5'][i]),
+}
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_JSON_KINDS)), n=st.integers(1, 5),
+       end=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+       fault=st.sampled_from(["byte", "token"]), data=st.data())
+def test_a_json_fault_is_reported_at_its_line(tmp_path, kind, n, end, fault,
+                                              data):
+    # lines '{', n members and '}', each ended by end; line k gets a bad
+    # UTF-8 byte at its end or a token no JSON value starts with at its
+    # start, and the error names the file and line k
+    loader, member = _JSON_KINDS[kind]
+    lines = [b"{", *(member(i) + b"," * (i < n - 1) for i in range(n)), b"}"]
+    k = data.draw(st.integers(1, len(lines)), label="k")
+    lines[k - 1] = (lines[k - 1] + b"\xff" if fault == "byte"
+                    else b"@" + lines[k - 1])
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(ParseError) as exc:
+        loader(path)
+    assert exc.value.path == str(path) and exc.value.line == k
+    assert str(exc.value).startswith(f"{path}:{k}: ")
+
+
 def test_undecodable_line_counted_past_the_first_chunk(tmp_path):
     rows = "".join(f"{i},0.5\n" for i in range(5000))
     path = tmp_path / "s.csv"
