@@ -61,6 +61,11 @@ MUTANTS = [
            'data.count(b"\\n", 0, exc.start) + 1',
            (f"{_CSV}::test_a_bad_byte_is_reported_at_the_line_the_parsers_"
             "count",)),
+    Mutant("manifest's last record not checked for its keys",
+           "src/event_eval/io.py", "_close_record(path, records)   # the last "
+           "record", "pass",
+           ("tests/test_io_cli.py::test_load_manifest_reports_the_first_of_"
+            "two_faults",)),
     Mutant("branch rule fault loses its FILE:LINE prefix",
            "src/event_eval/errors.py", 'else f"{path}:{line}: {exc}",)',
            "else str(exc),)",
@@ -92,6 +97,9 @@ MUTANTS = [
     Mutant("clip_runs rise at a clip start lost", "src/event_eval/events.py",
            "rise[first] = labels[first]", "rise[first] = 0",
            ("tests/test_events.py", "tests/test_pipeline_oracle.py")),
+    Mutant("clip_runs fall at a clip end lost", "src/event_eval/events.py",
+           "fall[last] = labels[last]", "fall[last] = 0",
+           ("tests/test_events.py", "tests/test_pipeline_oracle.py")),
     Mutant("micro event threshold inclusive", "src/event_eval/events.py",
            "durations < micro_threshold", "durations <= micro_threshold",
            ("tests/test_events.py",)),
@@ -99,6 +107,10 @@ MUTANTS = [
     Mutant("matching floor strict", "src/event_eval/matching.py",
            "keep = t >= floor", "keep = t > floor",
            ("tests/test_matching.py",)),
+    Mutant("fusion pool summed pairwise", "src/event_eval/fusion.py",
+           "np.cumsum(fused, axis=-1)[..., -1]", "np.sum(fused, axis=-1)",
+           ("tests/test_fusion.py::test_pool_event_score_sums_left_to_"
+            "right",)),
     Mutant("fusion window hit strict", "src/event_eval/fusion.py",
            "hit = scores >= tau", "hit = scores > tau",
            ("tests/test_fusion.py",)),

@@ -122,6 +122,13 @@ def test_pool_event_score_sums_left_to_right():
     assert pool_event_score(fused) == 1.0 / 3
     w = branch(fused, [0.0] * 3 + fused + [0.0] * 3)
     assert row_score(w) == 1.0 / 3
+    # np.sum adds more than 8 values pairwise, from 8 partial sums, which
+    # keep the small terms too
+    fused = [1.0] + [1e-16] * 15
+    assert np.sum(fused) != 1.0
+    assert pool_event_score(fused) == 1.0 / 16
+    w = branch(fused, [0.0] * 16 + fused + [0.0] * 16)
+    assert row_score(w) == 1.0 / 16
 
 
 def test_score_window_of_rows_matches_per_window_bits():
