@@ -290,6 +290,18 @@ def test_tau_must_be_a_finite_real(call, tau):
     (lambda: mark_windows(np.array([0]), np.array([2]), np.array([0.9]),
                           0.5, 10**400),
      "video_len must be below 2**63, got 1000"),
+    (lambda: mark_windows(np.array([0], np.uint8), np.array([30], np.uint8),
+                          np.array([0.9]), 0.5, 20),
+     "window [0,29] exceeds video length 20"),
+    (lambda: mark_windows(np.array([0.5]), np.array([3]), np.array([0.9]),
+                          0.5, 20),
+     "starts must be whole numbers"),
+    (lambda: mark_windows(np.array([0]), np.array([True]), np.array([0.9]),
+                          0.5, 20),
+     "lengths must be whole numbers"),
+    (lambda: mark_windows(np.array([0]), np.array([3, 4]), np.array([0.9]),
+                          0.5, 20),
+     "lengths must be a 1-D numpy array, one entry per window, got (2,)"),
     (lambda: events_to_mask(GT, 2**62),
      "mask length 4611686018427387904 is too large to allocate"),
     (lambda: BranchErrors(short=("a",), long=(0.1,) * 3, window_len=1,
@@ -318,6 +330,8 @@ def test_tau_must_be_a_finite_real(call, tau):
         "micro_threshold nan", "d_min 2.5", "d_min nan", "window_len True",
         "align_center True", "video_len True", "EventSet tuple",
         "smooth_once None", "mark_windows lists", "video_len 10**400",
+        "uint8 window past the end", "start 0.5", "length True",
+        "lengths of another length",
         "mask length 2**62", "BranchErrors string", "BranchErrors 10**400",
         "align_center string", "align_center 10**400", "fuse_frames string",
         "fuse_frames 10**400", "pool_event_score string",
@@ -326,6 +340,18 @@ def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value).startswith(message)
+
+
+def test_mark_windows_compares_any_integer_column_exactly():
+    # int32 columns against a video_len past int32, and a column mixing
+    # int64 and larger ints, which numpy makes float64
+    got = mark_windows(np.array([0], np.int32), np.array([3], np.int32),
+                       np.array([0.9]), 0.5, 2**40)
+    assert (got.starts.tolist(), got.ends.tolist()) == ([0], [2])
+    with pytest.raises(ValidationError,
+                       match=r"^window \[9223372036854775808,"):
+        mark_windows(np.array([0, 2**63]), np.array([1, 1]),
+                     np.array([0.9, 0.9]), 0.5, 20)
 
 
 SCORED = Dataset.of(VIDEOS)
