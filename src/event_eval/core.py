@@ -283,6 +283,12 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _is_whole(value) -> bool:
+    """An integer, or a finite real with no fractional part (numpy reads a
+    column mixing int64 and larger ints as float64); not a bool."""
+    return _is_int(value) or _is_finite(value) and value == int(value)
+
+
 def check_tiou_thresholds(thresholds: Sequence[float]) -> None:
     """At least one tIoU threshold, each a number in (0, 1], none repeated."""
     if not thresholds:

@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (EventSet, _is_finite, _is_int, _one_d, check_count,
-                   check_tau)
+from .core import EventSet, _is_whole, _one_d, check_count, check_tau
 from .errors import BadLength, LengthMismatch, ValidationError, WindowOutOfRange
 from .events import clip_runs
 
@@ -106,8 +105,8 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
                  video_id: str = "") -> EventSet:
     """Mark the frame span of every window scoring >= tau, merge, extract.
 
-    starts, lengths and scores are 1-D numpy arrays of one length, as
-    load_branch_errors returns them; starts and lengths hold integers.
+    starts and lengths are 1-D numpy arrays of whole numbers, one entry per
+    score, as load_branch_errors returns them.
     Windows may overlap or coincide: a frame is marked while more hit
     windows have started than ended. The first window, in the given
     order, that leaves [0, video_len) raises WindowOutOfRange.
@@ -116,23 +115,19 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
     if check_count("video_len", video_len) >= 2**63:   # frames are int64
         raise ValidationError(
             f"video_len must be below 2**63, got {video_len}")
-    for name, column in (("starts", starts), ("lengths", lengths),
-                         ("scores", scores)):
-        if not (isinstance(column, np.ndarray) and column.ndim == 1
-                and column.shape == starts.shape):
+    scores = _one_d(scores, "scores")
+    for name, column in (("starts", starts), ("lengths", lengths)):
+        if not (isinstance(column, np.ndarray)
+                and column.shape == scores.shape):
             raise ValidationError(
                 f"{name} must be a 1-D numpy array, one entry per window, "
                 f"got {getattr(column, 'shape', type(column).__name__)}")
-    # any dtype but int64 as Python objects, which the range check cannot
-    # wrap around; a column mixing int64 and larger ints is float64
+        if column.dtype != np.int64 and not all(map(_is_whole,
+                                                    column.tolist())):
+            raise ValidationError(f"{name} must be whole numbers")
+    # any dtype but int64 as Python numbers, which cannot wrap around
     starts, lengths = (c if c.dtype == np.int64 else c.astype(object)
                        for c in (starts, lengths))
-    for name, column in (("starts", starts), ("lengths", lengths)):
-        if column.dtype == object and not all(
-                _is_int(v) or _is_finite(v) and v == int(v)
-                for v in column.tolist()):
-            raise ValidationError(f"{name} must be whole numbers")
-    scores = _one_d(scores, "scores")
     # not starts + lengths > video_len, which can wrap around in int64
     bad = np.asarray((starts < 0) | (lengths < 0)
                      | (starts > video_len - lengths), dtype=bool)

@@ -194,8 +194,11 @@ ENTRIES = {
     "events_to_mask": lambda draw: events_to_mask(GT, draw(SIZES)),
     "mark_windows": marked,
     "BranchErrors": lambda draw: BranchErrors(
+        short=(0.1, 0.2), long=(0.1,) * 6, window_len=draw(NUMBERS),
+        target_start=draw(NUMBERS)),
+    "BranchErrors arrays": lambda draw: BranchErrors(
         short=array_or(draw, (0.1, 0.2)), long=array_or(draw, (0.1,) * 6),
-        window_len=draw(NUMBERS), target_start=draw(NUMBERS)),
+        window_len=2, target_start=0),
     "align_center": lambda draw: align_center(array_or(draw, [0.1] * 6),
                                               draw(NUMBERS)),
     "fuse_frames": lambda draw: fuse_frames(array_or(draw, [0.1, 0.2]),
