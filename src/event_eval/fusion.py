@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import EventSet, _is_whole, _one_d, check_count, check_tau
 from .errors import BadLength, LengthMismatch, ValidationError, WindowOutOfRange
-from .events import clip_runs
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,13 @@ def score_window(rows: np.ndarray) -> np.ndarray:
 def mark_windows(starts: np.ndarray, lengths: np.ndarray,
                  scores: np.ndarray, tau: float, video_len: int,
                  video_id: str = "") -> EventSet:
-    """Mark the frame span of every window scoring >= tau, merge, extract.
+    """Merge the frame spans of the windows scoring >= tau into events.
 
     starts and lengths are 1-D numpy arrays of whole numbers, one entry per
-    score, as load_branch_errors returns them.
-    Windows may overlap or coincide: a frame is marked while more hit
-    windows have started than ended. The first window, in the given
-    order, that leaves [0, video_len) raises WindowOutOfRange.
+    score, as load_branch_errors returns them. The first window, in the
+    given order, that leaves [0, video_len) raises WindowOutOfRange. Sorted
+    by start, a hit window past reach, one past every frame marked before
+    it, opens an event; each event ends at its last window's reach - 1.
     """
     check_tau(tau)
     if check_count("video_len", video_len) >= 2**63:   # frames are int64
@@ -136,10 +135,10 @@ def mark_windows(starts: np.ndarray, lengths: np.ndarray,
         raise WindowOutOfRange(f"window [{start},{start + length - 1}] "
                                f"exceeds video length {video_len}")
     hit = scores >= tau
-    starts = starts[hit].astype(np.int64)
-    ends = starts + lengths[hit].astype(np.int64)
-    size = int(ends.max(initial=0)) + 1   # frames past every end are 0
-    depth = np.cumsum(np.bincount(starts, minlength=size)
-                      - np.bincount(ends, minlength=size))
-    return clip_runs(depth > 0, np.array([0, depth.size]), video_id)
-
+    starts, lengths = (c[hit].astype(np.int64) for c in (starts, lengths))
+    order = np.argsort(starts, kind="stable")
+    order = order[lengths[order] > 0]   # a zero-length window marks nothing
+    starts = starts[order]
+    reach = np.maximum.accumulate(starts + lengths[order])
+    new = starts > np.r_[-1, reach[:-1]]   # so touching windows merge
+    return EventSet._of(video_id, starts[new], reach[np.roll(new, -1)] - 1)
