@@ -181,14 +181,8 @@ class EventSet(_Arrays):
 
     def __init__(self, video_id: str,
                  events: Iterable[TemporalEvent] = ()) -> None:
-        try:
-            events = tuple(events)
-        except TypeError:   # not iterable: reported as the one bad event
-            events = (events,)
-        for event in events:
-            if not isinstance(event, TemporalEvent):
-                raise ValidationError(f"events of {video_id!r} must be "
-                                      f"TemporalEvents, got {event!r}")
+        events = check_items(f"events of {video_id!r}", events,
+                             TemporalEvent)
         for prev, cur in zip(events, events[1:]):
             if cur.start < prev.end + 2:
                 raise ValidationError(
@@ -317,6 +311,29 @@ def check_count(name: str, value, least: int = 1) -> int:
         raise ValidationError(
             f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """value is a kind: else a ValidationError names the parameter, the
+    type and the value."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(
+            f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
+def check_items(name: str, values, kind: type) -> tuple:
+    """values as a tuple, each item a kind: else a ValidationError names
+    the first other item. A value that is not iterable is its one item."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        values = (values,)
+    for value in values:
+        if not isinstance(value, kind):
+            raise ValidationError(
+                f"{name} must be {kind.__name__}s, got {value!r}")
+    return values
 
 
 def check_tau(tau: float) -> None:

@@ -21,7 +21,9 @@ from .core import (
     ScoreSequence,
     _is_int,
     check_count,
+    check_items,
     check_tau,
+    check_type,
     events_within,
 )
 from .errors import InvalidWindow, ValidationError
@@ -68,12 +70,14 @@ def clip_runs(labels: np.ndarray, bounds: np.ndarray,
 
 def mask_to_events(mask: FrameMask) -> EventSet:
     """Decompose a mask into maximal runs of 1s."""
+    check_type("mask", mask, FrameMask)
     return clip_runs(mask.as_array(), np.array([0, len(mask)]),
                      mask.video_id)
 
 
 def events_to_mask(events: EventSet, n: int) -> FrameMask:
     """Render events back to a length-n binary mask."""
+    check_type("events", events, EventSet)
     n = check_count("mask length", n)
     events_within(events, n)
     try:
@@ -143,6 +147,7 @@ def majority_vote_refine(mask: FrameMask, window: int,
     never fight over frames. Ties go to 1: recall is preserved here and the
     short-event filter guards precision afterwards.
     """
+    check_type("mask", mask, FrameMask)
     n = len(mask)
     if not (_is_int(window) and _is_int(stride)
             and 1 <= stride <= window <= n):
@@ -155,6 +160,7 @@ def majority_vote_refine(mask: FrameMask, window: int,
 
 def filter_short_events(events: EventSet, d_min: int) -> EventSet:
     """Drop events whose duration is strictly shorter than d_min frames."""
+    check_type("events", events, EventSet)
     check_count("d_min", d_min)
     keep = events.ends - events.starts + 1 >= d_min
     return EventSet._of(events.video_id, events.starts[keep],
@@ -176,7 +182,9 @@ def refine_pipeline(scores: ScoreSequence, tau: float,
     """Run the full refinement for one video: smooth_clips, then
     refine_clips at tau. A clip shorter than the vote window is voted on
     with the window clamped to its length, rather than rejected."""
+    check_type("scores", scores, ScoreSequence)
     check_tau(tau)
+    check_type("cfg", cfg, EvalConfig)
     bounds = np.array([0, len(scores)])
     events = refine_clips(smooth_clips(scores.as_array(), bounds,
                                        cfg.sigma_max), bounds, tau, cfg)
@@ -206,6 +214,7 @@ def audit_events(gt: EventSet, n_frames: int,
 def audit_dataset(masks: list[FrameMask],
                   micro_threshold: int) -> AuditReport:
     """audit_events of the maximal runs of 1s of every ground-truth mask."""
+    masks = check_items("masks", masks, FrameMask)
     check_count("micro_threshold", micro_threshold)
     data = Dataset.of([(None, m) for m in masks])
     return audit_events(clip_runs(data.labels, data.bounds),

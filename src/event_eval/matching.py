@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EventMetrics, EventPrf, EventSet, check_tiou_thresholds
+from .core import (EventMetrics, EventPrf, EventSet, check_items,
+                   check_tiou_thresholds, check_type)
 from .errors import VideoIdMismatch
 from .thresholds import prf
 
@@ -67,6 +68,8 @@ def match_events(gt: EventSet, pred: EventSet,
     Candidates are visited in descending tIoU order; any pair touching an
     already-matched event is skipped.
     """
+    check_type("gt", gt, EventSet)
+    check_type("pred", pred, EventSet)
     check_tiou_thresholds((threshold,))
     i, j, t = _greedy(gt, pred, threshold)
     return MatchResult(
@@ -86,6 +89,8 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
     per threshold, and average_f1 is the plain mean of the per-threshold F1
     values, in the caller's threshold order.
     """
+    gt_all = check_items("gt_all", gt_all, EventSet)
+    pred_all = check_items("pred_all", pred_all, EventSet)
     thresholds = tuple(thresholds)
     check_tiou_thresholds(thresholds)
     gt_by_id = {es.video_id: es for es in gt_all}

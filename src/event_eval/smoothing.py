@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSequence, _is_finite, check_count
+from .core import ScoreSequence, _is_finite, check_count, check_type
 from .errors import InvalidSigma, ValidationError
 
 _CHUNK = 16384  # frames per group of tap sums in _smooth
@@ -156,9 +156,8 @@ def smooth_clips(x: np.ndarray, bounds: np.ndarray,
 
 def smooth_once(scores: ScoreSequence, kernel: GaussianKernel) -> ScoreSequence:
     """Convolve one sequence with a kernel under reflect padding."""
-    if not isinstance(kernel, GaussianKernel):
-        raise ValidationError(
-            f"kernel must be a GaussianKernel, got {kernel!r}")
+    check_type("scores", scores, ScoreSequence)
+    check_type("kernel", kernel, GaussianKernel)
     w = np.asarray(kernel.weights, dtype=float)
     return ScoreSequence._of(scores.video_id, _smooth(
         scores.as_array(), np.array([0, len(scores)]), [w]))

@@ -103,6 +103,27 @@ MUTANTS = [
     Mutant("micro event threshold inclusive", "src/event_eval/events.py",
            "durations < micro_threshold", "durations <= micro_threshold",
            ("tests/test_events.py",)),
+    # a clip no longer than the stride has one window, whatever its step,
+    # so only a step below the clip's length shows
+    Mutant("clip_vote stride clamped one below a short clip",
+           "src/event_eval/events.py", "steps = np.minimum(stride, lens)",
+           "steps = np.minimum(stride, lens - 1)",
+           ("tests/test_events.py", "tests/test_pipeline_oracle.py")),
+    Mutant("Dataset.split puts an event at a video's first frame in the "
+           "video before", "src/event_eval/core.py",
+           "cut = np.searchsorted(events.starts, self.bounds)",
+           'cut = np.searchsorted(events.starts, self.bounds, side="right")',
+           ("tests/test_events.py::test_ragged_tail_equals_per_clip_"
+            "functions",)),
+    Mutant("smoothing reflect repeats the edge frame",
+           "src/event_eval/smoothing.py",
+           "off % np.maximum(2 * last, 1) - last)]",
+           "off % np.maximum(2 * last + 1, 1) - last)]",
+           ("tests/test_smoothing.py",)),
+    Mutant("hprs_beta square not checked", "src/event_eval/core.py",
+           "math.isfinite(float(beta) * float(beta))",
+           "math.isfinite(float(beta))",
+           (f"{_CSV}::test_cli_largest_accepted_hprs_beta_exits_0",)),
     # matching and fusion
     Mutant("matching floor strict", "src/event_eval/matching.py",
            "keep = t >= floor", "keep = t > floor",
@@ -113,6 +134,14 @@ MUTANTS = [
             "right",)),
     Mutant("fusion window hit strict", "src/event_eval/fusion.py",
            "hit = scores >= tau", "hit = scores > tau",
+           ("tests/test_fusion.py",)),
+    Mutant("fusion long branch's first third", "src/event_eval/fusion.py",
+           "rows[:, 2 * i:3 * i]", "rows[:, i:2 * i]",
+           ("tests/test_fusion.py::test_score_window_of_rows_matches_per_"
+            "window_bits",)),
+    Mutant("fusion touching windows kept apart", "src/event_eval/fusion.py",
+           "new = starts > np.r_[-1, reach[:-1]]",
+           "new = starts >= np.r_[-1, reach[:-1]]",
            ("tests/test_fusion.py",)),
     # config boundaries
     Mutant("count rule rejects its least", "src/event_eval/core.py",

@@ -632,6 +632,44 @@ def test_a_json_fault_is_reported_at_its_line(tmp_path, kind, n, end, fault,
     assert str(exc.value).startswith(f"{path}:{k}: ")
 
 
+# the line kinds: a valid file of n records as its lines, the first line
+# that may hold a fault, and line k with one bad token for that kind
+_TOKEN_KINDS = {
+    "manifest": (load_manifest, lambda n: [b"dataset: d", *(
+        line for i in range(n) for line in (
+            b"video: v%d" % i, b"scores: s%d.csv" % i, b"mask: m%d.csv" % i))],
+        1, lambda line: b"colour:" + line.partition(b":")[2]),
+    "scores": (load_scores, lambda n: [b"frame,score", *(
+        b"%d,0.%d" % (i, i) for i in range(n))],
+        2, lambda line: b"x," + line.partition(b",")[2]),
+    "mask": (load_mask, lambda n: [b"frame,label", *(
+        b"%d,%d" % (i, i % 2) for i in range(n))],
+        2, lambda line: b"x," + line.partition(b",")[2]),
+    "branch": (load_branch_errors, lambda n: [b"# windows", *(
+        b"%d 1 0.1 0.2 0.3 0.4" % i for i in range(n))],
+        1, lambda line: b"0 x"),
+}
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_TOKEN_KINDS)), n=st.integers(1, 4),
+       end=st.sampled_from([b"\n", b"\r\n", b"\r"]), data=st.data())
+def test_a_bad_token_is_reported_at_its_line(tmp_path, kind, n, end, data):
+    # line k gets an unknown manifest key, a frame x in either CSV or a
+    # branch line 0 x, and the error names the file and line k
+    loader, lines, first, bad = _TOKEN_KINDS[kind]
+    lines = lines(n)
+    k = data.draw(st.integers(first, len(lines)), label="k")
+    lines[k - 1] = bad(lines[k - 1])
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(ParseError) as exc:
+        loader(path)
+    assert exc.value.path == str(path) and exc.value.line == k
+    assert str(exc.value).startswith(f"{path}:{k}: ")
+
+
 def test_undecodable_line_counted_past_the_first_chunk(tmp_path):
     rows = "".join(f"{i},0.5\n" for i in range(5000))
     path = tmp_path / "s.csv"

@@ -246,6 +246,51 @@ def test_mark_windows_equals_frame_marking(n, data):
     assert [(e.start, e.end) for e in got] == runs_of_ones(labels)
 
 
+def merged(windows, tau):
+    """The events of the windows scoring >= tau, merged one interval at a
+    time in start order: no frame is ever marked."""
+    events = []
+    for start, length, score in sorted(windows):
+        if score < tau or length == 0:
+            continue
+        if events and start <= events[-1][1] + 1:   # overlaps or touches
+            events[-1][1] = max(events[-1][1], start + length - 1)
+        else:
+            events.append([start, start + length - 1])
+    return [tuple(e) for e in events]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mark_windows_merges_intervals_near_2_62(data):
+    # windows a few frames past 2**62: zero-length ones, copies of an
+    # earlier window and windows touching one, in a drawn order
+    base, windows = 2**62, []
+    for _ in range(data.draw(st.integers(0, 10))):
+        kind = data.draw(st.sampled_from(["new", "copy", "touch"])
+                         if windows else st.just("new"))
+        if kind == "new":
+            start = base + data.draw(st.integers(0, 40))
+            length = data.draw(st.integers(0, 5))
+        else:
+            start, length, _ = data.draw(st.sampled_from(windows))
+            if kind == "touch":
+                start, length = start + length, data.draw(st.integers(0, 5))
+        windows.append((start, length,
+                        data.draw(st.sampled_from([0.1, 0.5, 0.9]))))
+    windows = data.draw(st.permutations(windows))
+    got = mark(windows, 0.5, base + 100)
+    assert list(zip(got.starts.tolist(), got.ends.tolist())) == \
+        merged(windows, 0.5)
+
+
+def test_mark_windows_needs_no_frame_array():
+    # one window at frame 2**62 of a video 2**62 + 5 frames long
+    got = mark_windows(np.array([2**62]), np.array([1]), np.array([0.9]),
+                       0.5, 2**62 + 5)
+    assert (got.starts.tolist(), got.ends.tolist()) == ([2**62], [2**62])
+
+
 def test_mark_windows_names_first_out_of_range_window():
     starts = np.array([0, 30, 18, -1])
     lengths = np.array([4, 4, 4, 2])

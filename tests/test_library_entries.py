@@ -5,15 +5,17 @@
   and attributes.
 - A derandomized property draws number-like values (0, negative ints,
   10**400, NaN, +-inf, 1e308, 5e-324, bools, numpy scalars and short
-  strings) for every numeric parameter of the library entries, and
+  strings) for every numeric parameter of the library entries,
   array-likes (lists of those, a string, a nested list, None, bare tuples)
-  for every array parameter, and asserts that each call returns or raises
-  an EventEvalError. No draw allocates in proportion to a drawn number: a
-  kernel radius, a mask length and a video length stay at or below 10**4,
-  and every other drawn number is a value or a count that sizes nothing.
+  for every array parameter, and None, a list, an ndarray or a string for
+  every value-object parameter, and asserts that each call returns or
+  raises an EventEvalError. No draw allocates in proportion to a drawn
+  number: a kernel radius, a mask length and a video length stay at or
+  below 10**4, and every other drawn number is a value or a count that
+  sizes nothing.
 - Unit tests pin the one tau rule, the messages of the mended escapes (the
-  one frame-count rule among them) and the order of frame_metrics' own
-  checks.
+  one frame-count rule and the one value-object rule among them) and the
+  order of frame_metrics' own checks.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from event_eval.core import (Dataset, EvalConfig, EventSet, FrameMask,
 from event_eval.smoothing import build_kernel, smooth_once
 from event_eval.errors import EventEvalError, ValidationError
 from event_eval.events import (audit_dataset, events_to_mask,
-                               filter_short_events, refine_pipeline)
+                               filter_short_events, majority_vote_refine,
+                               mask_to_events, refine_pipeline)
 from event_eval.fusion import (BranchErrors, align_center, fuse_frames,
                                mark_windows, pool_event_score)
 from event_eval.io import compute_frame_metrics, event_metrics_at
-from event_eval.matching import match_events
+from event_eval.matching import match_events, multi_threshold_eval
 from event_eval.thresholds import frame_metrics, hprs_threshold, roc_curve
 
 # ---------------------------------------------------------------------------
@@ -163,6 +166,36 @@ def array_or(draw, valid):
     return drawn
 
 
+# what a value-object parameter may be handed instead of a value object
+NOT_OBJECTS = st.sampled_from([None, [0, 1], np.array([0.5, 1.0]), "abc"])
+
+
+def object_or(draw, valid):
+    """valid, or now and then a drawn NOT_OBJECTS."""
+    return draw(st.one_of(st.just(valid), NOT_OBJECTS))
+
+
+def objects_or(draw, valid):
+    """object_or of a list of valid, or of each of its items."""
+    return object_or(draw, [object_or(draw, item) for item in valid])
+
+
+MASK = FrameMask("v", [0, 1, 1, 0, 1])
+
+
+def refined(draw) -> None:
+    """refine_pipeline on drawn scores, tau and config."""
+    scores = ScoreSequence("v", draw(pairs(number_likes=False))[0])
+    tau, cfg = draw(NUMBERS), EvalConfig(**draw(CONFIGS))
+    refine_pipeline(object_or(draw, scores), tau, object_or(draw, cfg))
+
+
+def audited(draw) -> None:
+    """audit_dataset on a drawn mask list."""
+    masks = [FrameMask("v", draw(pairs())[1])]
+    audit_dataset(objects_or(draw, masks), draw(NUMBERS))
+
+
 def marked(draw) -> None:
     """mark_windows on two drawn windows in a drawn video."""
     columns = [array_or(draw, np.array(c)) for c in ([0, 3], [2, 2],
@@ -181,17 +214,22 @@ ENTRIES = {
     "event_metrics_at": lambda draw: event_metrics_at(
         videos(draw), draw(NUMBERS), EvalConfig(**draw(CONFIGS)),
         draw(MODES)),
-    "refine_pipeline": lambda draw: refine_pipeline(
-        ScoreSequence("v", draw(pairs(number_likes=False))[0]), draw(NUMBERS),
-        EvalConfig(**draw(CONFIGS))),
+    "refine_pipeline": refined,
     "build_kernel": lambda draw: build_kernel(draw(NUMBERS), draw(SIZES)),
     "EvalConfig": lambda draw: EvalConfig(**draw(CONFIGS)),
-    "match_events": lambda draw: match_events(GT, PRED, draw(NUMBERS)),
-    "audit_dataset": lambda draw: audit_dataset(
-        [FrameMask("v", draw(pairs())[1])], draw(NUMBERS)),
-    "filter_short_events": lambda draw: filter_short_events(PRED,
-                                                            draw(NUMBERS)),
-    "events_to_mask": lambda draw: events_to_mask(GT, draw(SIZES)),
+    "match_events": lambda draw: match_events(
+        object_or(draw, GT), object_or(draw, PRED), draw(NUMBERS)),
+    "multi_threshold_eval": lambda draw: multi_threshold_eval(
+        objects_or(draw, [GT]), objects_or(draw, [PRED]),
+        draw(st.lists(NUMBERS, max_size=3))),
+    "audit_dataset": audited,
+    "filter_short_events": lambda draw: filter_short_events(
+        object_or(draw, PRED), draw(NUMBERS)),
+    "events_to_mask": lambda draw: events_to_mask(object_or(draw, GT),
+                                                  draw(SIZES)),
+    "mask_to_events": lambda draw: mask_to_events(object_or(draw, MASK)),
+    "majority_vote_refine": lambda draw: majority_vote_refine(
+        object_or(draw, MASK), draw(NUMBERS), draw(NUMBERS)),
     "mark_windows": marked,
     "BranchErrors": lambda draw: BranchErrors(
         short=(0.1, 0.2), long=(0.1,) * 6, window_len=draw(NUMBERS),
@@ -207,7 +245,7 @@ ENTRIES = {
         array_or(draw, [0.1, 0.2])),
     "EventSet": lambda draw: EventSet("v", array_or(draw, PRED.events)),
     "smooth_once": lambda draw: smooth_once(
-        ScoreSequence("v", [0.1, 0.9, 0.2]),
+        object_or(draw, ScoreSequence("v", [0.1, 0.9, 0.2])),
         array_or(draw, build_kernel(1.0, 1))),
 }
 
@@ -327,6 +365,29 @@ def test_tau_must_be_a_finite_real(call, tau):
      "fused responses: int too large to convert to float"),
     (lambda: pool_event_score([[1, 2]]),
      "fused responses must be 1-D, got shape (1, 2)"),
+    (lambda: smooth_once(None, build_kernel(1.0, 1)),
+     "scores must be a ScoreSequence, got None"),
+    (lambda: mask_to_events([0, 1]), "mask must be a FrameMask, got [0, 1]"),
+    (lambda: events_to_mask(None, 3), "events must be an EventSet, got None"),
+    (lambda: majority_vote_refine(np.array([0, 1]), 1, 1),
+     "mask must be a FrameMask, got array([0, 1])"),
+    (lambda: filter_short_events("abc", 2),
+     "events must be an EventSet, got 'abc'"),
+    (lambda: refine_pipeline([0.1, 0.2], 0.5, EvalConfig()),
+     "scores must be a ScoreSequence, got [0.1, 0.2]"),
+    (lambda: refine_pipeline(ScoreSequence("v", [0.1, 0.2]), 0.5, None),
+     "cfg must be an EvalConfig, got None"),
+    (lambda: audit_dataset(None, 2), "masks must be FrameMasks, got None"),
+    (lambda: audit_dataset([MASK, [0, 1]], 2),
+     "masks must be FrameMasks, got [0, 1]"),
+    (lambda: match_events(None, PRED, 0.5),
+     "gt must be an EventSet, got None"),
+    (lambda: match_events(GT, [(1, 4)], 0.5),
+     "pred must be an EventSet, got [(1, 4)]"),
+    (lambda: multi_threshold_eval("abc", [PRED], [0.5]),
+     "gt_all must be EventSets, got 'a'"),
+    (lambda: multi_threshold_eval([GT], [None], [0.5]),
+     "pred_all must be EventSets, got None"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
@@ -338,7 +399,14 @@ def test_tau_must_be_a_finite_real(call, tau):
         "mask length 2**62", "BranchErrors string", "BranchErrors 10**400",
         "align_center string", "align_center 10**400", "fuse_frames string",
         "fuse_frames 10**400", "pool_event_score string",
-        "pool_event_score 10**400", "pool_event_score nested"])
+        "pool_event_score 10**400", "pool_event_score nested",
+        "smooth_once scores None", "mask_to_events list",
+        "events_to_mask None", "majority_vote_refine ndarray",
+        "filter_short_events string", "refine_pipeline list",
+        "refine_pipeline cfg None", "audit_dataset None",
+        "audit_dataset list item", "match_events gt None",
+        "match_events pred list", "multi_threshold_eval string",
+        "multi_threshold_eval pred None"])
 def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()
