@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
 
@@ -283,16 +283,27 @@ def _is_whole(value) -> bool:
     return _is_int(value) or _is_finite(value) and value == int(value)
 
 
-def check_tiou_thresholds(thresholds: Sequence[float]) -> None:
-    """At least one tIoU threshold, each a number in (0, 1], none repeated."""
-    if not thresholds:
+def check_tiou_thresholds(thresholds: Iterable[float],
+                          name: str = "tiou_thresholds") -> tuple[float, ...]:
+    """thresholds as a tuple of floats: a list of at least one number in
+    (0, 1], none repeated."""
+    try:
+        # iterable, but their items are characters, keys or unordered
+        if isinstance(thresholds, (str, bytes, Mapping, AbstractSet)):
+            raise TypeError("not a list of numbers")
+        items = tuple(thresholds)
+    except TypeError:
+        raise ValidationError(f"{name} must be a list of numbers, "
+                              f"got {thresholds!r}") from None
+    if not items:
         raise ValidationError("need at least one tiou threshold")
-    for k, t in enumerate(thresholds):
+    for k, t in enumerate(items):
         if not (_is_real(t) and 0.0 < t <= 1.0):
             raise ValidationError(
                 f"tiou threshold {t!r} is not a number in (0, 1]")
-        if t in thresholds[:k]:
+        if float(t) in map(float, items[:k]):
             raise ValidationError(f"tiou threshold {t!r} appears twice")
+    return tuple(map(float, items))
 
 
 def check_hprs_beta(beta: float) -> None:
@@ -362,18 +373,8 @@ class EvalConfig:
     fixed_tau: float | None = None
 
     def __post_init__(self) -> None:
-        try:
-            # iterable, but their items are characters, keys or unordered
-            if isinstance(self.tiou_thresholds,
-                          (str, bytes, Mapping, AbstractSet)):
-                raise TypeError("not a list of numbers")
-            thresholds = tuple(self.tiou_thresholds)
-        except TypeError:
-            raise ValidationError("tiou_thresholds must be a list of numbers, "
-                                  f"got {self.tiou_thresholds!r}") from None
-        check_tiou_thresholds(thresholds)
         object.__setattr__(self, "tiou_thresholds",
-                           tuple(float(t) for t in thresholds))
+                           check_tiou_thresholds(self.tiou_thresholds))
         try:
             strategy = ThresholdStrategy(self.threshold_strategy)
         except ValueError as exc:

@@ -13,7 +13,7 @@ TP/FP/FN are pooled per threshold first, then ratios taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def match_events(gt: EventSet, pred: EventSet,
     """
     check_type("gt", gt, EventSet)
     check_type("pred", pred, EventSet)
-    check_tiou_thresholds((threshold,))
+    threshold, = check_tiou_thresholds((threshold,))
     i, j, t = _greedy(gt, pred, threshold)
     return MatchResult(
         pairs=tuple(zip(i.tolist(), j.tolist(), t.tolist())),
@@ -81,7 +81,7 @@ def match_events(gt: EventSet, pred: EventSet,
 
 def multi_threshold_eval(gt_all: Sequence[EventSet],
                          pred_all: Sequence[EventSet],
-                         thresholds: Sequence[float]) -> EventMetrics:
+                         thresholds: Iterable[float]) -> EventMetrics:
     """Micro-averaged event metrics across videos at each tIoU threshold.
 
     gt_all and pred_all are aligned by video_id. One greedy pass at the
@@ -91,8 +91,7 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
     """
     gt_all = check_items("gt_all", gt_all, EventSet)
     pred_all = check_items("pred_all", pred_all, EventSet)
-    thresholds = tuple(thresholds)
-    check_tiou_thresholds(thresholds)
+    thresholds = check_tiou_thresholds(thresholds, "thresholds")
     gt_by_id = {es.video_id: es for es in gt_all}
     pred_by_id = {es.video_id: es for es in pred_all}
     if len(gt_by_id) != len(gt_all) or len(pred_by_id) != len(pred_all):
@@ -108,6 +107,6 @@ def multi_threshold_eval(gt_all: Sequence[EventSet],
     per_tiou: dict[float, EventPrf] = {}
     for threshold in thresholds:
         tp = int(np.count_nonzero(matched >= threshold))
-        per_tiou[float(threshold)] = prf(tp, n_pred - tp, n_gt)
+        per_tiou[threshold] = prf(tp, n_pred - tp, n_gt)
     average_f1 = sum(e.f1 for e in per_tiou.values()) / len(per_tiou)
     return EventMetrics(per_tiou=per_tiou, average_f1=average_f1)

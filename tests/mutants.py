@@ -158,6 +158,14 @@ MUTANTS = [
            ("tests/test_core.py",)),
     Mutant("tIoU of 1 rejected", "src/event_eval/core.py",
            "0.0 < t <= 1.0", "0.0 < t < 1.0", ("tests/test_core.py",)),
+    Mutant("tIoU threshold set taken as a list", "src/event_eval/core.py",
+           "(str, bytes, Mapping, AbstractSet)", "(str, bytes, Mapping)",
+           ("tests/test_matching.py::test_one_thresholds_value_gets_one_"
+            "outcome",)),
+    Mutant("tIoU thresholds returned unconverted", "src/event_eval/core.py",
+           "return tuple(map(float, items))", "return items",
+           ("tests/test_matching.py::test_one_thresholds_value_gets_one_"
+            "outcome",)),
 ]
 
 

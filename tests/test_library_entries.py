@@ -7,9 +7,11 @@
   10**400, NaN, +-inf, 1e308, 5e-324, bools, numpy scalars and short
   strings) for every numeric parameter of the library entries,
   array-likes (lists of those, a string, a nested list, None, bare tuples)
-  for every array parameter, and None, a list, an ndarray or a string for
-  every value-object parameter, and asserts that each call returns or
-  raises an EventEvalError. No draw allocates in proportion to a drawn
+  for every array parameter, None, a list, an ndarray or a string for
+  every value-object parameter, and lists of those numbers, None, a
+  number, a string, a dict or a set for multi_threshold_eval's
+  thresholds, and asserts that each call returns or raises an
+  EventEvalError. No draw allocates in proportion to a drawn
   number: a kernel radius, a mask length and a video length stay at or
   below 10**4, and every other drawn number is a value or a count that
   sizes nothing.
@@ -181,6 +183,10 @@ def objects_or(draw, valid):
 
 
 MASK = FrameMask("v", [0, 1, 1, 0, 1])
+# a list of thresholds or, now and then, what may be handed instead of one:
+# iterables among them
+THRESHOLDS = st.one_of(st.lists(NUMBERS, max_size=3), st.sampled_from(
+    [None, 0.5, "0.5", {0.5: 1}, {0.3, 0.5}]))
 
 
 def refined(draw) -> None:
@@ -221,7 +227,9 @@ ENTRIES = {
         object_or(draw, GT), object_or(draw, PRED), draw(NUMBERS)),
     "multi_threshold_eval": lambda draw: multi_threshold_eval(
         objects_or(draw, [GT]), objects_or(draw, [PRED]),
-        draw(st.lists(NUMBERS, max_size=3))),
+        draw(THRESHOLDS)),
+    "multi_threshold_eval thresholds": lambda draw: multi_threshold_eval(
+        [GT], [PRED], draw(THRESHOLDS)),
     "audit_dataset": audited,
     "filter_short_events": lambda draw: filter_short_events(
         object_or(draw, PRED), draw(NUMBERS)),
@@ -388,6 +396,12 @@ def test_tau_must_be_a_finite_real(call, tau):
      "gt_all must be EventSets, got 'a'"),
     (lambda: multi_threshold_eval([GT], [None], [0.5]),
      "pred_all must be EventSets, got None"),
+    (lambda: multi_threshold_eval([GT], [PRED], None),
+     "thresholds must be a list of numbers, got None"),
+    (lambda: multi_threshold_eval([GT], [PRED], {0.5}),
+     "thresholds must be a list of numbers, got {0.5}"),
+    (lambda: multi_threshold_eval([GT], [PRED], "0.5"),
+     "thresholds must be a list of numbers, got '0.5'"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
@@ -406,7 +420,8 @@ def test_tau_must_be_a_finite_real(call, tau):
         "refine_pipeline cfg None", "audit_dataset None",
         "audit_dataset list item", "match_events gt None",
         "match_events pred list", "multi_threshold_eval string",
-        "multi_threshold_eval pred None"])
+        "multi_threshold_eval pred None", "multi_threshold_eval None",
+        "multi_threshold_eval set", "multi_threshold_eval string thresholds"])
 def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from event_eval.core import EventSet, FrameMask, TemporalEvent
+from event_eval.core import EvalConfig, EventSet, FrameMask, TemporalEvent
 from event_eval.errors import ValidationError, VideoIdMismatch
 from event_eval.events import mask_to_events
 from event_eval.matching import match_events, multi_threshold_eval
@@ -215,6 +216,58 @@ def test_multi_threshold_eval_rejects_bad_thresholds(thresholds):
     gt = [eventset([(0, 9)], "a")]
     with pytest.raises(ValidationError):
         multi_threshold_eval(gt, gt, thresholds)
+
+
+NAN = float("nan")
+
+
+# each value with its outcome: the thresholds as floats, or the message,
+# in which {name} is the parameter's name
+@pytest.mark.parametrize("make,outcome", [
+    (lambda: None, "{name} must be a list of numbers, got None"),
+    (lambda: 0.5, "{name} must be a list of numbers, got 0.5"),
+    (lambda: "0.5", "{name} must be a list of numbers, got '0.5'"),
+    (lambda: b"0.5", "{name} must be a list of numbers, got b'0.5'"),
+    (lambda: {0.5: 1}, "{name} must be a list of numbers, got {0.5: 1}"),
+    (lambda: {0.5}, "{name} must be a list of numbers, got {0.5}"),
+    (lambda: iter([0.2, 0.5]), (0.2, 0.5)),
+    (lambda: np.array([0.2, 0.5]), (0.2, 0.5)),
+    (lambda: [1], (1.0,)),
+    (lambda: [0.2, True], "tiou threshold True is not a number in (0, 1]"),
+    (lambda: [0.2, NAN], "tiou threshold nan is not a number in (0, 1]"),
+    (lambda: [], "need at least one tiou threshold"),
+    (lambda: [0.2, 0.2], "tiou threshold 0.2 appears twice"),
+    # unequal as numbers, one float as thresholds
+    (lambda: [Fraction(1, 3), 1 / 3],
+     "tiou threshold 0.3333333333333333 appears twice"),
+], ids=["None", "number", "str", "bytes", "dict", "set", "iterator",
+        "ndarray", "int", "bool", "nan", "empty", "repeated",
+        "repeated as a float"])
+def test_one_thresholds_value_gets_one_outcome(make, outcome):
+    gt = [eventset([(0, 9)], "a")]
+    pred = [eventset([(2, 9)], "a")]
+    calls = {"tiou_thresholds": lambda: EvalConfig(
+                 tiou_thresholds=make()).tiou_thresholds,
+             "thresholds": lambda: tuple(multi_threshold_eval(
+                 gt, pred, make()).per_tiou)}
+    for name, call in calls.items():
+        if isinstance(outcome, tuple):
+            got = call()
+            assert got == outcome
+            assert all(type(t) is float for t in got)
+        else:
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert str(err.value) == outcome.replace("{name}", name)
+
+
+def test_multi_threshold_eval_needs_no_ascending_order():
+    # the one difference from EvalConfig, which wants them ascending
+    with pytest.raises(ValidationError, match="strictly ascending"):
+        EvalConfig(tiou_thresholds=[0.5, 0.2])
+    gt = [eventset([(0, 9)], "a")]
+    assert tuple(multi_threshold_eval(gt, gt, [0.5, 0.2]).per_tiou) == (
+        0.5, 0.2)
 
 
 def test_multi_threshold_eval_keeps_caller_threshold_order():
