@@ -107,15 +107,14 @@ def clip_vote(labels: np.ndarray, bounds: np.ndarray, window: int,
     # exceeds the frame count
     bounds = bounds.astype(np.int32 if bounds[-1] < 2**30 else np.int64)
     lens = np.diff(bounds)
-    # clamped first: the config's ints are unbounded; a clip shorter than
-    # the window clamps the window (and so the stride) to its length
+    # clamped first: the config's ints are unbounded; a clip no longer than
+    # the stride has one window, whatever its step
     window = min(window, int(lens.max()))
     stride = min(stride, window)
-    steps = np.minimum(stride, lens)   # each clip's stride
-    count = -(-lens // steps)   # windows per clip
+    count = -(-lens // stride)   # windows per clip
     after = np.cumsum(count)   # one past each clip's last window
-    # per clip: its first frame, first window's number, stride and end
-    table = np.stack((bounds[:-1], after - count, steps, bounds[1:]),
+    # per clip: its first frame, first window's number and end
+    table = np.stack((bounds[:-1], after - count, bounds[1:]),
                      dtype=bounds.dtype)
     ones = np.zeros(labels.size + 1, bounds.dtype)   # 1s before each frame
     np.cumsum(labels, out=ones[1:])
@@ -125,8 +124,8 @@ def clip_vote(labels: np.ndarray, bounds: np.ndarray, window: int,
         # windows lo..hi-1 run from clip c to clip d, k[i] of them in c + i
         c, d = np.searchsorted(after, (lo, hi - 1), side="right")
         k = np.diff(np.concatenate(([lo], after[c:d], [hi])))
-        begin, first, step, end = np.repeat(table[:, c:d + 1], k, axis=1)
-        start = (np.arange(lo, hi, dtype=bounds.dtype) - first) * step + begin
+        begin, first, end = np.repeat(table[:, c:d + 1], k, axis=1)
+        start = (np.arange(lo, hi, dtype=bounds.dtype) - first) * stride + begin
         left = end - start   # frames from the window's start to its clip's end
         n = np.minimum(left, window)   # frames in the window
         votes = ones.take(start + n) - ones.take(start)

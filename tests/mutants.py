@@ -103,12 +103,6 @@ MUTANTS = [
     Mutant("micro event threshold inclusive", "src/event_eval/events.py",
            "durations < micro_threshold", "durations <= micro_threshold",
            ("tests/test_events.py",)),
-    # a clip no longer than the stride has one window, whatever its step,
-    # so only a step below the clip's length shows
-    Mutant("clip_vote stride clamped one below a short clip",
-           "src/event_eval/events.py", "steps = np.minimum(stride, lens)",
-           "steps = np.minimum(stride, lens - 1)",
-           ("tests/test_events.py", "tests/test_pipeline_oracle.py")),
     Mutant("Dataset.split puts an event at a video's first frame in the "
            "video before", "src/event_eval/core.py",
            "cut = np.searchsorted(events.starts, self.bounds)",
