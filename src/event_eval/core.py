@@ -285,8 +285,8 @@ def _is_whole(value) -> bool:
 
 def check_tiou_thresholds(thresholds: Iterable[float],
                           name: str = "tiou_thresholds") -> tuple[float, ...]:
-    """thresholds as a tuple of floats: a list of at least one number in
-    (0, 1], none repeated."""
+    """thresholds as a tuple of floats: a list (else a fault naming it name)
+    of at least one number in (0, 1], no two equal as floats."""
     try:
         # iterable, but their items are characters, keys or unordered
         if isinstance(thresholds, (str, bytes, Mapping, AbstractSet)):
