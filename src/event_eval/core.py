@@ -481,6 +481,8 @@ def validate_pair(scores: ScoreSequence, mask: FrameMask) -> None:
     constructor or a loader); this guards the cross-cutting invariants
     (same video, same length).
     """
+    check_type("scores", scores, ScoreSequence)
+    check_type("mask", mask, FrameMask)
     if scores.video_id != mask.video_id:
         raise VideoIdMismatch(
             f"scores for {scores.video_id!r} paired with mask for "
@@ -492,6 +494,7 @@ def validate_pair(scores: ScoreSequence, mask: FrameMask) -> None:
 
 def events_within(events: EventSet, n_frames: int) -> None:
     """Raise EventOutOfRange unless every event fits in [0, n_frames - 1]."""
+    check_type("events", events, EventSet)
     k = int(np.searchsorted(events.ends, n_frames))
     if k < len(events):
         raise EventOutOfRange(

@@ -195,6 +195,7 @@ def audit_events(gt: EventSet, n_frames: int,
     """Frame and event statistics of the ground-truth events gt over
     n_frames frames; micro events are shorter than micro_threshold frames.
     """
+    check_type("gt", gt, EventSet)
     durations = gt.ends - gt.starts + 1
     anomalous = int(durations.sum())
     count = len(durations)

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .core import (
@@ -34,6 +35,7 @@ from .core import (
     TemporalEvent,
     ThresholdStrategy,
     check_tau,
+    check_type,
 )
 from .errors import (
     DuplicateVideoId,
@@ -244,6 +246,15 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
 _BLOCK = 1 << 16   # bytes of lines split and converted at a time
 
 
+def _blocks(data: bytes, at: int):
+    """data[at:] in blocks of whole lines of about _BLOCK bytes each, which
+    bounds the temporary bytes and objects of a long file."""
+    while at < len(data):
+        end = data.find(b"\n", at + _BLOCK) + 1 or len(data)
+        yield data[at:end]
+        at = end
+
+
 def _fast_column(data: bytes, value_header: str, convert) -> np.ndarray | None:
     """The values of data, a canonical 'frame,<value_header>' CSV, or None.
 
@@ -252,19 +263,15 @@ def _fast_column(data: bytes, value_header: str, convert) -> np.ndarray | None:
     0..n-1 without leading zeros. convert turns a block of lines into their
     frame column, b'f0\\n...\\n', and an array of their values, or None
     when a value is not canonical. A quote makes convert or the frame check
-    fail, so csv quoting never splits a line differently. Lines are
-    converted in blocks of about _BLOCK bytes, which bounds the temporary
-    bytes and objects on long clips.
+    fail, so csv quoting never splits a line differently.
     """
     header = f"frame,{value_header}\n".encode()
     if (len(data) == len(header)
             or not (data.startswith(header) and data.endswith(b"\n"))):
         return None
     column = _frame_column(1 << (data.count(b"\n") - 2).bit_length())
-    blocks, at, pos = [], len(header), 0   # at in data, pos in column
-    while at < len(data):
-        end = data.find(b"\n", at + _BLOCK) + 1 or len(data)
-        lines = data[at:end]
+    blocks, pos = [], 0   # pos in column
+    for lines in _blocks(data, len(header)):
         # one comma on every line, and no CR
         seps = lines.translate(None, _NOT_SEPARATORS)
         if seps != b",\n" * (len(seps) // 2):
@@ -274,20 +281,36 @@ def _fast_column(data: bytes, value_header: str, convert) -> np.ndarray | None:
             return None
         pos += len(converted[0])
         blocks.append(converted[1])
-        at = end
     return np.concatenate(blocks)
 
 
+# Over these bytes every JSON number is one that float() reads to the same
+# bits, but '-0', which JSON reads as the integer 0 and float() as -0.0;
+# anything else that is not a JSON number, '1.' or '+1' say, is an error.
+_JSON_NUMBER_BYTES = b"0123456789+-.eE,\n"
+
+
 def _finite_floats(lines: bytes) -> tuple[bytes, np.ndarray] | None:
-    """The lines' frames, and float() of every value, the line parser's own
-    converter, so the scores are the line parser's, bit for bit; None
-    unless all are finite."""
+    """The lines' frames, and float() of every value, so the scores are the
+    line parser's, bit for bit; None unless all are finite. Values over
+    _JSON_NUMBER_BYTES are read by one orjson parse; any other block, one
+    orjson rejects, or one with a value '-0', by float() itself."""
     fields = lines.replace(b",", b"\n").split(b"\n")
     values = fields[1::2]
-    try:
-        scores = np.fromiter(map(float, values), np.float64, len(values))
-    except ValueError:
-        return None
+    scores = None
+    if not lines.translate(None, _JSON_NUMBER_BYTES):
+        try:
+            scores = np.array(orjson.loads(b"[" + b",".join(values) + b"]"),
+                              np.float64)
+        except orjson.JSONDecodeError:
+            pass
+    # one empty value reads as []; only a zero can have been a '-0'
+    if (scores is None or len(scores) != len(values)
+            or not scores.all() and b",-0\n" in lines):
+        try:
+            scores = np.fromiter(map(float, values), np.float64, len(values))
+        except ValueError:
+            return None
     if not np.isfinite(scores).all():
         return None
     return b"\n".join(fields[0::2]), scores   # the last field is b""
@@ -389,37 +412,69 @@ def _branch_errors_from_lines(path: Path,
 
 
 # A canonical branch-error file: lines 'start len values...' split by
-# single spaces, of the bytes _BRANCH_BYTES only, read by one typed parse.
+# single spaces, of the bytes _BRANCH_BYTES only.
 _BRANCH_BYTES = b"0123456789+-.eE \n"
+
+
+def _json_rows(data: bytes, i: int) -> tuple[np.ndarray, ...] | None:
+    """The starts, lengths and errors of data's lines read by orjson as rows
+    [start, len, e...], a block of lines at a time, or None unless every row
+    is 2 + 4i wide, every start and length a JSON integer within int64 and
+    no error '-0'; the errors then have float()'s bits (see
+    _JSON_NUMBER_BYTES)."""
+    columns = []
+    for lines in _blocks(data, 0):
+        try:
+            rows = orjson.loads(b"[[" + lines.rstrip(b"\n").replace(b" ", b",")
+                                .replace(b"\n", b"],[") + b"]]")
+            table = np.array(rows, np.float64)   # ragged rows: ValueError
+            # a float, or an int past int64, makes another dtype
+            heads = np.array([row[:2] for row in rows])
+        except ValueError:
+            return None
+        if table.shape[1:] != (2 + 4 * i,) or heads.dtype != np.int64:
+            return None
+        errors = table[:, 2:]
+        # only a zero can have been a '-0'
+        if not errors.all() and (b" -0 " in lines or b" -0\n" in lines):
+            return None
+        columns.append((heads[:, 0], heads[:, 1], errors))
+    return tuple(map(np.concatenate, zip(*columns)))
 
 
 def _fast_branch_errors(data: bytes) -> tuple[np.ndarray, ...] | None:
     """The arrays of data, a canonical file whose windows all have one
-    length i >= 1 and finite errors >= 0, or None. The typed parse fails on
-    an empty field (a doubled, leading or trailing space), a start or length
-    that is not an int64, and a row of another width."""
+    length i >= 1 and finite errors >= 0, or None. _json_rows reads it; a
+    file that it declines (leading zeros, '+' signs, '-0' errors, a blank
+    line between windows) goes to one typed np.loadtxt parse, which fails
+    on an empty field (a doubled, leading or trailing space), a start or
+    length that is not an int64, and a row of another width."""
     if data.translate(None, _BRANCH_BYTES):
         return None
     end = data.find(b"\n")   # the first line has 2 + 4i fields
     i, extra = divmod(data.count(b" ", 0, end if end >= 0 else None) - 1, 4)
     if extra or i < 1:
         return None
-    try:
-        # an error, not the deprecated int-via-float fallback with which
-        # some numpy releases read a start of '1.9' as 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # not the path: numpy would pick a decompressor by its suffix
-            rows = np.loadtxt(BytesIO(data), delimiter=" ", ndmin=1, dtype=[
-                ("start", np.int64), ("len", np.int64),
-                ("e", np.float64, 4 * i)])
-    except (ValueError, DeprecationWarning):
-        return None
-    errors = rows["e"]
-    if ((rows["len"] != i).any() or (rows["start"] < 0).any()
+    columns = _json_rows(data, i)
+    if columns is None:
+        try:
+            # an error, not the deprecated int-via-float fallback with which
+            # some numpy releases read a start of '1.9' as 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                # not the path: numpy would pick a decompressor by its suffix
+                rows = np.loadtxt(BytesIO(data), delimiter=" ", ndmin=1,
+                                  dtype=[("start", np.int64),
+                                         ("len", np.int64),
+                                         ("e", np.float64, 4 * i)])
+        except (ValueError, DeprecationWarning):
+            return None
+        columns = rows["start"], rows["len"], rows["e"]
+    starts, lengths, errors = columns
+    if ((lengths != i).any() or (starts < 0).any()
             or not np.isfinite(errors).all() or (errors < 0).any()):
         return None
-    return rows["start"], rows["len"], score_window(errors)
+    return starts, lengths, score_window(errors)
 
 
 def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
@@ -429,8 +484,8 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
     Each non-comment line is whitespace-separated numbers: target_start,
     window_len i, then 4i error values (the i short-branch values followed
     by the 3i long-branch values). Canonical files (see _fast_branch_errors)
-    are read by one np.loadtxt call; every other file, and every error, goes
-    through the line parser.
+    are read by orjson, or else by np.loadtxt; every other file, and every
+    error, goes through the line parser.
     """
     path = Path(path)
     data = _read(path)
@@ -568,6 +623,8 @@ def run_evaluation(manifest: Manifest, cfg: EvalConfig,
     ground-truth events serve both the audit and the matching. The report
     is byte-identical across runs.
     """
+    check_type("manifest", manifest, Manifest)
+    check_type("cfg", cfg, EvalConfig)
     data = load_dataset(manifest)
     frame = frame_metrics(data, cfg.hprs_beta)
     gt = clip_runs(data.labels, data.bounds)

@@ -12,7 +12,7 @@ import io as _io
 import json
 from dataclasses import asdict
 
-from .core import EventMetrics, FrameMetrics
+from .core import EventMetrics, FrameMetrics, check_type
 from .errors import ValidationError
 from .events import AuditReport
 from .io import Report, config_to_dict
@@ -119,6 +119,7 @@ def render(obj: dict, sections: list[tuple], format: str,
 
 def emit_report(report: Report, format: str = "json") -> bytes:
     """Serialize a report deterministically; json is the canonical format."""
+    check_type("report", report, Report)
     d = report_to_dict(report)
     meta = {"tool_version": d["tool_version"], "mode": d["mode"]}
     ev = d["event_metrics"]
@@ -138,6 +139,7 @@ def emit_report(report: Report, format: str = "json") -> bytes:
 
 
 def emit_audit(audit: AuditReport, format: str = "json") -> bytes:
+    check_type("audit", audit, AuditReport)
     d = asdict(audit)
     return render(d, [("audit", "# Dataset audit", "table", _flat(d))],
                   format, ("section", "metric", "value"))

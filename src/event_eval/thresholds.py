@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (Dataset, EventPrf, FrameMask, FrameMetrics, ScoreSequence,
-                   check_hprs_beta)
+                   check_hprs_beta, check_type)
 from .errors import DegenerateLabels, ValidationError
 
 
@@ -158,6 +158,7 @@ def auc_roc(curve: RocCurve) -> float:
 
     Equals the Mann-Whitney pair-counting statistic with ties worth 0.5.
     """
+    check_type("curve", curve, RocCurve)
     return _clip(_add(0.0, _roc_terms(curve)))
 
 
@@ -167,6 +168,7 @@ def eer_threshold(curve: RocCurve) -> tuple[float, float]:
     The reported EER is the midpoint (FAR + FRR) / 2 at that point, the
     standard convention since finite grids rarely yield exact equality.
     """
+    check_type("curve", curve, RocCurve)
     i, _, eer = _eer_point(curve)
     return float(curve.thresholds[i]), float(eer)
 
@@ -198,6 +200,7 @@ def frame_metrics(data: Dataset, beta: float) -> FrameMetrics:
     is reported here as the lowest observed score, which binarizes the data
     identically and keeps reports finite.
     """
+    check_type("data", data, Dataset)
     if data.scores is None:
         raise ValidationError("frame metrics need scores; none were loaded")
     check_hprs_beta(beta)

@@ -66,6 +66,22 @@ MUTANTS = [
            "record", "pass",
            ("tests/test_io_cli.py::test_load_manifest_reports_the_first_of_"
             "two_faults",)),
+    Mutant("scores '-0' read by orjson", "src/event_eval/io.py",
+           'b",-0\\n" in lines', "False",
+           (f"{_CSV}::test_scores_orjson_gate_bodies_give_the_line_parsers_"
+            "result",)),
+    Mutant("scores of any bytes read by orjson", "src/event_eval/io.py",
+           "not lines.translate(None, _JSON_NUMBER_BYTES)", "True",
+           (f"{_CSV}::test_scores_orjson_gate_bodies_give_the_line_parsers_"
+            "result",)),
+    Mutant("branch '-0' errors read by orjson", "src/event_eval/io.py",
+           '(b" -0 " in lines or b" -0\\n" in lines)', "False",
+           (f"{_CSV}::test_branch_orjson_gate_bodies_give_the_line_parsers_"
+            "result",)),
+    Mutant("branch starts and lengths not checked as JSON ints",
+           "src/event_eval/io.py", " or heads.dtype != np.int64", "",
+           (f"{_CSV}::test_branch_orjson_gate_bodies_give_the_line_parsers_"
+            "result",)),
     Mutant("branch rule fault loses its FILE:LINE prefix",
            "src/event_eval/errors.py", 'else f"{path}:{line}: {exc}",)',
            "else str(exc),)",

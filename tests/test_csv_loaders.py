@@ -10,6 +10,7 @@ and message) stand.
 
 from __future__ import annotations
 
+import decimal
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
@@ -1134,13 +1136,14 @@ def test_canonical_branch_variants_take_the_vectorized_path(tmp_path, body):
 def test_branch_loadtxt_deprecation_takes_the_line_parser(tmp_path,
                                                          monkeypatch):
     # numpy releases with loadtxt's int-via-float fallback warn, then read
-    # a start of '1.9' as 1
+    # a start of '1.9' as 1; orjson declines here, so np.loadtxt is called
     def loadtxt(*args, **kwargs):
         warnings.warn("parsing an integer via a float", DeprecationWarning)
         return real(*args, **kwargs)
 
     real = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(io_mod, "_json_rows", lambda data, i: None)
     path = tmp_path / "b.txt"
     path.write_bytes(WINDOW + b"\n")
     with warnings.catch_warnings():
@@ -1199,6 +1202,150 @@ def test_canonical_branch_files_are_bit_identical_property(tmp_path, i,
         np.array([start for start, _ in rows]), np.full(len(rows), i),
         [_left_to_right_score([float(v) for v in values], i)
          for _, values in rows]))
+
+
+# ---------------------------------------------------------------------------
+# orjson reads the values that float() reads, to the same bits
+
+
+def _halfway(x: float, tail: str) -> str:
+    """The exact decimal midway between x and its neighbour toward zero (or
+    5e-324 for 0), in fixed point, with tail's digits after its last."""
+    y = math.nextafter(x, 0.0) if x else 5e-324
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        text = f"{(decimal.Decimal(x) + decimal.Decimal(y)) / 2:f}"
+    return text + tail if "." in text or not tail else f"{text}.{tail}"
+
+
+def _spell(draw) -> str:
+    """One finite value as float() reads it, in one of several spellings."""
+    x = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)))
+    kind = draw(st.sampled_from(["repr", "17g", "25e", "half", "half+1",
+                                 "int", "word"]))
+    if kind == "int":   # near where doubles stop holding every integer
+        n = draw(st.sampled_from([2 ** 53, 2 ** 63, 2 ** 64, 10 ** 30]))
+        return str(draw(st.sampled_from([1, -1])) * n
+                   + draw(st.integers(-2 ** 12, 2 ** 12)))
+    if kind == "word":
+        return draw(st.sampled_from(["1e-400", "-1e-400", "-0.0", "-0", "0",
+                                     "4.9406564584124654e-324"]))
+    return {"repr": repr, "17g": "%.17g".__mod__, "25e": "%.25e".__mod__,
+            "half": lambda v: _halfway(v, ""),
+            "half+1": lambda v: _halfway(v, "1")}[kind](x)
+
+
+@st.composite
+def _spellings(draw, size: int) -> list[str]:
+    return [_spell(draw) for _ in range(size)]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+def _spy_orjson() -> tuple[list, mock._patch]:
+    """The arrays orjson.loads returned while the patch is on."""
+    parsed: list = []
+
+    def loads(text):
+        parsed.append(orjson_loads(text))
+        return parsed[-1]
+
+    orjson_loads = orjson.loads
+    return parsed, mock.patch.object(orjson, "loads", loads)
+
+
+@_PROPERTY
+@given(values=st.integers(1, 20).flatmap(_spellings))
+def test_orjson_scores_have_float_bits_property(tmp_path, values):
+    path = tmp_path / "v.csv"
+    body = HEADERS["score"] + "".join(
+        f"{i},{v}\n" for i, v in enumerate(values)).encode()
+    path.write_bytes(body)
+    parsed, spy = _spy_orjson()
+    with spy:
+        assert not reads_by_line(path, "score")
+    want = _bits([float(v) for v in values])
+    assert len(parsed) == 1   # every spelling is a JSON number
+    if "-0" not in values:   # JSON's integer 0: float() reads that block
+        assert _bits(parsed[0]) == want
+    assert _bits(load_scores(path).scores) == want
+    path.write_bytes(body.replace(b"\n", b"\r\n"))
+    assert reads_by_line(path, "score")
+    assert _bits(load_scores(path).scores) == want
+
+
+@_PROPERTY
+@given(i=st.integers(1, 3), data=st.data())
+def test_orjson_branch_errors_have_float_bits_property(tmp_path, i, data):
+    # a negative error is the line parser's error, so only zeros keep a '-'
+    rows = [(data.draw(st.integers(0, 2 ** 63 - 1)),
+             [v if float(v) == 0 else v.lstrip("-")
+              for v in data.draw(_spellings(4 * i))])
+            for _ in range(data.draw(st.integers(1, 4)))]
+    path = tmp_path / "b.txt"
+    path.write_bytes("".join(f"{start} {i} {' '.join(values)}\n"
+                             for start, values in rows).encode())
+    assert_branch_same_as_line_parser(path)
+    columns = io_mod._json_rows(path.read_bytes(), i)
+    errors = [v for _, values in rows for v in values]
+    if "-0" in errors:   # JSON's integer 0: np.loadtxt reads the file
+        assert columns is None
+        assert io_mod._fast_branch_errors(path.read_bytes()) is not None
+    else:
+        assert columns[0].tolist() == [start for start, _ in rows]
+        assert _bits(columns[2].ravel()) == _bits([float(v) for v in errors])
+
+
+@pytest.mark.parametrize("body,fast", [
+    (b"0,-0\n", True),   # float() reads it, as -0.0
+    (b"0,0.5\n1,-0\n2,-0.0\n", True),
+    (b"0,true\n", False),   # JSON's 1.0
+    (b"0,null\n", False),
+    (b"0,NaN\n", False),
+    (b"0,1e400\n", False),
+    (b"0,0.5\n1,\n", False),   # an empty value
+    (b"0,\n", False),   # JSON's []
+])
+def test_scores_orjson_gate_bodies_give_the_line_parsers_result(
+        tmp_path, body, fast):
+    path = tmp_path / "v.csv"
+    path.write_bytes(HEADERS["score"] + body)
+    assert reads_by_line(path, "score") is not fast
+    assert_same_as_line_parser(path, "score")
+    if fast:
+        want = [float(line.split(b",")[1]) for line in body.splitlines()]
+        assert _bits(load_scores(path).scores) == _bits(want)
+
+
+@pytest.mark.parametrize("body,json", [
+    (b"1e3 1 0.1 0.2 0.3 0.4\n", False),   # starts that are no JSON int
+    (b"1.0 1 0.1 0.2 0.3 0.4\n", False),
+    (b"0 1.0 0.1 0.2 0.3 0.4\n", False),
+    (b"9223372036854775808 1 0.1 0.2 0.3 0.4\n", False),   # past int64
+    (b"18446744073709551616 1 0.1 0.2 0.3 0.4\n", False),
+    (b"-0 1 0.1 0.2 0.3 0.4\n", True),   # int() reads it, as 0
+    (b"0 1 0.1 -0 0.3 0.4\n", False),   # JSON's integer 0, not -0.0
+    (b"0 1 0.1 0.2 0.3 -0\n", False),
+    (b"0 1 -0 0.2 -0 0.4\n", False),   # a window score of -0.0
+    (b"0 1 0.1 0.2 0.3 -0.0\n", True),
+    (WINDOW + b"\n1 1 0.1 0.2 0.3\n", False),   # a ragged row
+    (WINDOW + b"\n\n" + WINDOW + b"\n", False),   # a blank line
+    (WINDOW + b"\n" + WINDOW, True),   # no final newline
+    (WINDOW + b"\n" + WINDOW + b"\n\n", True),   # a trailing blank line
+    (WINDOW + b"\n2 1 true 0.2 0.3 0.4\n", False),
+])
+def test_branch_orjson_gate_bodies_give_the_line_parsers_result(
+        tmp_path, body, json):
+    path = tmp_path / "b.txt"
+    path.write_bytes(body)
+    # _fast_branch_errors hands _json_rows only its own bytes
+    read = (io_mod._fast_branch_errors(body) is not None
+            and io_mod._json_rows(body, 1) is not None)
+    assert read is json
+    assert_branch_same_as_line_parser(path)
 
 
 def test_fuse_takes_vectorized_path_for_canonical_files(tmp_path,

@@ -32,17 +32,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from event_eval import errors
 from event_eval.core import (Dataset, EvalConfig, EventSet, FrameMask,
-                             ScoreSequence, TemporalEvent)
+                             ScoreSequence, TemporalEvent, events_within,
+                             validate_pair)
 from event_eval.smoothing import build_kernel, smooth_once
 from event_eval.errors import EventEvalError, ValidationError
-from event_eval.events import (audit_dataset, events_to_mask,
+from event_eval.events import (audit_dataset, audit_events, events_to_mask,
                                filter_short_events, majority_vote_refine,
                                mask_to_events, refine_pipeline)
 from event_eval.fusion import (BranchErrors, align_center, fuse_frames,
                                mark_windows, pool_event_score)
-from event_eval.io import compute_frame_metrics, event_metrics_at
+from event_eval.io import (Manifest, compute_frame_metrics, event_metrics_at,
+                           run_evaluation)
 from event_eval.matching import match_events, multi_threshold_eval
-from event_eval.thresholds import frame_metrics, hprs_threshold, roc_curve
+from event_eval.report import emit_audit, emit_report
+from event_eval.thresholds import (auc_roc, eer_threshold, frame_metrics,
+                                   hprs_threshold, roc_curve)
 
 # ---------------------------------------------------------------------------
 # errors survive pickle and copy
@@ -183,6 +187,9 @@ def objects_or(draw, valid):
 
 
 MASK = FrameMask("v", [0, 1, 1, 0, 1])
+CURVE = roc_curve([0.1, 0.9, 0.2, 0.8, 0.7], MASK.labels)
+SCORED_DATA = Dataset.of([(ScoreSequence("v", [0.1, 0.9, 0.2, 0.8, 0.7]),
+                           MASK)])
 # a list of thresholds or, now and then, what may be handed instead of one:
 # iterables among them
 THRESHOLDS = st.one_of(st.lists(NUMBERS, max_size=3), st.sampled_from(
@@ -252,6 +259,16 @@ ENTRIES = {
     "pool_event_score": lambda draw: pool_event_score(
         array_or(draw, [0.1, 0.2])),
     "EventSet": lambda draw: EventSet("v", array_or(draw, PRED.events)),
+    "validate_pair": lambda draw: validate_pair(
+        object_or(draw, ScoreSequence("v", [0.1] * 5)), object_or(draw, MASK)),
+    "events_within": lambda draw: events_within(object_or(draw, GT), 12),
+    "audit_events": lambda draw: audit_events(object_or(draw, GT), 12, 2),
+    "frame_metrics data": lambda draw: frame_metrics(
+        object_or(draw, SCORED_DATA), 0.5),
+    "auc_roc": lambda draw: auc_roc(object_or(draw, CURVE)),
+    "eer_threshold": lambda draw: eer_threshold(object_or(draw, CURVE)),
+    "emit_audit": lambda draw: emit_audit(object_or(
+        draw, audit_dataset([MASK], 2))),
     "smooth_once": lambda draw: smooth_once(
         object_or(draw, ScoreSequence("v", [0.1, 0.9, 0.2])),
         array_or(draw, build_kernel(1.0, 1))),
@@ -402,6 +419,21 @@ def test_tau_must_be_a_finite_real(call, tau):
      "thresholds must be a list of numbers, got {0.5}"),
     (lambda: multi_threshold_eval([GT], [PRED], "0.5"),
      "thresholds must be a list of numbers, got '0.5'"),
+    (lambda: validate_pair(None, MASK),
+     "scores must be a ScoreSequence, got None"),
+    (lambda: validate_pair(ScoreSequence("v", [0.1] * 5), None),
+     "mask must be a FrameMask, got None"),
+    (lambda: events_within(None, 3), "events must be an EventSet, got None"),
+    (lambda: audit_events(None, 3, 2), "gt must be an EventSet, got None"),
+    (lambda: frame_metrics(None, 0.5), "data must be a Dataset, got None"),
+    (lambda: auc_roc(None), "curve must be a RocCurve, got None"),
+    (lambda: eer_threshold(None), "curve must be a RocCurve, got None"),
+    (lambda: run_evaluation(None, EvalConfig()),
+     "manifest must be a Manifest, got None"),
+    (lambda: run_evaluation(Manifest("d", ()), None),
+     "cfg must be an EvalConfig, got None"),
+    (lambda: emit_report(None), "report must be a Report, got None"),
+    (lambda: emit_audit(None), "audit must be an AuditReport, got None"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
@@ -421,7 +453,11 @@ def test_tau_must_be_a_finite_real(call, tau):
         "audit_dataset list item", "match_events gt None",
         "match_events pred list", "multi_threshold_eval string",
         "multi_threshold_eval pred None", "multi_threshold_eval None",
-        "multi_threshold_eval set", "multi_threshold_eval string thresholds"])
+        "multi_threshold_eval set", "multi_threshold_eval string thresholds",
+        "validate_pair scores None", "validate_pair mask None",
+        "events_within None", "audit_events None", "frame_metrics None",
+        "auc_roc None", "eer_threshold None", "run_evaluation manifest None",
+        "run_evaluation cfg None", "emit_report None", "emit_audit None"])
 def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()

@@ -1,4 +1,5 @@
-"""The suite's own configuration keeps a failing property's report whole.
+"""The project's configuration: a failing property's report stays whole,
+and the package imports exactly the dependencies pyproject.toml declares.
 
 pyproject.toml makes every warning an error, with one exception. To write a
 failing example's patch, hypothesis imports libcst, which uses the
@@ -8,11 +9,16 @@ run in a pytest INTERNALERROR, and the falsifying example was lost.
 
 from __future__ import annotations
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
 
@@ -35,3 +41,25 @@ def test_failing_property_reports_its_falsifying_example(tmp_path):
     assert "INTERNALERROR" not in output
     assert "Falsifying example: test_small(" in output
     assert run.returncode == 1, output
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    """The first name of every absolute import in the module at path."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.partition(".")[0] for name in names}
+
+
+def test_the_package_imports_exactly_its_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    declared = {re.match(r"[\w.-]+", spec)[0].lower().replace("-", "_")
+                for spec in tomllib.loads(PYPROJECT.read_text())["project"][
+                    "dependencies"]}
+    imported = set().union(*map(_top_level_imports, sorted(
+        (ROOT / "src" / "event_eval").glob("*.py"))))
+    third_party = imported - set(sys.stdlib_module_names) - {"event_eval"}
+    assert third_party == declared
