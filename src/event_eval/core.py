@@ -222,7 +222,13 @@ class Dataset:
         scores passes validate_pair before the next pair is drawn, and
         either every pair has scores or none has."""
         videos = []
-        for seq, mask in pairs:
+        for pair in pairs if isinstance(pairs, Iterable) else (pairs,):
+            try:
+                seq, mask = pair
+            except (TypeError, ValueError):
+                raise ValidationError("pairs must be (scores or None, mask) "
+                                      f"pairs, got {pair!r}") from None
+            check_type("mask", mask, FrameMask)
             if videos and (seq is None) != (videos[0][0] is None):
                 raise ValidationError(
                     f"video {mask.video_id!r}: scores must be given for "
@@ -495,6 +501,7 @@ def validate_pair(scores: ScoreSequence, mask: FrameMask) -> None:
 def events_within(events: EventSet, n_frames: int) -> None:
     """Raise EventOutOfRange unless every event fits in [0, n_frames - 1]."""
     check_type("events", events, EventSet)
+    check_count("n_frames", n_frames)
     k = int(np.searchsorted(events.ends, n_frames))
     if k < len(events):
         raise EventOutOfRange(

@@ -193,9 +193,12 @@ def refine_pipeline(scores: ScoreSequence, tau: float,
 def audit_events(gt: EventSet, n_frames: int,
                  micro_threshold: int) -> AuditReport:
     """Frame and event statistics of the ground-truth events gt over
-    n_frames frames; micro events are shorter than micro_threshold frames.
-    """
+    n_frames >= gt's last end + 1 frames; micro events are shorter than
+    micro_threshold frames."""
     check_type("gt", gt, EventSet)
+    n_frames = check_count("n_frames", n_frames,
+                           int(gt.ends.max(initial=0)) + 1)
+    check_count("micro_threshold", micro_threshold)
     durations = gt.ends - gt.starts + 1
     anomalous = int(durations.sum())
     count = len(durations)
@@ -215,7 +218,6 @@ def audit_dataset(masks: list[FrameMask],
                   micro_threshold: int) -> AuditReport:
     """audit_events of the maximal runs of 1s of every ground-truth mask."""
     masks = check_items("masks", masks, FrameMask)
-    check_count("micro_threshold", micro_threshold)
     data = Dataset.of([(None, m) for m in masks])
     return audit_events(clip_runs(data.labels, data.bounds),
                         int(data.bounds[-1]), micro_threshold)

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from io import BytesIO, TextIOWrapper
@@ -291,27 +290,21 @@ _JSON_NUMBER_BYTES = b"0123456789+-.eE,\n"
 
 
 def _finite_floats(lines: bytes) -> tuple[bytes, np.ndarray] | None:
-    """The lines' frames, and float() of every value, so the scores are the
-    line parser's, bit for bit; None unless all are finite. Values over
-    _JSON_NUMBER_BYTES are read by one orjson parse; any other block, one
-    orjson rejects, or one with a value '-0', by float() itself."""
+    """The lines' frames and scores, read by one orjson parse, so with
+    float()'s bits; None, and so the line parser, unless every value is a
+    finite JSON number over _JSON_NUMBER_BYTES other than '-0'."""
+    if lines.translate(None, _JSON_NUMBER_BYTES):
+        return None
     fields = lines.replace(b",", b"\n").split(b"\n")
     values = fields[1::2]
-    scores = None
-    if not lines.translate(None, _JSON_NUMBER_BYTES):
-        try:
-            scores = np.array(orjson.loads(b"[" + b",".join(values) + b"]"),
-                              np.float64)
-        except orjson.JSONDecodeError:
-            pass
+    try:
+        scores = np.array(orjson.loads(b"[" + b",".join(values) + b"]"),
+                          np.float64)
+    except orjson.JSONDecodeError:
+        return None
     # one empty value reads as []; only a zero can have been a '-0'
-    if (scores is None or len(scores) != len(values)
+    if (len(scores) != len(values) or not np.isfinite(scores).all()
             or not scores.all() and b",-0\n" in lines):
-        try:
-            scores = np.fromiter(map(float, values), np.float64, len(values))
-        except ValueError:
-            return None
-    if not np.isfinite(scores).all():
         return None
     return b"\n".join(fields[0::2]), scores   # the last field is b""
 
@@ -444,11 +437,8 @@ def _json_rows(data: bytes, i: int) -> tuple[np.ndarray, ...] | None:
 
 def _fast_branch_errors(data: bytes) -> tuple[np.ndarray, ...] | None:
     """The arrays of data, a canonical file whose windows all have one
-    length i >= 1 and finite errors >= 0, or None. _json_rows reads it; a
-    file that it declines (leading zeros, '+' signs, '-0' errors, a blank
-    line between windows) goes to one typed np.loadtxt parse, which fails
-    on an empty field (a doubled, leading or trailing space), a start or
-    length that is not an int64, and a row of another width."""
+    length i >= 1 and finite errors >= 0, read by _json_rows; None, and so
+    the line parser, for every other file."""
     if data.translate(None, _BRANCH_BYTES):
         return None
     end = data.find(b"\n")   # the first line has 2 + 4i fields
@@ -457,19 +447,7 @@ def _fast_branch_errors(data: bytes) -> tuple[np.ndarray, ...] | None:
         return None
     columns = _json_rows(data, i)
     if columns is None:
-        try:
-            # an error, not the deprecated int-via-float fallback with which
-            # some numpy releases read a start of '1.9' as 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                # not the path: numpy would pick a decompressor by its suffix
-                rows = np.loadtxt(BytesIO(data), delimiter=" ", ndmin=1,
-                                  dtype=[("start", np.int64),
-                                         ("len", np.int64),
-                                         ("e", np.float64, 4 * i)])
-        except (ValueError, DeprecationWarning):
-            return None
-        columns = rows["start"], rows["len"], rows["e"]
+        return None
     starts, lengths, errors = columns
     if ((lengths != i).any() or (starts < 0).any()
             or not np.isfinite(errors).all() or (errors < 0).any()):
@@ -483,9 +461,9 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
 
     Each non-comment line is whitespace-separated numbers: target_start,
     window_len i, then 4i error values (the i short-branch values followed
-    by the 3i long-branch values). Canonical files (see _fast_branch_errors)
-    are read by orjson, or else by np.loadtxt; every other file, and every
-    error, goes through the line parser.
+    by the 3i long-branch values). A canonical file (see _fast_branch_errors)
+    is read by orjson; every other file, and every error, goes through the
+    line parser.
     """
     path = Path(path)
     data = _read(path)

@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 
 _CSV = "tests/test_csv_loaders.py"
+_ESCAPES = ("tests/test_library_entries.py::test_a_mended_escape_is_a_"
+            "validation_error")
 MUTANTS = [
     # input files
     Mutant("decode-first check removed", "src/event_eval/io.py",
@@ -71,7 +73,7 @@ MUTANTS = [
            (f"{_CSV}::test_scores_orjson_gate_bodies_give_the_line_parsers_"
             "result",)),
     Mutant("scores of any bytes read by orjson", "src/event_eval/io.py",
-           "not lines.translate(None, _JSON_NUMBER_BYTES)", "True",
+           "if lines.translate(None, _JSON_NUMBER_BYTES):", "if False:",
            (f"{_CSV}::test_scores_orjson_gate_bodies_give_the_line_parsers_"
             "result",)),
     Mutant("branch '-0' errors read by orjson", "src/event_eval/io.py",
@@ -119,6 +121,20 @@ MUTANTS = [
     Mutant("micro event threshold inclusive", "src/event_eval/events.py",
            "durations < micro_threshold", "durations <= micro_threshold",
            ("tests/test_events.py",)),
+    Mutant("audit micro_threshold of 0 accepted", "src/event_eval/events.py",
+           'check_count("micro_threshold", micro_threshold)',
+           'check_count("micro_threshold", micro_threshold, 0)',
+           ("tests/test_events.py::test_events_rejections",)),
+    Mutant("audit n_frames may end at the last event's end",
+           "src/event_eval/events.py", "int(gt.ends.max(initial=0)) + 1)",
+           "int(gt.ends.max(initial=0)))", (_ESCAPES,)),
+    Mutant("Dataset.of iterates a value that is not iterable",
+           "src/event_eval/core.py",
+           "for pair in pairs if isinstance(pairs, Iterable) else (pairs,):",
+           "for pair in pairs:", (_ESCAPES,)),
+    Mutant("events_within accepts 0 frames", "src/event_eval/core.py",
+           'check_count("n_frames", n_frames)',
+           'check_count("n_frames", n_frames, 0)', (_ESCAPES,)),
     Mutant("Dataset.split puts an event at a video's first frame in the "
            "video before", "src/event_eval/core.py",
            "cut = np.searchsorted(events.starts, self.bounds)",

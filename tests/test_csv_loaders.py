@@ -216,7 +216,7 @@ def test_adversarial_bodies_match_line_parser(tmp_path, kind, body):
 
 @pytest.mark.parametrize("body", [
     b"frame,score\n0,0.5\n1,0.25\n",
-    b"frame,score\n0,-0\n1,1.\n2,.5\n3,+.5e-3\n4,1E5\n5,-7\n6,1e-400\n",
+    b"frame,score\n0,1E5\n1,-7\n2,1e-400\n",
     b"frame,score\n0,0.100000000000000005551115123126\n",  # 32 bytes
     b"frame,score\n0,0." + b"1" * 60 + b"\n",  # 62 bytes
     b"frame,score\n0,4.9406564584124654e-324\n1,1.7976931348623157e308\n",
@@ -1099,6 +1099,13 @@ BRANCH_VARIANTS = [
     b"0 1 0.1 0.2 0.3 0.4\x00\n",
     "٠ 1 0.1 0.2 0.3 0.4\n".encode(),  # Arabic-Indic 0
     b"0 1 0.1 0.2 0.3 0.\xff\n",  # not UTF-8
+    # spellings int() and float() read that are no JSON number, or '-0'
+    b"007 01 0.1 0.2 0.3 0.4\n",  # leading zeros
+    pytest.param(WINDOW + b"\n\n" + WINDOW + b"\n", id="blank-line"),
+    b"0 0000000000000001 0.1 0.2 0.3 0.4\n",  # 16-digit length
+    b"+1 1 0.1 0.2 0.3 0.4\n",
+    b"-0 +1 0.1 0.2 0.3 0.4\n",  # signs, as int() reads them
+    b"0 1 -0 1. .5 +.5e-3\n1 1 1E5 0 1e-400 4.9406564584124654e-324\n",
 ]
 
 
@@ -1112,17 +1119,12 @@ def test_branch_variants_take_the_line_parser(tmp_path, body):
 
 @pytest.mark.parametrize("body", [
     WINDOW + b"\n",
-    b"007 01 0.1 0.2 0.3 0.4\n",  # leading zeros
     b"999999999999999 1 0.1 0.2 0.3 0.4\n",  # 15 digits
     WINDOW,  # no final newline
     pytest.param(WINDOW + b"\n" + WINDOW, id="two-rows"),
-    pytest.param(WINDOW + b"\n\n" + WINDOW + b"\n", id="blank-line"),
     b"1234567890123456 1 0.1 0.2 0.3 0.4\n",  # 16-digit start
     b"9223372036854775807 1 0.1 0.2 0.3 0.4\n",  # int64 max
-    b"0 0000000000000001 0.1 0.2 0.3 0.4\n",  # 16-digit length
-    b"+1 1 0.1 0.2 0.3 0.4\n",
-    b"-0 +1 0.1 0.2 0.3 0.4\n",  # signs, as int() reads them
-    b"0 1 -0 1. .5 +.5e-3\n1 1 1E5 0 1e-400 4.9406564584124654e-324\n",
+    b"1 1 1E5 0 1e-400 4.9406564584124654e-324\n",
     b"3 1 1.7976931348623157e308 1 1.7976931348623157e308 0\n",
     b"0 3 " + b" ".join(b"%d" % k for k in range(12)) + b"\n",
 ])
@@ -1130,25 +1132,6 @@ def test_canonical_branch_variants_take_the_vectorized_path(tmp_path, body):
     path = tmp_path / "b.txt"
     path.write_bytes(body)
     assert io_mod._fast_branch_errors(path.read_bytes()) is not None
-    assert_branch_same_as_line_parser(path)
-
-
-def test_branch_loadtxt_deprecation_takes_the_line_parser(tmp_path,
-                                                         monkeypatch):
-    # numpy releases with loadtxt's int-via-float fallback warn, then read
-    # a start of '1.9' as 1; orjson declines here, so np.loadtxt is called
-    def loadtxt(*args, **kwargs):
-        warnings.warn("parsing an integer via a float", DeprecationWarning)
-        return real(*args, **kwargs)
-
-    real = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
-    monkeypatch.setattr(io_mod, "_json_rows", lambda data, i: None)
-    path = tmp_path / "b.txt"
-    path.write_bytes(WINDOW + b"\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert io_mod._fast_branch_errors(path.read_bytes()) is None
     assert_branch_same_as_line_parser(path)
 
 
@@ -1265,11 +1248,11 @@ def test_orjson_scores_have_float_bits_property(tmp_path, values):
         f"{i},{v}\n" for i, v in enumerate(values)).encode()
     path.write_bytes(body)
     parsed, spy = _spy_orjson()
-    with spy:
-        assert not reads_by_line(path, "score")
+    with spy:   # JSON's integer 0: a '-0' sends the file to the line parser
+        assert reads_by_line(path, "score") is ("-0" in values)
     want = _bits([float(v) for v in values])
     assert len(parsed) == 1   # every spelling is a JSON number
-    if "-0" not in values:   # JSON's integer 0: float() reads that block
+    if "-0" not in values:
         assert _bits(parsed[0]) == want
     assert _bits(load_scores(path).scores) == want
     path.write_bytes(body.replace(b"\n", b"\r\n"))
@@ -1291,17 +1274,19 @@ def test_orjson_branch_errors_have_float_bits_property(tmp_path, i, data):
     assert_branch_same_as_line_parser(path)
     columns = io_mod._json_rows(path.read_bytes(), i)
     errors = [v for _, values in rows for v in values]
-    if "-0" in errors:   # JSON's integer 0: np.loadtxt reads the file
+    if "-0" in errors:   # JSON's integer 0: the line parser reads the file
         assert columns is None
-        assert io_mod._fast_branch_errors(path.read_bytes()) is not None
+        assert io_mod._fast_branch_errors(path.read_bytes()) is None
     else:
         assert columns[0].tolist() == [start for start, _ in rows]
         assert _bits(columns[2].ravel()) == _bits([float(v) for v in errors])
 
 
 @pytest.mark.parametrize("body,fast", [
-    (b"0,-0\n", True),   # float() reads it, as -0.0
-    (b"0,0.5\n1,-0\n2,-0.0\n", True),
+    (b"0,-0\n", False),   # JSON's integer 0, where float() reads -0.0
+    (b"0,0.5\n1,-0\n2,-0.0\n", False),
+    (b"0,-0.0\n", True),   # JSON's -0.0
+    (b"0,-0\n1,1.\n2,.5\n3,+.5e-3\n", False),   # and no JSON numbers
     (b"0,true\n", False),   # JSON's 1.0
     (b"0,null\n", False),
     (b"0,NaN\n", False),
@@ -1315,7 +1300,7 @@ def test_scores_orjson_gate_bodies_give_the_line_parsers_result(
     path.write_bytes(HEADERS["score"] + body)
     assert reads_by_line(path, "score") is not fast
     assert_same_as_line_parser(path, "score")
-    if fast:
+    if b"-0" in body:   # a signed zero keeps float()'s sign
         want = [float(line.split(b",")[1]) for line in body.splitlines()]
         assert _bits(load_scores(path).scores) == _bits(want)
 

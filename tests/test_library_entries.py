@@ -141,9 +141,9 @@ def videos(draw) -> list[tuple[ScoreSequence, FrameMask]]:
 def dataset_of(draw) -> None:
     drawn = draw(st.lists(st.tuples(st.booleans(), pairs()), min_size=1,
                           max_size=3))
-    data = Dataset.of([(ScoreSequence(f"v{k}", s) if scored else None,
-                        FrameMask(f"v{k}", y))
-                       for k, (scored, (s, y)) in enumerate(drawn)])
+    data = Dataset.of(objects_or(draw, [
+        (ScoreSequence(f"v{k}", s) if scored else None, FrameMask(f"v{k}", y))
+        for k, (scored, (s, y)) in enumerate(drawn)]))
     # scores exactly when every pair had them
     assert (data.scores is None) == (not drawn[0][0])
 
@@ -261,8 +261,10 @@ ENTRIES = {
     "EventSet": lambda draw: EventSet("v", array_or(draw, PRED.events)),
     "validate_pair": lambda draw: validate_pair(
         object_or(draw, ScoreSequence("v", [0.1] * 5)), object_or(draw, MASK)),
-    "events_within": lambda draw: events_within(object_or(draw, GT), 12),
-    "audit_events": lambda draw: audit_events(object_or(draw, GT), 12, 2),
+    "events_within": lambda draw: events_within(object_or(draw, GT),
+                                                draw(NUMBERS)),
+    "audit_events": lambda draw: audit_events(
+        object_or(draw, GT), draw(NUMBERS), draw(NUMBERS)),
     "frame_metrics data": lambda draw: frame_metrics(
         object_or(draw, SCORED_DATA), 0.5),
     "auc_roc": lambda draw: auc_roc(object_or(draw, CURVE)),
@@ -434,6 +436,26 @@ def test_tau_must_be_a_finite_real(call, tau):
      "cfg must be an EvalConfig, got None"),
     (lambda: emit_report(None), "report must be a Report, got None"),
     (lambda: emit_audit(None), "audit must be an AuditReport, got None"),
+    (lambda: Dataset.of(None),
+     "pairs must be (scores or None, mask) pairs, got None"),
+    (lambda: Dataset.of("ab"),
+     "pairs must be (scores or None, mask) pairs, got 'a'"),
+    (lambda: Dataset.of([(None, [0, 1])]),
+     "mask must be a FrameMask, got [0, 1]"),
+    (lambda: compute_frame_metrics(None, EvalConfig()),
+     "pairs must be (scores or None, mask) pairs, got None"),
+    (lambda: event_metrics_at(None, 0.5, EvalConfig(), "refined"),
+     "pairs must be (scores or None, mask) pairs, got None"),
+    (lambda: audit_events(GT, "", 2),
+     "n_frames must be an integer >= 10, got ''"),
+    (lambda: audit_events(EventSet("v", [TemporalEvent(0, 5)]), 5, 2),
+     "n_frames must be an integer >= 6, got 5"),
+    (lambda: audit_events(GT, 12, None),
+     "micro_threshold must be an integer >= 1, got None"),
+    (lambda: events_within(GT, None),
+     "n_frames must be an integer >= 1, got None"),
+    (lambda: events_within(EventSet("v"), 0),
+     "n_frames must be an integer >= 1, got 0"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
@@ -457,7 +479,12 @@ def test_tau_must_be_a_finite_real(call, tau):
         "validate_pair scores None", "validate_pair mask None",
         "events_within None", "audit_events None", "frame_metrics None",
         "auc_roc None", "eer_threshold None", "run_evaluation manifest None",
-        "run_evaluation cfg None", "emit_report None", "emit_audit None"])
+        "run_evaluation cfg None", "emit_report None", "emit_audit None",
+        "Dataset.of None", "Dataset.of string", "Dataset.of mask list",
+        "compute_frame_metrics None", "event_metrics_at None",
+        "audit_events n_frames string", "audit_events n_frames at last end",
+        "audit_events micro_threshold None", "events_within n_frames None",
+        "events_within n_frames 0"])
 def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()
