@@ -240,8 +240,10 @@ def _frame_column(size: int) -> bytes:
     return b"".join([_FIRST_THOUSAND, later, b"\n"])
 
 
-# every byte but the separators ',', '\n' and '\r' (a line break to csv)
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
+# Over these bytes every JSON number is one that float() reads to the same
+# bits, but '-0', which JSON reads as the integer 0 and float() as -0.0;
+# anything else that is not a JSON number, '1.' or '+1' say, is an error.
+_NUMBER_BYTES = b"0123456789+-.eE"
 _BLOCK = 1 << 16   # bytes of lines split and converted at a time
 
 
@@ -261,8 +263,8 @@ def _fast_column(data: bytes, value_header: str, convert) -> np.ndarray | None:
     ending in '\\n', with no CR; the frames are those of the frame column,
     0..n-1 without leading zeros. convert turns a block of lines into their
     frame column, b'f0\\n...\\n', and an array of their values, or None
-    when a value is not canonical. A quote makes convert or the frame check
-    fail, so csv quoting never splits a line differently.
+    when a value is not canonical. Every byte is of _NUMBER_BYTES or a
+    separator, so no quote makes csv split a line differently.
     """
     header = f"frame,{value_header}\n".encode()
     if (len(data) == len(header)
@@ -271,8 +273,8 @@ def _fast_column(data: bytes, value_header: str, convert) -> np.ndarray | None:
     column = _frame_column(1 << (data.count(b"\n") - 2).bit_length())
     blocks, pos = [], 0   # pos in column
     for lines in _blocks(data, len(header)):
-        # one comma on every line, and no CR
-        seps = lines.translate(None, _NOT_SEPARATORS)
+        # one comma on every line, no CR, and else only _NUMBER_BYTES
+        seps = lines.translate(None, _NUMBER_BYTES)
         if seps != b",\n" * (len(seps) // 2):
             return None
         converted = convert(lines)
@@ -283,18 +285,10 @@ def _fast_column(data: bytes, value_header: str, convert) -> np.ndarray | None:
     return np.concatenate(blocks)
 
 
-# Over these bytes every JSON number is one that float() reads to the same
-# bits, but '-0', which JSON reads as the integer 0 and float() as -0.0;
-# anything else that is not a JSON number, '1.' or '+1' say, is an error.
-_JSON_NUMBER_BYTES = b"0123456789+-.eE,\n"
-
-
 def _finite_floats(lines: bytes) -> tuple[bytes, np.ndarray] | None:
     """The lines' frames and scores, read by one orjson parse, so with
     float()'s bits; None, and so the line parser, unless every value is a
-    finite JSON number over _JSON_NUMBER_BYTES other than '-0'."""
-    if lines.translate(None, _JSON_NUMBER_BYTES):
-        return None
+    finite JSON number other than '-0' (see _NUMBER_BYTES)."""
     fields = lines.replace(b",", b"\n").split(b"\n")
     values = fields[1::2]
     try:
@@ -404,18 +398,16 @@ def _branch_errors_from_lines(path: Path,
     return np.array(starts), np.array(lengths), np.array(scores)
 
 
-# A canonical branch-error file: lines 'start len values...' split by
-# single spaces, of the bytes _BRANCH_BYTES only.
-_BRANCH_BYTES = b"0123456789+-.eE \n"
-
-
-def _json_rows(data: bytes, i: int) -> tuple[np.ndarray, ...] | None:
-    """The starts, lengths and errors of data's lines read by orjson as rows
-    [start, len, e...], a block of lines at a time, or None unless every row
-    is 2 + 4i wide, every start and length a JSON integer within int64 and
-    no error '-0'; the errors then have float()'s bits (see
-    _JSON_NUMBER_BYTES)."""
-    columns = []
+def _fast_branch_errors(data: bytes) -> tuple[np.ndarray, ...] | None:
+    """The starts, lengths and errors of data's lines, read by orjson as
+    rows [start, len, e...] a block of lines at a time; None, and so the
+    line parser, unless data is of _NUMBER_BYTES, spaces and newlines, every
+    row is 2 + 4i wide for one i >= 1 in every block, every start a JSON
+    integer in 0..int64 max, every length i, and every error finite, >= 0
+    and no '-0'; the errors then have float()'s bits (see _NUMBER_BYTES)."""
+    if data.translate(None, _NUMBER_BYTES + b" \n"):
+        return None
+    columns, widths = [], set()
     for lines in _blocks(data, 0):
         try:
             rows = orjson.loads(b"[[" + lines.rstrip(b"\n").replace(b" ", b",")
@@ -425,34 +417,22 @@ def _json_rows(data: bytes, i: int) -> tuple[np.ndarray, ...] | None:
             heads = np.array([row[:2] for row in rows])
         except ValueError:
             return None
-        if table.shape[1:] != (2 + 4 * i,) or heads.dtype != np.int64:
+        if heads.dtype != np.int64:
             return None
         errors = table[:, 2:]
         # only a zero can have been a '-0'
         if not errors.all() and (b" -0 " in lines or b" -0\n" in lines):
             return None
-        columns.append((heads[:, 0], heads[:, 1], errors))
-    return tuple(map(np.concatenate, zip(*columns)))
-
-
-def _fast_branch_errors(data: bytes) -> tuple[np.ndarray, ...] | None:
-    """The arrays of data, a canonical file whose windows all have one
-    length i >= 1 and finite errors >= 0, read by _json_rows; None, and so
-    the line parser, for every other file."""
-    if data.translate(None, _BRANCH_BYTES):
+        widths.add(table.shape[1])
+        columns.append((heads, errors))
+    if len(widths) != 1:   # one row width 2 + 4i, so one i, in every block
         return None
-    end = data.find(b"\n")   # the first line has 2 + 4i fields
-    i, extra = divmod(data.count(b" ", 0, end if end >= 0 else None) - 1, 4)
-    if extra or i < 1:
-        return None
-    columns = _json_rows(data, i)
-    if columns is None:
-        return None
-    starts, lengths, errors = columns
-    if ((lengths != i).any() or (starts < 0).any()
+    i, extra = divmod(widths.pop() - 2, 4)
+    heads, errors = map(np.concatenate, zip(*columns))
+    if (extra or i < 1 or (heads[:, 1] != i).any() or (heads[:, 0] < 0).any()
             or not np.isfinite(errors).all() or (errors < 0).any()):
         return None
-    return starts, lengths, score_window(errors)
+    return heads[:, 0], heads[:, 1], errors
 
 
 def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
@@ -462,12 +442,16 @@ def load_branch_errors(path: str | Path) -> tuple[np.ndarray, ...]:
     Each non-comment line is whitespace-separated numbers: target_start,
     window_len i, then 4i error values (the i short-branch values followed
     by the 3i long-branch values). A canonical file (see _fast_branch_errors)
-    is read by orjson; every other file, and every error, goes through the
-    line parser.
+    is read by orjson and its windows scored by score_window; every other
+    file, and every error, goes through the line parser.
     """
     path = Path(path)
     data = _read(path)
-    return _fast_branch_errors(data) or _branch_errors_from_lines(path, data)
+    fast = _fast_branch_errors(data)
+    if fast is None:
+        return _branch_errors_from_lines(path, data)
+    starts, lengths, errors = fast
+    return starts, lengths, score_window(errors)
 
 
 def _load_json_object(path: Path) -> dict:
@@ -515,12 +499,14 @@ def events_to_json_obj(events_by_id: dict[str, EventSet]) -> dict:
 
 
 def config_to_dict(cfg: EvalConfig) -> dict:
+    check_type("cfg", cfg, EvalConfig)
     return {**dataclasses.asdict(cfg),
             "tiou_thresholds": list(cfg.tiou_thresholds),
             "threshold_strategy": cfg.threshold_strategy.value}
 
 
 def config_from_dict(data: dict) -> EvalConfig:
+    check_type("data", data, dict)
     names = {f.name for f in dataclasses.fields(EvalConfig)}
     unknown = sorted(set(data) - names)
     if unknown:
@@ -540,6 +526,7 @@ def load_dataset(manifest: Manifest, scores: bool = True) -> Dataset:
     """Every video of the manifest, in video_id order, laid end to end: each
     scores file (when scores is True) and then its mask is read, and
     Dataset.of checks the pair before the next video's files are opened."""
+    check_type("manifest", manifest, Manifest)
     return Dataset.of(
         (load_scores(e.scores_path, e.video_id) if scores else None,
          load_mask(e.mask_path, e.video_id))
@@ -553,6 +540,8 @@ def predict_clips(data: Dataset, taus: Sequence[float], cfg: EvalConfig,
     the raw scores."""
     for tau in taus:
         check_tau(tau)
+    check_type("data", data, Dataset)
+    check_type("cfg", cfg, EvalConfig)
     if mode == BASELINE:
         return [clip_runs(data.scores >= tau, data.bounds) for tau in taus]
     if mode == REFINED:
@@ -566,6 +555,7 @@ def predict_videos(data: Dataset, tau: float | None, cfg: EvalConfig,
     """Each video's predicted events at tau, from one pass over all videos.
     A tau of None comes from cfg.threshold_strategy: fixed_tau, or the
     frame metrics' EER or HPRS threshold over the same pass."""
+    check_type("cfg", cfg, EvalConfig)
     strategy = cfg.threshold_strategy
     if tau is None and strategy is ThresholdStrategy.FIXED:
         tau = cfg.fixed_tau
@@ -580,6 +570,7 @@ def predict_videos(data: Dataset, tau: float | None, cfg: EvalConfig,
 def compute_frame_metrics(videos: Sequence[tuple[ScoreSequence, FrameMask]],
                           cfg: EvalConfig) -> FrameMetrics:
     """Frame-level metrics over the concatenated scores of all videos."""
+    check_type("cfg", cfg, EvalConfig)
     return frame_metrics(Dataset.of(videos), cfg.hprs_beta)
 
 

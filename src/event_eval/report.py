@@ -146,12 +146,14 @@ def emit_audit(audit: AuditReport, format: str = "json") -> bytes:
 
 
 def emit_frame_metrics(metrics: FrameMetrics, format: str = "json") -> bytes:
+    check_type("metrics", metrics, FrameMetrics)
     d = asdict(metrics)
     return render(d, [("frame", "# Frame-level metrics", "table", _flat(d))],
                   format, ("section", "metric", "value"))
 
 
 def emit_event_metrics(metrics: EventMetrics, format: str = "json") -> bytes:
+    check_type("metrics", metrics, EventMetrics)
     d = event_metrics_to_dict(metrics)
     return render(d, [("", "## Event-level metrics", "per_tiou",
                        _per_tiou(d))], format, ("tiou", "metric", "value"))

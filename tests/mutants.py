@@ -73,7 +73,8 @@ MUTANTS = [
            (f"{_CSV}::test_scores_orjson_gate_bodies_give_the_line_parsers_"
             "result",)),
     Mutant("scores of any bytes read by orjson", "src/event_eval/io.py",
-           "if lines.translate(None, _JSON_NUMBER_BYTES):", "if False:",
+           '_NUMBER_BYTES = b"0123456789+-.eE"',
+           '_NUMBER_BYTES = b"0123456789+-.eEtru"',
            (f"{_CSV}::test_scores_orjson_gate_bodies_give_the_line_parsers_"
             "result",)),
     Mutant("branch '-0' errors read by orjson", "src/event_eval/io.py",
@@ -81,9 +82,13 @@ MUTANTS = [
            (f"{_CSV}::test_branch_orjson_gate_bodies_give_the_line_parsers_"
             "result",)),
     Mutant("branch starts and lengths not checked as JSON ints",
-           "src/event_eval/io.py", " or heads.dtype != np.int64", "",
+           "src/event_eval/io.py", "if heads.dtype != np.int64:", "if False:",
            (f"{_CSV}::test_branch_orjson_gate_bodies_give_the_line_parsers_"
             "result",)),
+    Mutant("branch blocks of another window length read by orjson",
+           "src/event_eval/io.py", "if len(widths) != 1:", "if not widths:",
+           (f"{_CSV}::test_long_canonical_branch_files_take_the_vectorized_"
+            "path",)),
     Mutant("branch rule fault loses its FILE:LINE prefix",
            "src/event_eval/errors.py", 'else f"{path}:{line}: {exc}",)',
            "else str(exc),)",

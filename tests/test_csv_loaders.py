@@ -529,14 +529,9 @@ def test_canonical_scores_peak_memory_is_a_small_multiple_of_the_file(
 
 
 @pytest.mark.parametrize("frame", [b"0.0", b"0e0", b"-0", b"9" * 19, b"00"])
-def test_non_digit_or_long_frames_never_reach_loadtxt(tmp_path, monkeypatch,
-                                                     frame):
-    # numpy releases with the deprecated int-via-float fallback would warn
-    # and truncate such a frame instead of rejecting it
+def test_non_digit_or_long_frames_take_the_line_parser(tmp_path, frame):
     path = tmp_path / "v.csv"
     path.write_bytes(b"frame,score\n" + frame + b",0.5\n")
-    monkeypatch.setattr(io_mod.np, "loadtxt", lambda *a, **k: pytest.fail(
-        "loadtxt was called"))
     assert reads_by_line(path, "score")
 
 
@@ -1135,6 +1130,27 @@ def test_canonical_branch_variants_take_the_vectorized_path(tmp_path, body):
     assert_branch_same_as_line_parser(path)
 
 
+def test_long_canonical_branch_files_take_the_vectorized_path(tmp_path):
+    # past 3 blocks of one window length; then every window from the last
+    # block on has another length, so each block is one width but the
+    # blocks disagree, which the line parser reads
+    errors = np.random.default_rng(2).random((4000, 8)).tolist()
+    body = b"".join(b"%d 1 %r %r %r %r\n" % (k, *e[:4])
+                    for k, e in enumerate(errors))
+    assert len(body) > 3 * io_mod._BLOCK
+    path = tmp_path / "b.txt"
+    path.write_bytes(body)
+    assert io_mod._fast_branch_errors(body) is not None
+    assert_branch_same_as_line_parser(path)
+    at = len(body) - len(list(io_mod._blocks(body, 0))[-1])
+    tail = b"".join(b"%d 2 %r %r %r %r %r %r %r %r\n" % (k, *e)
+                    for k, e in enumerate(errors[:200]))
+    path.write_bytes(body[:at] + tail)
+    assert io_mod._fast_branch_errors(path.read_bytes()) is None
+    assert_branch_same_as_line_parser(path)
+    assert set(load_branch_errors(path)[1].tolist()) == {1, 2}
+
+
 _BRANCH_EDIT_BYTES = b"0123456789+-.eE \n\t\r#_\x00\xff"
 
 
@@ -1177,8 +1193,8 @@ def test_canonical_branch_files_are_bit_identical_property(tmp_path, i,
     path = tmp_path / "b.txt"
     path.write_bytes("".join(f"{start} {i} {' '.join(values)}\n"
                              for start, values in rows).encode())
-    fast = io_mod._fast_branch_errors(path.read_bytes())
-    assert fast is not None
+    assert io_mod._fast_branch_errors(path.read_bytes()) is not None
+    fast = load_branch_errors(path)
     assert _window_bits(fast) == _window_bits(
         io_mod._branch_errors_from_lines(path, path.read_bytes()))
     assert _window_bits(fast) == _window_bits((
@@ -1272,11 +1288,10 @@ def test_orjson_branch_errors_have_float_bits_property(tmp_path, i, data):
     path.write_bytes("".join(f"{start} {i} {' '.join(values)}\n"
                              for start, values in rows).encode())
     assert_branch_same_as_line_parser(path)
-    columns = io_mod._json_rows(path.read_bytes(), i)
+    columns = io_mod._fast_branch_errors(path.read_bytes())
     errors = [v for _, values in rows for v in values]
     if "-0" in errors:   # JSON's integer 0: the line parser reads the file
         assert columns is None
-        assert io_mod._fast_branch_errors(path.read_bytes()) is None
     else:
         assert columns[0].tolist() == [start for start, _ in rows]
         assert _bits(columns[2].ravel()) == _bits([float(v) for v in errors])
@@ -1326,10 +1341,7 @@ def test_branch_orjson_gate_bodies_give_the_line_parsers_result(
         tmp_path, body, json):
     path = tmp_path / "b.txt"
     path.write_bytes(body)
-    # _fast_branch_errors hands _json_rows only its own bytes
-    read = (io_mod._fast_branch_errors(body) is not None
-            and io_mod._json_rows(body, 1) is not None)
-    assert read is json
+    assert (io_mod._fast_branch_errors(body) is not None) is json
     assert_branch_same_as_line_parser(path)
 
 

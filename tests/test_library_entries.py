@@ -41,10 +41,12 @@ from event_eval.events import (audit_dataset, audit_events, events_to_mask,
                                mask_to_events, refine_pipeline)
 from event_eval.fusion import (BranchErrors, align_center, fuse_frames,
                                mark_windows, pool_event_score)
-from event_eval.io import (Manifest, compute_frame_metrics, event_metrics_at,
-                           run_evaluation)
+from event_eval.io import (Manifest, compute_frame_metrics, config_from_dict,
+                           config_to_dict, event_metrics_at, load_dataset,
+                           predict_clips, predict_videos, run_evaluation)
 from event_eval.matching import match_events, multi_threshold_eval
-from event_eval.report import emit_audit, emit_report
+from event_eval.report import (emit_audit, emit_event_metrics,
+                               emit_frame_metrics, emit_report)
 from event_eval.thresholds import (auc_roc, eer_threshold, frame_metrics,
                                    hprs_threshold, roc_curve)
 
@@ -456,6 +458,25 @@ def test_tau_must_be_a_finite_real(call, tau):
      "n_frames must be an integer >= 1, got None"),
     (lambda: events_within(EventSet("v"), 0),
      "n_frames must be an integer >= 1, got 0"),
+    (lambda: emit_frame_metrics(None),
+     "metrics must be a FrameMetrics, got None"),
+    (lambda: emit_event_metrics(None),
+     "metrics must be an EventMetrics, got None"),
+    (lambda: predict_videos(None, 0.5, EvalConfig(), "refined"),
+     "data must be a Dataset, got None"),
+    (lambda: predict_videos(SCORED_DATA, 0.5, None, "refined"),
+     "cfg must be an EvalConfig, got None"),
+    (lambda: predict_clips(SCORED_DATA, (0.5,), None, "refined"),
+     "cfg must be an EvalConfig, got None"),
+    (lambda: compute_frame_metrics(VIDEOS, None),
+     "cfg must be an EvalConfig, got None"),
+    (lambda: event_metrics_at(VIDEOS, 0.5, None, "refined"),
+     "cfg must be an EvalConfig, got None"),
+    (lambda: event_metrics_at(VIDEOS, 0.5, None, "baseline"),
+     "cfg must be an EvalConfig, got None"),
+    (lambda: load_dataset(None), "manifest must be a Manifest, got None"),
+    (lambda: config_to_dict(None), "cfg must be an EvalConfig, got None"),
+    (lambda: config_from_dict(None), "data must be a dict, got None"),
 ], ids=["strategy x", "score 10**400", "label 10**400", "roc_curve 10**400",
         "score string", "score complex", "radius 1.5", "radius True",
         "radius string", "sigma string", "sigma inf", "micro_threshold string",
@@ -484,7 +505,12 @@ def test_tau_must_be_a_finite_real(call, tau):
         "compute_frame_metrics None", "event_metrics_at None",
         "audit_events n_frames string", "audit_events n_frames at last end",
         "audit_events micro_threshold None", "events_within n_frames None",
-        "events_within n_frames 0"])
+        "events_within n_frames 0", "emit_frame_metrics None",
+        "emit_event_metrics None", "predict_videos data None",
+        "predict_videos cfg None", "predict_clips cfg None",
+        "compute_frame_metrics cfg None", "event_metrics_at cfg None refined",
+        "event_metrics_at cfg None baseline", "load_dataset None",
+        "config_to_dict None", "config_from_dict None"])
 def test_a_mended_escape_is_a_validation_error(call, message):
     with pytest.raises(ValidationError) as err:
         call()
